@@ -351,8 +351,9 @@ func (s state) Hash() uint64 { return s.h }
 type domain struct {
 	eng        *eval.Engine
 	ruleSet    []rules.Rule
-	scale      float64 // reward normalization: the initial state's cost
-	concurrent bool    // guard the run-local memo for tree-parallel workers
+	kinds      []rules.KindSet // node kinds each rule of ruleSet can match
+	scale      float64         // reward normalization: the initial state's cost
+	concurrent bool            // guard the run-local memo for tree-parallel workers
 	mu         sync.RWMutex
 	rewards    map[uint64]float64 // run-local reward memo (nil when memoization is off)
 	onCost     func(float64)      // observes each newly computed state cost
@@ -393,7 +394,7 @@ func (d *domain) storeReward(h uint64, r float64) bool {
 }
 
 func newDomain(log []*ast.Node, opt Options, eng *eval.Engine) *domain {
-	d := &domain{eng: eng, ruleSet: opt.Rules}
+	d := &domain{eng: eng, ruleSet: opt.Rules, kinds: ruleKinds(opt.Rules)}
 	if eng.Enabled() {
 		d.rewards = make(map[uint64]float64)
 	}
@@ -424,16 +425,25 @@ func (d *domain) Neighbors(s mcts.State) []mcts.State {
 	return out
 }
 
+func ruleKinds(set []rules.Rule) []rules.KindSet {
+	out := make([]rules.KindSet, len(set))
+	for i, r := range set {
+		out[i] = rules.Kinds(r)
+	}
+	return out
+}
+
 // spinePool recycles copy-on-write spine arenas for rollout candidates,
 // almost all of which fail the legality probe and are discarded.
 var spinePool = sync.Pool{New: func() any { return new(difftree.SpineArena) }}
 
 // RandomNeighbor implements mcts.Sampler: it draws random (rule, node)
 // candidates — restricted to node kinds the rule can match — and returns the
-// first legal rewrite, falling back to the full move set when unlucky. This
-// keeps rollouts cheap relative to full neighbor enumeration. Candidate
-// pools are assembled in fixed Kind order, and the draw sequence never
-// consults the memoization state, so the sampled walk is a pure function of
+// first legal rewrite, falling back to one uniform draw from the full move
+// set when unlucky (only the drawn move is applied). This keeps rollouts
+// cheap relative to full neighbor enumeration. Candidate pools are
+// assembled in fixed Kind order, and the draw sequence never consults the
+// memoization state, so the sampled walk is a pure function of
 // (state, rng stream): cached and uncached runs take identical
 // trajectories, the cache only answers the legality probes faster.
 // Candidates are built on a pooled spine arena; the accepted one is rebuilt
@@ -442,7 +452,8 @@ var spinePool = sync.Pool{New: func() any { return new(difftree.SpineArena) }}
 func (d *domain) RandomNeighbor(s mcts.State, rng *rand.Rand) (mcts.State, bool) {
 	st := s.(state)
 	cur := st.d
-	byKind := d.eng.PathPools(cur)
+	pool := d.eng.PathPool(cur)
+	var pbuf [32]int
 	arena := spinePool.Get().(*difftree.SpineArena)
 	defer func() {
 		arena.Reset()
@@ -450,15 +461,15 @@ func (d *domain) RandomNeighbor(s mcts.State, rng *rand.Rand) (mcts.State, bool)
 	}()
 	const tries = 48
 	for i := 0; i < tries; i++ {
-		r := d.ruleSet[rng.Intn(len(d.ruleSet))]
-		kinds := rules.MatchKinds[r.Name()]
+		ri := rng.Intn(len(d.ruleSet))
+		r, kinds := d.ruleSet[ri], d.kinds[ri]
 		// The candidate pool is the concatenation, in fixed Kind order, of
 		// the per-kind path pools this rule can match; index into the
 		// segments instead of materializing it.
 		total := 0
 		for k := difftree.All; k <= difftree.Multi; k++ {
-			if kinds == nil || kinds[k] {
-				total += len(byKind[k])
+			if kinds.Has(k) {
+				total += pool.Len(k)
 			}
 		}
 		if total == 0 {
@@ -467,14 +478,14 @@ func (d *domain) RandomNeighbor(s mcts.State, rng *rand.Rand) (mcts.State, bool)
 		idx := rng.Intn(total)
 		var p difftree.Path
 		for k := difftree.All; k <= difftree.Multi; k++ {
-			if kinds != nil && !kinds[k] {
+			if !kinds.Has(k) {
 				continue
 			}
-			if idx < len(byKind[k]) {
-				p = byKind[k][idx]
+			if idx < pool.Len(k) {
+				p = pool.AppendPath(pbuf[:0], k, idx)
 				break
 			}
-			idx -= len(byKind[k])
+			idx -= pool.Len(k)
 		}
 		arena.Reset()
 		next, ok := rules.CandidateArena(cur, p, r, arena)
@@ -490,11 +501,18 @@ func (d *domain) RandomNeighbor(s mcts.State, rng *rand.Rand) (mcts.State, bool)
 		}
 		return state{d: kept, h: difftree.Hash(kept)}, true
 	}
-	ns := d.Neighbors(s)
-	if len(ns) == 0 {
+	// Fallback: draw uniformly among the legal moves and apply only that
+	// one. eval.Engine.Neighbors applies every move, in Moves order, so the
+	// draw picks the same successor Neighbors would.
+	ms := d.eng.Moves(cur)
+	if len(ms) == 0 {
 		return nil, false
 	}
-	return ns[rng.Intn(len(ns))], true
+	next, err := rules.ApplyMove(cur, ms[rng.Intn(len(ms))])
+	if err != nil {
+		return nil, false
+	}
+	return state{d: next, h: difftree.Hash(next)}, true
 }
 
 // Reward implements mcts.Domain: 1/(1 + cost/scale), so the initial state
@@ -539,6 +557,7 @@ func RandomWalk(log []*ast.Node, steps int, seed int64) (*difftree.Node, error) 
 	d := &domain{
 		eng:     eng,
 		ruleSet: rules.All(),
+		kinds:   ruleKinds(rules.All()),
 		rewards: map[uint64]float64{},
 	}
 	rng := rand.New(rand.NewSource(seed))

@@ -8,9 +8,11 @@ import (
 	"repro/internal/workload"
 )
 
-// BenchmarkProf2 is the end-to-end profiling benchmark used while optimizing
-// the search (see the cached-legality / kind-directed-sampling notes in
-// core.go): one 5-iteration generation over the full SDSS log.
+// BenchmarkProf2 is the end-to-end profiling benchmark for the search: one
+// 5-iteration generation over the full SDSS log with a cold cache. Profile
+// it with -cpuprofile to see the layers (move enumeration and its
+// incremental legality in eval.Engine.Moves, rollout sampling in
+// domain.RandomNeighbor, cost sampling in eval.Engine.StateCost).
 func BenchmarkProf2(b *testing.B) {
 	log := workload.SDSSLog()
 	for i := 0; i < b.N; i++ {

@@ -65,6 +65,25 @@ func Validate(root *Node) error {
 	return err
 }
 
+// ValidEdit reports whether Validate(next) == nil, for next built from a
+// valid tree by replacing the subtree at p. Only the replacement and the
+// spine can differ from the valid original: spine copies keep their kind,
+// label and arity, so the one check they can newly fail is a Multi whose
+// child on the spine became nullable.
+func ValidEdit(next *Node, p Path) bool {
+	n := next
+	for _, i := range p {
+		if n == nil || i < 0 || i >= len(n.Children) {
+			return false
+		}
+		if n.Kind == Multi && Nullable(n.Children[i]) {
+			return false
+		}
+		n = n.Children[i]
+	}
+	return Validate(n) == nil
+}
+
 func errorsAt(p Path, msg string) error {
 	return errors.New("difftree: at " + p.String() + ": " + msg)
 }

@@ -77,19 +77,41 @@ func Express(root *Node, q *ast.Node) (Assignment, bool) {
 	}
 	asg := make(Assignment, len(m.trail))
 	for _, e := range m.trail {
+		choice := e.label()
 		if prev, ok := asg[e.node]; ok {
-			asg[e.node] = prev + "|" + e.choice
+			asg[e.node] = prev + "|" + choice
 		} else {
-			asg[e.node] = e.choice
+			asg[e.node] = choice
 		}
 	}
 	releaseMatcher(m)
 	return asg, true
 }
 
+// trailEvent is one choice made at a choice node: the index of the child
+// the derivation entered, or -1 for an Opt left off or a Multi's closing
+// zero.
 type trailEvent struct {
-	node   *Node
-	choice string
+	node *Node
+	alt  int
+}
+
+// label renders the choice in Assignment notation: the alternative index
+// for Any, on/off for Opt, and +/0 (one more instance / no more) for Multi.
+func (e trailEvent) label() string {
+	switch e.node.Kind {
+	case Opt:
+		if e.alt < 0 {
+			return "off"
+		}
+		return "on"
+	case Multi:
+		if e.alt < 0 {
+			return "0"
+		}
+		return "+"
+	}
+	return choiceLabels.get(e.alt)
 }
 
 type matcher struct {
@@ -131,11 +153,11 @@ func (m *matcher) matchQuery(root *Node, q *ast.Node) bool {
 
 func (m *matcher) mark() int     { return len(m.trail) }
 func (m *matcher) undo(mark int) { m.trail = m.trail[:mark] }
-func (m *matcher) record(n *Node, choice string) {
+func (m *matcher) record(n *Node, alt int) {
 	if !m.needTrail {
 		return
 	}
-	m.trail = append(m.trail, trailEvent{n, choice})
+	m.trail = append(m.trail, trailEvent{n, alt})
 }
 
 // dlist is an immutable cons list of pending difftree nodes; sharing tails
@@ -225,7 +247,7 @@ func (m *matcher) match(ds *dlist, as []*ast.Node) bool {
 				continue
 			}
 			mk := m.mark()
-			m.record(d, choiceLabels.get(i))
+			m.record(d, i)
 			if m.match(m.cons(c, rest), as) {
 				return true
 			}
@@ -237,13 +259,13 @@ func (m *matcher) match(ds *dlist, as []*ast.Node) bool {
 		// Try taking the child first (maximal munch), then skipping.
 		mk := m.mark()
 		if headCanMatch(d.Children[0], as) {
-			m.record(d, "on")
+			m.record(d, 0)
 			if m.match(m.cons(d.Children[0], rest), as) {
 				return true
 			}
 			m.undo(mk)
 		}
-		m.record(d, "off")
+		m.record(d, -1)
 		if m.match(rest, as) {
 			return true
 		}
@@ -256,13 +278,13 @@ func (m *matcher) match(ds *dlist, as []*ast.Node) bool {
 		// recursion terminates.
 		mk := m.mark()
 		if headCanMatch(d.Children[0], as) {
-			m.record(d, "+")
+			m.record(d, 0)
 			if m.match(m.cons(d.Children[0], m.cons(d, rest)), as) {
 				return true
 			}
 			m.undo(mk)
 		}
-		m.record(d, "0")
+		m.record(d, -1)
 		if m.match(rest, as) {
 			return true
 		}

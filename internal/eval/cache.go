@@ -23,7 +23,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/difftree"
 	"repro/internal/rules"
 )
 
@@ -95,15 +94,33 @@ type slot struct {
 // entry is the memoized record of one (configuration, state) pair. Entries
 // are stored by value — the search retains hundreds of thousands of
 // one-shot states, and inline storage keeps them off the GC scan list.
-// Fields are guarded by the owning shard's mutex.
+// Most entries are a bare legality verdict (every candidate of every move
+// enumeration gets one), so the move set and path pools, which only the
+// states a search actually stands on carry, live behind one pointer: a
+// verdict-only entry stays a few words. Fields are guarded by the owning
+// shard's mutex.
 type entry struct {
-	cost     float64
-	hasCost  bool
-	legal    uint8 // 0 unknown, 1 legal, 2 illegal
+	cost    float64
+	hasCost bool
+	legal   uint8     // 0 unknown, 1 legal, 2 illegal
+	ext     *entryExt // nil until moves or pools are recorded
+}
+
+// entryExt holds the per-state aspects that are slices.
+type entryExt struct {
 	moves    []rules.Move
 	hasMoves bool
-	pools    [4][]difftree.Path // node paths by difftree.Kind
+	pools    *PathPool
 	hasPools bool
+}
+
+// extFor returns e's slice aspects, allocating them on first use. Caller
+// must hold the shard lock.
+func (e *entry) extFor() *entryExt {
+	if e.ext == nil {
+		e.ext = new(entryExt)
+	}
+	return e.ext
 }
 
 // NewCache returns a cache holding at least maxEntries states
@@ -215,7 +232,7 @@ type CachedState struct {
 	HasLegal bool
 	Moves    []rules.Move
 	HasMoves bool
-	Pools    [4][]difftree.Path
+	Pools    *PathPool
 	HasPools bool
 }
 
@@ -226,17 +243,20 @@ type CachedState struct {
 func (c *Cache) Probe(key uint64) (CachedState, bool) {
 	s := c.shard(key)
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	e, found := s.get(key)
-	s.mu.Unlock()
 	if !found {
 		return CachedState{}, false
 	}
-	return CachedState{
+	cs := CachedState{
 		Cost: e.cost, HasCost: e.hasCost,
 		Legal: e.legal == 1, HasLegal: e.legal != 0,
-		Moves: e.moves, HasMoves: e.hasMoves,
-		Pools: e.pools, HasPools: e.hasPools,
-	}, true
+	}
+	if x := e.ext; x != nil { // written under the same lock by SetMoves/SetPools
+		cs.Moves, cs.HasMoves = x.moves, x.hasMoves
+		cs.Pools, cs.HasPools = x.pools, x.hasPools
+	}
+	return cs, true
 }
 
 // Count records one aspect lookup outcome; pairs with Probe.
@@ -266,13 +286,17 @@ func (c *Cache) SetCost(key uint64, v float64) {
 	s.mu.Unlock()
 }
 
-// Legal returns the memoized legality verdict.
+// Legal returns the memoized legality verdict. It is the engine's
+// per-candidate probe, so it reads the verdict alone instead of copying the
+// whole record out through Probe.
 func (c *Cache) Legal(key uint64) (legal, ok bool) {
-	e, found := c.Probe(key)
-	ok = found && e.HasLegal
-	legal = ok && e.Legal
+	s := c.shard(key)
+	s.mu.Lock()
+	e, found := s.get(key)
+	s.mu.Unlock()
+	ok = found && e.legal != 0
 	c.count(ok)
-	return legal, ok
+	return ok && e.legal == 1, ok
 }
 
 // SetLegal records a legality verdict (first write wins, see SetCost).
@@ -318,29 +342,29 @@ func (c *Cache) Moves(key uint64) ([]rules.Move, bool) {
 // SetMoves records a legal move set. The cache takes ownership of ms.
 func (c *Cache) SetMoves(key uint64, ms []rules.Move) {
 	s, e := c.lockFor(key)
-	if !e.hasMoves {
-		e.moves, e.hasMoves = ms, true
+	if x := e.extFor(); !x.hasMoves {
+		x.moves, x.hasMoves = ms, true
 	}
 	s.mu.Unlock()
 }
 
-// Pools returns the memoized per-kind node path pools. The returned slices
-// are shared: callers must not modify them.
-func (c *Cache) Pools(key uint64) ([4][]difftree.Path, bool) {
+// Pools returns the memoized per-kind node path pool. The pool is shared:
+// callers must not modify it.
+func (c *Cache) Pools(key uint64) (*PathPool, bool) {
 	e, found := c.Probe(key)
 	ok := found && e.HasPools
 	c.count(ok)
 	if !ok {
-		return [4][]difftree.Path{}, false
+		return nil, false
 	}
 	return e.Pools, true
 }
 
-// SetPools records per-kind node path pools. The cache takes ownership.
-func (c *Cache) SetPools(key uint64, pools [4][]difftree.Path) {
+// SetPools records a per-kind node path pool. The cache takes ownership.
+func (c *Cache) SetPools(key uint64, pools *PathPool) {
 	s, e := c.lockFor(key)
-	if !e.hasPools {
-		e.pools, e.hasPools = pools, true
+	if x := e.extFor(); !x.hasPools {
+		x.pools, x.hasPools = pools, true
 	}
 	s.mu.Unlock()
 }

@@ -36,7 +36,8 @@ type Config struct {
 type Engine struct {
 	cfg   Config
 	cache *Cache
-	fp    uint64 // configuration fingerprint, mixed into every cache key
+	fp    uint64          // configuration fingerprint, mixed into every cache key
+	kinds []rules.KindSet // node kinds each of cfg.Rules can match
 
 	// terms is the cross-state widget term memo behind delta cost
 	// evaluation; nil when memoization is off, so the uncached engine stays
@@ -47,6 +48,9 @@ type Engine struct {
 // New builds an engine over cfg, memoizing into cache (nil = uncached).
 func New(cfg Config, cache *Cache) *Engine {
 	e := &Engine{cfg: cfg, cache: cache, fp: fingerprint(cfg)}
+	for _, r := range cfg.Rules {
+		e.kinds = append(e.kinds, rules.Kinds(r))
+	}
 	if cache != nil {
 		e.terms = cost.NewTermMemo()
 		cache.noteFingerprint(e.fp)
@@ -175,28 +179,56 @@ func sampledCost(d *difftree.Node, log []*ast.Node, model cost.Model, k int, rng
 // LegalState reports whether d is a valid search state: within the size
 // cap, structurally valid, and still expressing every log query. The full
 // verdict — size gate included — is memoized, so a hit costs one hash walk
-// (itself amortized by per-node hash caching) and one shard lookup.
+// (itself amortized by per-node hash caching) and one shard lookup. A miss
+// runs the full re-match oracle, rules.LegalState.
 func (e *Engine) LegalState(d *difftree.Node) bool {
-	h := difftree.Hash(d)
-	var k uint64
-	if e.cache != nil {
-		k = e.key(h)
-		if v, ok := e.cache.Probe(k); ok && v.HasLegal {
-			e.cache.Count(true)
-			return v.Legal
-		}
-		e.cache.Count(false)
+	k, v, ok := e.probeLegal(d)
+	if ok {
+		return v
 	}
-	v := (e.cfg.SizeCap <= 0 || d.Size() <= e.cfg.SizeCap) && rules.LegalState(d, e.cfg.Log)
-	if e.cache != nil {
-		e.cache.SetLegal(k, v)
-	}
+	v = e.fullLegal(d)
+	e.storeLegal(k, v)
 	return v
 }
 
-// spinePool recycles the copy-on-write spine arenas used for candidate
-// trees that exist only long enough to be legality-checked.
-var spinePool = sync.Pool{New: func() any { return new(difftree.SpineArena) }}
+// fullLegal is the uncached LegalState verdict: the size gate, then the
+// full re-match oracle.
+func (e *Engine) fullLegal(d *difftree.Node) bool {
+	return (e.cfg.SizeCap <= 0 || d.Size() <= e.cfg.SizeCap) && rules.LegalState(d, e.cfg.Log)
+}
+
+// probeLegal looks up d's memoized legality verdict, counting the probe; k
+// is the cache key to store a computed verdict under.
+func (e *Engine) probeLegal(d *difftree.Node) (k uint64, legal, ok bool) {
+	if e.cache == nil {
+		return 0, false, false
+	}
+	k = e.key(difftree.Hash(d))
+	legal, ok = e.cache.Legal(k)
+	return k, legal, ok
+}
+
+func (e *Engine) storeLegal(k uint64, legal bool) {
+	if e.cache != nil {
+		e.cache.SetLegal(k, legal)
+	}
+}
+
+// movesScratch is the per-call working set of Moves, pooled across calls.
+type movesScratch struct {
+	arena  difftree.SpineArena // copy-on-write spines of candidate trees
+	visits difftree.QueryVisits
+	qs     []*ast.Node // queries to re-match for one candidate
+
+	// d is the state whose moves are being enumerated. Its derivations are
+	// indexed on the first legality miss only, so a Moves call whose every
+	// verdict is already cached (a restored snapshot) pays nothing for them.
+	d       *difftree.Node
+	indexed bool
+	valid   bool // d validates: candidates may be judged incrementally
+}
+
+var movesPool = sync.Pool{New: func() any { return new(movesScratch) }}
 
 // Moves enumerates d's legal moves — rule pattern matches, the rewrite is
 // within the size cap, and every query stays expressible — in deterministic
@@ -204,6 +236,15 @@ var spinePool = sync.Pool{New: func() any { return new(difftree.SpineArena) }}
 // slice is shared with the cache; callers must not modify it. Candidate
 // trees are spine-allocated from a pooled arena: only the (rule, path)
 // pair survives the legality check, never the tree.
+//
+// Legality is judged incrementally: one first-found derivation per log
+// query is recorded on d (difftree.QueryVisits), and a candidate that
+// replaces node n by sub is judged by its size (d's minus n's plus sub's),
+// difftree.ValidEdit, and re-matching only the queries whose derivation
+// visits n. Verdicts equal the full re-match oracle's (rules.Moves and
+// rules.LegalState remain the reference) and are memoized exactly as
+// LegalState memoizes them. Candidates of a d that is itself invalid are
+// judged by the oracle.
 func (e *Engine) Moves(d *difftree.Node) []rules.Move {
 	h := difftree.Hash(d)
 	var k uint64
@@ -215,73 +256,64 @@ func (e *Engine) Moves(d *difftree.Node) []rules.Move {
 		}
 		e.cache.Count(false)
 	}
-	arena := spinePool.Get().(*difftree.SpineArena)
+	sc := movesPool.Get().(*movesScratch)
+	sc.d, sc.indexed = d, false
 	var out []rules.Move
+	pos := -1
 	difftree.WalkPath(d, func(n *difftree.Node, p difftree.Path) bool {
-		for _, r := range e.cfg.Rules {
-			if kinds, ok := rules.MatchKinds[r.Name()]; ok && !kinds[n.Kind] {
+		pos++
+		for i, r := range e.cfg.Rules {
+			if !e.kinds[i].Has(n.Kind) {
 				continue
 			}
-			arena.Reset()
-			next, ok := rules.CandidateArena(d, p, r, arena)
+			sc.arena.Reset()
+			next, ok := rules.CandidateArena(d, p, r, &sc.arena)
 			if !ok {
 				continue
 			}
-			if !e.LegalState(next) {
-				continue
+			if e.legalEdit(next, p, pos, sc) {
+				out = append(out, rules.Move{Rule: r.Name(), Path: p.Clone()})
 			}
-			out = append(out, rules.Move{Rule: r.Name(), Path: p.Clone()})
 		}
 		return true
 	})
-	arena.Reset()
-	spinePool.Put(arena)
+	sc.arena.Reset()
+	sc.d = nil
+	clear(sc.qs)
+	movesPool.Put(sc)
 	if e.cache != nil {
 		e.cache.SetMoves(k, out)
 	}
 	return out
 }
 
-// PathPools returns d's node paths grouped by node kind, memoized per
-// state. Rollout samplers draw (rule, node) candidates from these pools on
-// every walk step; without memoization each step re-walks the tree and
-// re-allocates every path. All paths share one exactly-sized backing array,
-// so building the pools costs a handful of allocations, not one per node.
-func (e *Engine) PathPools(d *difftree.Node) [4][]difftree.Path {
-	h := difftree.Hash(d)
-	var k uint64
-	if e.cache != nil {
-		k = e.key(h)
-		if v, ok := e.cache.Probe(k); ok && v.HasPools {
-			e.cache.Count(true)
-			return v.Pools
-		}
-		e.cache.Count(false)
+// legalEdit is LegalState for next, the tree sc.d with the subtree at
+// pre-order position pos (path p) replaced.
+func (e *Engine) legalEdit(next *difftree.Node, p difftree.Path, pos int, sc *movesScratch) bool {
+	k, v, ok := e.probeLegal(next)
+	if ok {
+		return v
 	}
-	var counts [4]int
-	total := 0
-	difftree.WalkPath(d, func(n *difftree.Node, p difftree.Path) bool {
-		counts[n.Kind]++
-		total += len(p)
-		return true
-	})
-	var pools [4][]difftree.Path
-	for kind, c := range counts {
-		if c > 0 {
-			pools[kind] = make([]difftree.Path, 0, c)
+	if !sc.indexed {
+		sc.indexed = true
+		sc.valid = difftree.Validate(sc.d) == nil
+		if sc.valid {
+			sc.visits.Index(sc.d, e.cfg.Log)
 		}
 	}
-	flat := make([]int, 0, total) // exact capacity: subslices stay valid
-	difftree.WalkPath(d, func(n *difftree.Node, p difftree.Path) bool {
-		off := len(flat)
-		flat = append(flat, p...)
-		pools[n.Kind] = append(pools[n.Kind], difftree.Path(flat[off:len(flat):len(flat)]))
-		return true
-	})
-	if e.cache != nil {
-		e.cache.SetPools(k, pools)
+	if !sc.valid {
+		v = e.fullLegal(next)
+	} else {
+		sub := difftree.At(next, p)
+		v = (e.cfg.SizeCap <= 0 || sc.visits.Size(0)-sc.visits.Size(pos)+sub.Size() <= e.cfg.SizeCap) &&
+			difftree.ValidEdit(next, p)
+		if v {
+			sc.qs = sc.visits.Affected(sc.qs[:0], e.cfg.Log, pos)
+			v = difftree.ExpressibleAll(next, sc.qs)
+		}
 	}
-	return pools
+	e.storeLegal(k, v)
+	return v
 }
 
 // Neighbors applies every legal move of d, returning the successor states

@@ -222,7 +222,7 @@ func TestSnapshotSkipsNonPortableAspects(t *testing.T) {
 	// moves/pools-only entries hold process-local pointers; they must not be
 	// exported, and an entry with no portable aspect must not appear at all.
 	c.SetMoves(1, nil)
-	c.SetPools(2, [4][]difftree.Path{})
+	c.SetPools(2, &PathPool{})
 	c.SetCost(3, 7)
 	var buf bytes.Buffer
 	n, err := c.Snapshot(&buf)

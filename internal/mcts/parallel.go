@@ -183,7 +183,7 @@ func (s *psearcher) worker(root *pnode, rng *rand.Rand) {
 		if s.stopped() {
 			return
 		}
-		if s.cfg.Iterations > 0 && s.claimed.Add(1) > int64(s.cfg.Iterations) {
+		if s.cfg.Iterations > 0 && !s.claim() {
 			return
 		}
 		worked, cut := s.iterate(root, rng)
@@ -209,6 +209,23 @@ func (s *psearcher) worker(root *pnode, rng *rand.Rand) {
 			// expansion racing a selection), so this cannot spin: a settled
 			// tree always lands on an unexpanded or terminal node.
 			s.claimed.Add(-1)
+		}
+	}
+}
+
+// claim takes one iteration from the shared budget, reporting false when
+// none is left. The count never overshoots the budget: a worker that
+// refunds its claim after a contention no-op retries the slot itself, and
+// an overshoot left behind by a worker that already returned would make
+// that retry fail and lose the iteration.
+func (s *psearcher) claim() bool {
+	for {
+		c := s.claimed.Load()
+		if c >= int64(s.cfg.Iterations) {
+			return false
+		}
+		if s.claimed.CompareAndSwap(c, c+1) {
+			return true
 		}
 	}
 }

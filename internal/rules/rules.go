@@ -79,6 +79,30 @@ var MatchKinds = map[string]map[difftree.Kind]bool{
 	"GroupAny":   {difftree.Any: true},
 }
 
+// KindSet is a set of difftree node kinds, one bit per Kind.
+type KindSet uint8
+
+// Has reports whether k is in the set.
+func (s KindSet) Has(k difftree.Kind) bool { return s&(1<<k) != 0 }
+
+// Kinds returns the node kinds r's pattern can match: its MatchKinds row
+// as a bit set, or every kind for a rule absent from the table. Hot loops
+// compute it once per rule instead of looking MatchKinds up by name for
+// every (rule, node) pair.
+func Kinds(r Rule) KindSet {
+	kinds, ok := MatchKinds[r.Name()]
+	if !ok {
+		return 1<<(difftree.Multi+1) - 1
+	}
+	var s KindSet
+	for k, on := range kinds {
+		if on {
+			s |= 1 << k
+		}
+	}
+	return s
+}
+
 var ruleByName = func() map[string]Rule {
 	m := make(map[string]Rule)
 	for _, r := range All() {
@@ -100,7 +124,9 @@ type parentAware interface {
 }
 
 // LegalState reports whether a rewritten difftree satisfies the system
-// invariant: structurally valid and still expressing every input query.
+// invariant: structurally valid and still expressing every input query. It
+// re-matches every query against the whole tree: the reference oracle for
+// eval.Engine, whose move enumeration judges legality incrementally.
 func LegalState(next *difftree.Node, queries []*ast.Node) bool {
 	return difftree.Validate(next) == nil && difftree.ExpressibleAll(next, queries)
 }
@@ -165,7 +191,9 @@ func CandidateArena(root *difftree.Node, p difftree.Path, r Rule, a *difftree.Sp
 // Moves enumerates all legal moves on root using the given rule set: the
 // rule pattern matches, the resulting tree validates, and every query stays
 // expressible. The result order is deterministic (pre-order paths, rule
-// order).
+// order). Every candidate goes through the full LegalState re-match, which
+// makes Moves the oracle that eval.Engine.Moves (incremental, size-capped,
+// memoized) is differentially tested against.
 func Moves(root *difftree.Node, queries []*ast.Node, set []Rule) []Move {
 	var out []Move
 	difftree.WalkPath(root, func(n *difftree.Node, p difftree.Path) bool {
@@ -179,18 +207,6 @@ func Moves(root *difftree.Node, queries []*ast.Node, set []Rule) []Move {
 		return true
 	})
 	return out
-}
-
-// TryApply attempts one (rule, path) candidate with the full legality gate
-// used by Moves: parent admissibility, pattern match, validation, and
-// expressibility preservation. It is the primitive behind random move
-// sampling in rollouts.
-func TryApply(root *difftree.Node, p difftree.Path, r Rule, queries []*ast.Node) (*difftree.Node, bool) {
-	next, ok := Candidate(root, p, r)
-	if !ok || !LegalState(next, queries) {
-		return nil, false
-	}
-	return next, true
 }
 
 // ApplyMove applies a move to root, returning the rewritten tree. It errors
@@ -215,8 +231,27 @@ func ApplyMove(root *difftree.Node, m Move) (*difftree.Node, error) {
 	return next, nil
 }
 
+// dedupSmall is the input size up to which dedupNodes compares every pair
+// (by cached hash first) instead of building a hash index: rule application
+// runs it on every candidate, and alternative lists are short.
+const dedupSmall = 16
+
 // dedupNodes removes structural duplicates preserving order.
 func dedupNodes(ns []*difftree.Node) []*difftree.Node {
+	if len(ns) <= dedupSmall {
+		out := make([]*difftree.Node, 0, len(ns))
+	next:
+		for _, n := range ns {
+			h := difftree.Hash(n)
+			for _, prev := range out {
+				if difftree.Hash(prev) == h && difftree.Equal(prev, n) {
+					continue next
+				}
+			}
+			out = append(out, n)
+		}
+		return out
+	}
 	seen := make(map[uint64][]*difftree.Node, len(ns))
 	var out []*difftree.Node
 	for _, n := range ns {
