@@ -10,11 +10,11 @@ import (
 	"repro/internal/workload"
 )
 
-// oracleMoves is the full re-match reference for Engine.Moves: every legal
-// move of rules.Moves whose result fits the size cap.
-func oracleMoves(d *difftree.Node, log []*ast.Node, sizeCap int) []rules.Move {
+// capMoves keeps the moves of d whose result fits the size cap: applied to
+// rules.Moves, the full re-match reference for Engine.Moves.
+func capMoves(d *difftree.Node, ms []rules.Move, sizeCap int) []rules.Move {
 	var out []rules.Move
-	for _, m := range rules.Moves(d, log, rules.All()) {
+	for _, m := range ms {
 		next, err := rules.ApplyMove(d, m)
 		if err != nil {
 			continue
@@ -60,8 +60,9 @@ func checkIncrementalWalk(t testing.TB, walkLog, checkLog []*ast.Node, seed int6
 	rng := rand.New(rand.NewSource(seed))
 	d := init
 	for step := 0; ; step++ {
+		oracle := rules.Moves(d, checkLog, rules.All())
 		for i, eng := range engines {
-			want := oracleMoves(d, checkLog, eng.SizeCap())
+			want := capMoves(d, oracle, eng.SizeCap())
 			got := eng.Moves(d)
 			if !sameMoves(got, want) {
 				t.Fatalf("seed %d step %d engine %d (cap %d, cached %v): Moves = %v, oracle %v\nstate %s",
@@ -71,7 +72,7 @@ func checkIncrementalWalk(t testing.TB, walkLog, checkLog []*ast.Node, seed int6
 				t.Fatalf("seed %d step %d engine %d: %d neighbors for %d moves", seed, step, i, n, len(got))
 			}
 		}
-		walk := oracleMoves(d, walkLog, caps[0])
+		walk := capMoves(d, rules.Moves(d, walkLog, rules.All()), caps[0])
 		if step == steps || len(walk) == 0 {
 			return
 		}
@@ -91,9 +92,9 @@ func TestIncrementalMovesMatchOracle(t *testing.T) {
 		steps int
 	}{
 		{"figure1", workload.PaperFigure1Log(), 8, 16},
-		{"sdss", workload.SDSSLog(), 3, 12},
-		{"random-join-5", workload.RandomJoinLog(rand.New(rand.NewSource(7)), 5), 4, 12},
-		{"random-join-8", workload.RandomJoinLog(rand.New(rand.NewSource(11)), 8), 3, 12},
+		{"sdss", workload.SDSSLog(), 4, 20},
+		{"random-join-5", workload.RandomJoinLog(rand.New(rand.NewSource(7)), 5), 6, 16},
+		{"random-join-8", workload.RandomJoinLog(rand.New(rand.NewSource(11)), 8), 4, 16},
 	}
 	if testing.Short() {
 		cases = cases[:1]
