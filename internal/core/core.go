@@ -453,7 +453,7 @@ func (d *domain) RandomNeighbor(s mcts.State, rng *rand.Rand) (mcts.State, bool)
 	st := s.(state)
 	cur := st.d
 	pool := d.eng.PathPool(cur)
-	var pbuf [32]int
+	var pbuf [32]int // holds the drawn path; deeper paths grow onto the heap
 	arena := spinePool.Get().(*difftree.SpineArena)
 	defer func() {
 		arena.Reset()
