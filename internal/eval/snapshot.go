@@ -11,31 +11,40 @@ import (
 	"os"
 
 	"repro/internal/ast"
+	"repro/internal/difftree"
+	"repro/internal/rules"
 )
 
 // Cache snapshots make the warm transposition cache portable: because state
 // evaluation is a pure function of (config, state) and every key mixes the
-// configuration fingerprint, a cost or legality entry computed by one
-// process is bit-identical to what any other process running the same code
-// would compute — so a snapshot shipped to a fresh replica, or reloaded
-// after a restart, answers from the first request at warm speed without
-// ever being able to change a result.
+// configuration fingerprint, a cost, legality or move-set entry computed
+// by one process is identical to what any other process running the same
+// code would compute — so a snapshot shipped to a fresh replica, or
+// reloaded after a restart, answers from the first request at warm speed
+// without ever being able to change a result.
 //
-// Only the *value* aspects travel: cost and legality. Move sets and path
-// pools hold process-local pointers (rule closures, shared path arenas) and
-// are recomputed on first visit — cheaply, since the legality verdicts the
-// move enumeration drains through are already warm.
+// Cost, legality and move sets travel. A move set is a list of (rule name,
+// path) pairs, written against a rule-name table. Path pools are shared
+// path arenas, cheap to rebuild, and are recomputed on first visit.
 //
-// Binary format, version 1 (all integers little-endian):
+// Binary format, version 2 (all integers little-endian):
 //
-//	magic   [8]byte "mcuisnp1"        version is part of the magic
+//	magic   [8]byte "mcuisnp2"        version is part of the magic
 //	─ the region below is covered by the trailing checksum ─
 //	kinds   u16 count, then per kind: u8 len + name bytes
+//	rules   u16 count, then per rule: u8 len + name bytes
 //	fps     u32 count, then u64 per fingerprint (sorted inventory)
 //	blocks  u32 count, then per block: u32 entries, then per entry:
-//	          key u64, flags u8, cost f64 (present iff flags&snapHasCost)
+//	          key u64, flags u8, cost f64 (present iff flags&snapHasCost),
+//	          moves (present iff flags&snapHasMoves): u16 count, then per
+//	          move: u8 rule-table index, u8 path length, u16 per path step
 //	─ end of checksummed region ─
 //	sum     u64 FNV-64a of the checksummed region
+//
+// Version 1 ("mcuisnp1") is version 2 without the rule table and without
+// move sets; LoadSnapshot still reads it. Every rule in the table must be
+// one this build knows (rules.ByName), or the snapshot is rejected with
+// ErrSnapshotSchema: its move sets would name rewrites that do not exist.
 //
 // The kind table is the ast.Kind-numbering guard: LoadSnapshot verifies
 // that every kind the snapshot was built against still maps to the same
@@ -43,21 +52,35 @@ import (
 // hashes they embed are unchanged); renumbering, renaming, or loading a
 // snapshot from a *newer* grammar is rejected with ErrSnapshotSchema
 // instead of importing entries whose keys silently mean something else.
-const snapMagic = "mcuisnp1"
+const (
+	snapMagic   = "mcuisnp2"
+	snapMagicV1 = "mcuisnp1"
+)
 
 // Entry flag bits. An exported entry always carries at least one aspect.
 const (
 	snapHasCost  = 1 << 0 // cost field present and valid
 	snapHasLegal = 1 << 1 // legality verdict known
 	snapLegal    = 1 << 2 // the verdict (meaningful only with snapHasLegal)
+	snapHasMoves = 1 << 3 // move set present (version 2)
 
-	snapFlagsMask = snapHasCost | snapHasLegal | snapLegal
+	snapFlagsMaskV1 = snapHasCost | snapHasLegal | snapLegal
+	snapFlagsMask   = snapFlagsMaskV1 | snapHasMoves
+)
+
+// Move-set encoding limits. A move set beyond them is not exported; it is
+// recomputed on first visit like a path pool.
+const (
+	snapMaxMoves   = math.MaxUint16
+	snapMaxPathLen = math.MaxUint8
+	snapMaxStep    = math.MaxUint16
 )
 
 // Sanity bounds on header counts: far above anything a real snapshot
 // carries, low enough that corrupt headers fail fast instead of looping.
 const (
 	snapMaxKinds        = 1 << 8
+	snapMaxRules        = 1 << 8
 	snapMaxFingerprints = 1 << 20
 	snapMaxBlocks       = 1 << 16
 )
@@ -78,13 +101,15 @@ type snapEntry struct {
 	key   uint64
 	cost  float64
 	flags uint8
+	moves []rules.Move // shared with the cache on export
 }
 
-// Snapshot writes the cache's persistable aspects (cost + legality) to w
-// and returns the number of entries exported. Safe to call concurrently
-// with searches: shards are copied out one at a time under their own locks,
-// so the snapshot is a consistent-per-entry view of a moving cache — which
-// is all determinism requires, since every entry is independently correct.
+// Snapshot writes the cache's persistable aspects (cost, legality, move
+// set) to w and returns the number of entries exported. Safe to call
+// concurrently with searches: shards are copied out one at a time under
+// their own locks, so the snapshot is a consistent-per-entry view of a
+// moving cache — which is all determinism requires, since every entry is
+// independently correct.
 func (c *Cache) Snapshot(w io.Writer) (entries int64, err error) {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(snapMagic); err != nil {
@@ -104,6 +129,22 @@ func (c *Cache) Snapshot(w io.Writer) (entries int64, err error) {
 		return 0, err
 	}
 	for _, name := range names {
+		if err := writeU(uint64(len(name)), 1); err != nil {
+			return 0, err
+		}
+		if _, err := io.WriteString(mw, name); err != nil {
+			return 0, err
+		}
+	}
+
+	all := rules.All()
+	ruleIndex := make(map[string]int, len(all))
+	if err := writeU(uint64(len(all)), 2); err != nil {
+		return 0, err
+	}
+	for i, r := range all {
+		name := r.Name()
+		ruleIndex[name] = i
 		if err := writeU(uint64(len(name)), 1); err != nil {
 			return 0, err
 		}
@@ -142,10 +183,15 @@ func (c *Cache) Snapshot(w io.Writer) (entries int64, err error) {
 					flags |= snapLegal
 				}
 			}
-			if flags == 0 {
-				continue // moves/pools-only entry: nothing portable
+			var moves []rules.Move
+			if sl.e.hasMoves && encodableMoves(sl.e.moves, ruleIndex) {
+				flags |= snapHasMoves
+				moves = sl.e.moves
 			}
-			rows = append(rows, snapEntry{key: sl.key, cost: sl.e.cost, flags: flags})
+			if flags == 0 {
+				continue // pools-only entry: nothing portable
+			}
+			rows = append(rows, snapEntry{key: sl.key, cost: sl.e.cost, flags: flags, moves: moves})
 		}
 		s.mu.Unlock()
 		// Written after the shard unlocks: a stalled writer (slow disk, slow
@@ -165,6 +211,11 @@ func (c *Cache) Snapshot(w io.Writer) (entries int64, err error) {
 					return 0, err
 				}
 			}
+			if r.flags&snapHasMoves != 0 {
+				if err := writeMoves(writeU, r.moves, ruleIndex); err != nil {
+					return 0, err
+				}
+			}
 		}
 		entries += int64(len(rows))
 	}
@@ -174,6 +225,44 @@ func (c *Cache) Snapshot(w io.Writer) (entries int64, err error) {
 		return 0, err
 	}
 	return entries, bw.Flush()
+}
+
+// encodableMoves reports whether ms fits the version 2 move encoding.
+func encodableMoves(ms []rules.Move, ruleIndex map[string]int) bool {
+	if len(ms) > snapMaxMoves {
+		return false
+	}
+	for _, m := range ms {
+		if _, ok := ruleIndex[m.Rule]; !ok || len(m.Path) > snapMaxPathLen {
+			return false
+		}
+		for _, step := range m.Path {
+			if step < 0 || step > snapMaxStep {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+func writeMoves(writeU func(v uint64, n int) error, ms []rules.Move, ruleIndex map[string]int) error {
+	if err := writeU(uint64(len(ms)), 2); err != nil {
+		return err
+	}
+	for _, m := range ms {
+		if err := writeU(uint64(ruleIndex[m.Rule]), 1); err != nil {
+			return err
+		}
+		if err := writeU(uint64(len(m.Path)), 1); err != nil {
+			return err
+		}
+		for _, step := range m.Path {
+			if err := writeU(uint64(step), 2); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // LoadSnapshot reads a snapshot from r and merges its entries into the
@@ -202,7 +291,7 @@ func (c *Cache) LoadSnapshot(r io.Reader) (int64, error) {
 				legal = 1
 			}
 		}
-		c.importEntry(row.key, row.cost, row.flags&snapHasCost != 0, legal)
+		c.importEntry(row.key, row.cost, row.flags&snapHasCost != 0, legal, row.moves, row.flags&snapHasMoves != 0)
 	}
 	return int64(len(rows)), nil
 }
@@ -215,7 +304,8 @@ func parseSnapshot(r io.Reader) ([]snapEntry, []uint64, error) {
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
 		return nil, nil, fmt.Errorf("%w: reading magic: %w", ErrSnapshotFormat, err)
 	}
-	if string(magic[:]) != snapMagic {
+	v1 := string(magic[:]) == snapMagicV1
+	if !v1 && string(magic[:]) != snapMagic {
 		return nil, nil, fmt.Errorf("%w: bad magic %q (want %q)", ErrSnapshotFormat, magic[:], snapMagic)
 	}
 
@@ -257,6 +347,34 @@ func parseSnapshot(r io.Reader) ([]snapEntry, []uint64, error) {
 		}
 	}
 
+	var ruleNames []string
+	flagsMask := uint8(snapFlagsMaskV1)
+	if !v1 {
+		flagsMask = snapFlagsMask
+		ruleCount, err := readU(2)
+		if err != nil {
+			return nil, nil, err
+		}
+		if ruleCount > snapMaxRules {
+			return nil, nil, fmt.Errorf("%w: implausible rule count %d", ErrSnapshotFormat, ruleCount)
+		}
+		for i := 0; i < int(ruleCount); i++ {
+			nameLen, err := readU(1)
+			if err != nil {
+				return nil, nil, err
+			}
+			buf := make([]byte, nameLen)
+			if _, err := io.ReadFull(hr, buf); err != nil {
+				return nil, nil, fmt.Errorf("%w: truncated rule table: %w", ErrSnapshotFormat, err)
+			}
+			r, ok := rules.ByName(string(buf))
+			if !ok {
+				return nil, nil, fmt.Errorf("%w: rule %q is unknown to this build", ErrSnapshotSchema, buf)
+			}
+			ruleNames = append(ruleNames, r.Name())
+		}
+	}
+
 	fpCount, err := readU(4)
 	if err != nil {
 		return nil, nil, err
@@ -294,10 +412,10 @@ func parseSnapshot(r io.Reader) ([]snapEntry, []uint64, error) {
 				return nil, nil, err
 			}
 			flags := uint8(fl)
-			if flags&^uint8(snapFlagsMask) != 0 {
+			if flags&^flagsMask != 0 {
 				return nil, nil, fmt.Errorf("%w: unknown entry flags %#x", ErrSnapshotFormat, flags)
 			}
-			if flags&(snapHasCost|snapHasLegal) == 0 {
+			if flags&(snapHasCost|snapHasLegal|snapHasMoves) == 0 {
 				return nil, nil, fmt.Errorf("%w: entry carries no aspect", ErrSnapshotFormat)
 			}
 			if flags&snapLegal != 0 && flags&snapHasLegal == 0 {
@@ -311,7 +429,13 @@ func parseSnapshot(r io.Reader) ([]snapEntry, []uint64, error) {
 				}
 				cost = math.Float64frombits(bits)
 			}
-			rows = append(rows, snapEntry{key: key, cost: cost, flags: flags})
+			var moves []rules.Move
+			if flags&snapHasMoves != 0 {
+				if moves, err = readMoves(readU, ruleNames); err != nil {
+					return nil, nil, err
+				}
+			}
+			rows = append(rows, snapEntry{key: key, cost: cost, flags: flags, moves: moves})
 		}
 	}
 
@@ -323,6 +447,46 @@ func parseSnapshot(r io.Reader) ([]snapEntry, []uint64, error) {
 		return nil, nil, fmt.Errorf("%w: checksum mismatch (%#x != %#x)", ErrSnapshotFormat, got, want)
 	}
 	return rows, fps, nil
+}
+
+// readMoves decodes one entry's move set. All paths share one backing
+// array, each capped at its own length.
+func readMoves(readU func(n int) (uint64, error), ruleNames []string) ([]rules.Move, error) {
+	count, err := readU(2)
+	if err != nil {
+		return nil, err
+	}
+	var ms []rules.Move
+	var ends []int
+	var flat []int
+	for i := uint64(0); i < count; i++ {
+		idx, err := readU(1)
+		if err != nil {
+			return nil, err
+		}
+		if idx >= uint64(len(ruleNames)) {
+			return nil, fmt.Errorf("%w: move names rule %d of %d", ErrSnapshotFormat, idx, len(ruleNames))
+		}
+		pathLen, err := readU(1)
+		if err != nil {
+			return nil, err
+		}
+		for j := uint64(0); j < pathLen; j++ {
+			step, err := readU(2)
+			if err != nil {
+				return nil, err
+			}
+			flat = append(flat, int(step))
+		}
+		ms = append(ms, rules.Move{Rule: ruleNames[idx]})
+		ends = append(ends, len(flat))
+	}
+	start := 0
+	for i, end := range ends {
+		ms[i].Path = difftree.Path(flat[start:end:end])
+		start = end
+	}
+	return ms, nil
 }
 
 // SaveSnapshotFile writes the cache snapshot to path crash-safely: the

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/fnv"
 	"math"
 	"os"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/difftree"
+	"repro/internal/rules"
 )
 
 // warmFigure1Cache runs the Figure 1 workload's hot primitives through a
@@ -219,18 +221,19 @@ func TestSnapshotImportIntoSmallerCacheEvicts(t *testing.T) {
 
 func TestSnapshotSkipsNonPortableAspects(t *testing.T) {
 	c := NewCache(0)
-	// moves/pools-only entries hold process-local pointers; they must not be
-	// exported, and an entry with no portable aspect must not appear at all.
-	c.SetMoves(1, nil)
-	c.SetPools(2, &PathPool{})
+	// Path pools are process-local arenas: a pools-only entry must not
+	// appear at all. Move sets are (rule name, path) lists and travel.
+	ms := []rules.Move{{Rule: "Wrap", Path: difftree.Path{0, 2}}, {Rule: "Any2All", Path: nil}}
+	c.SetMoves(1, ms)
+	c.SetPools(2, [4][]difftree.Path{})
 	c.SetCost(3, 7)
 	var buf bytes.Buffer
 	n, err := c.Snapshot(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 1 {
-		t.Fatalf("exported %d entries, want 1 (cost-only)", n)
+	if n != 2 {
+		t.Fatalf("exported %d entries, want 2 (moves-only and cost-only)", n)
 	}
 	dst := NewCache(0)
 	if _, err := dst.LoadSnapshot(bytes.NewReader(buf.Bytes())); err != nil {
@@ -239,8 +242,101 @@ func TestSnapshotSkipsNonPortableAspects(t *testing.T) {
 	if v, ok := dst.Cost(3); !ok || v != 7 {
 		t.Fatalf("cost entry lost: %v %v", v, ok)
 	}
-	if _, ok := dst.Moves(1); ok {
-		t.Fatal("moves travelled across the snapshot")
+	if got, ok := dst.Moves(1); !ok || !sameMoves(got, ms) {
+		t.Fatalf("moves entry = %v %v, want %v", got, ok, ms)
+	}
+	if _, ok := dst.Pools(2); ok {
+		t.Fatal("pools travelled across the snapshot")
+	}
+}
+
+// TestSnapshotCarriesMoves: a restored cache answers Moves for every state
+// the source enumerated, with the same move list, without enumerating.
+func TestSnapshotCarriesMoves(t *testing.T) {
+	src, eng, _ := warmFigure1Cache(t)
+	dst := NewCache(0)
+	if _, err := dst.LoadSnapshot(bytes.NewReader(snapshotBytes(t, src))); err != nil {
+		t.Fatal(err)
+	}
+	init, err := difftree.Initial(eng.cfg.Log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := New(eng.cfg, dst)
+	checked := 0
+	for _, d := range append([]*difftree.Node{init}, eng.Neighbors(init)...) {
+		want, ok := src.Moves(eng.key(difftree.Hash(d)))
+		if !ok {
+			continue
+		}
+		checked++
+		got, ok := dst.Moves(restored.key(difftree.Hash(d)))
+		if !ok || !sameMoves(got, want) {
+			t.Fatalf("restored moves of %s = %v %v, want %v", d, got, ok, want)
+		}
+		if !sameMoves(restored.Moves(d), want) {
+			t.Fatalf("restored engine Moves of %s differ", d)
+		}
+	}
+	if checked < 2 {
+		t.Fatalf("only %d states carried moves", checked)
+	}
+}
+
+// snapshotV1 encodes cost entries in the version 1 format.
+func snapshotV1(costs map[uint64]float64) []byte {
+	var body bytes.Buffer
+	u := func(v uint64, n int) {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], v)
+		body.Write(b[:n])
+	}
+	names := ast.KindNames()
+	u(uint64(len(names)), 2)
+	for _, name := range names {
+		u(uint64(len(name)), 1)
+		body.WriteString(name)
+	}
+	u(0, 4) // no fingerprints
+	u(1, 4) // one block
+	u(uint64(len(costs)), 4)
+	for key, cost := range costs {
+		u(key, 8)
+		u(snapHasCost, 1)
+		u(math.Float64bits(cost), 8)
+	}
+	h := fnv.New64a()
+	h.Write(body.Bytes())
+	out := append([]byte(snapMagicV1), body.Bytes()...)
+	return binary.LittleEndian.AppendUint64(out, h.Sum64())
+}
+
+func TestSnapshotLoadsVersion1(t *testing.T) {
+	dst := NewCache(0)
+	n, err := dst.LoadSnapshot(bytes.NewReader(snapshotV1(map[uint64]float64{5: 2.5})))
+	if err != nil || n != 1 {
+		t.Fatalf("version 1 import: %d entries, %v", n, err)
+	}
+	if v, ok := dst.Cost(5); !ok || v != 2.5 {
+		t.Fatalf("version 1 cost = %v %v, want 2.5", v, ok)
+	}
+}
+
+// TestSnapshotRuleGuard: a snapshot whose rule table names a rule this
+// build does not have is a schema mismatch, not an import.
+func TestSnapshotRuleGuard(t *testing.T) {
+	c := NewCache(0)
+	c.SetMoves(1, []rules.Move{{Rule: "Any2All", Path: difftree.Path{1}}})
+	raw := snapshotBytes(t, c)
+	off := len(snapMagic) + 2
+	for _, name := range ast.KindNames() {
+		off += 1 + len(name)
+	}
+	// The rule table follows the kind table: u16 count, then the first
+	// rule's length byte and name.
+	raw[off+2+1] ^= 0x20
+	if _, err := NewCache(0).LoadSnapshot(bytes.NewReader(raw)); !errors.Is(err, ErrSnapshotSchema) {
+		t.Fatalf("unknown-rule snapshot: got %v, want ErrSnapshotSchema", err)
 	}
 }
 

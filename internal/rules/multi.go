@@ -43,15 +43,16 @@ func elemLabel(c *difftree.Node) (ast.Kind, bool) {
 	return 0, false
 }
 
-// appendAlternatives appends a run element's concrete alternatives to dst.
-func appendAlternatives(dst []*difftree.Node, c *difftree.Node) []*difftree.Node {
-	if c.Kind != difftree.Any {
-		return append(dst, c)
+// alternativesOf flattens a run element into its concrete alternatives.
+func alternativesOf(c *difftree.Node) []*difftree.Node {
+	if c.Kind == difftree.Any {
+		var out []*difftree.Node
+		for _, alt := range c.Children {
+			out = append(out, alternativesOf(alt)...)
+		}
+		return out
 	}
-	for _, alt := range c.Children {
-		dst = appendAlternatives(dst, alt)
-	}
-	return dst
+	return []*difftree.Node{c}
 }
 
 // Apply implements Rule. It merges the first maximal run of length >= 2
@@ -83,7 +84,7 @@ func (MultiMerge) Apply(n *difftree.Node) (*difftree.Node, bool) {
 		}
 		var alts []*difftree.Node
 		for i := start; i < end; i++ {
-			alts = appendAlternatives(alts, kids[i])
+			alts = append(alts, alternativesOf(kids[i])...)
 		}
 		alts = dedupNodes(alts)
 		var child *difftree.Node
@@ -95,8 +96,7 @@ func (MultiMerge) Apply(n *difftree.Node) (*difftree.Node, bool) {
 		if difftree.Nullable(child) {
 			continue // would break the MULTI invariant
 		}
-		out := &difftree.Node{Kind: n.Kind, Label: n.Label, Value: n.Value,
-			Children: make([]*difftree.Node, 0, len(kids)-(end-start)+1)}
+		out := &difftree.Node{Kind: n.Kind, Label: n.Label, Value: n.Value}
 		out.Children = append(out.Children, kids[:start]...)
 		out.Children = append(out.Children, difftree.NewMulti(child))
 		out.Children = append(out.Children, kids[end:]...)

@@ -79,30 +79,6 @@ var MatchKinds = map[string]map[difftree.Kind]bool{
 	"GroupAny":   {difftree.Any: true},
 }
 
-// KindSet is a set of difftree node kinds, one bit per Kind.
-type KindSet uint8
-
-// Has reports whether k is in the set.
-func (s KindSet) Has(k difftree.Kind) bool { return s&(1<<k) != 0 }
-
-// Kinds returns the node kinds r's pattern can match: its MatchKinds row
-// as a bit set, or every kind for a rule absent from the table. Hot loops
-// compute it once per rule instead of looking MatchKinds up by name for
-// every (rule, node) pair.
-func Kinds(r Rule) KindSet {
-	kinds, ok := MatchKinds[r.Name()]
-	if !ok {
-		return 1<<(difftree.Multi+1) - 1
-	}
-	var s KindSet
-	for k, on := range kinds {
-		if on {
-			s |= 1 << k
-		}
-	}
-	return s
-}
-
 var ruleByName = func() map[string]Rule {
 	m := make(map[string]Rule)
 	for _, r := range All() {
@@ -231,27 +207,8 @@ func ApplyMove(root *difftree.Node, m Move) (*difftree.Node, error) {
 	return next, nil
 }
 
-// dedupSmall is the input size up to which dedupNodes compares every pair
-// (by cached hash first) instead of building a hash index: rule application
-// runs it on every candidate, and alternative lists are short.
-const dedupSmall = 16
-
 // dedupNodes removes structural duplicates preserving order.
 func dedupNodes(ns []*difftree.Node) []*difftree.Node {
-	if len(ns) <= dedupSmall {
-		out := make([]*difftree.Node, 0, len(ns))
-	next:
-		for _, n := range ns {
-			h := difftree.Hash(n)
-			for _, prev := range out {
-				if difftree.Hash(prev) == h && difftree.Equal(prev, n) {
-					continue next
-				}
-			}
-			out = append(out, n)
-		}
-		return out
-	}
 	seen := make(map[uint64][]*difftree.Node, len(ns))
 	var out []*difftree.Node
 	for _, n := range ns {

@@ -45,22 +45,6 @@ func TestByName(t *testing.T) {
 	}
 }
 
-// unlisted is a rule absent from MatchKinds.
-type unlisted struct{ Wrap }
-
-func (unlisted) Name() string { return "Unlisted" }
-
-func TestKinds(t *testing.T) {
-	for _, r := range append(All(), unlisted{}) {
-		kinds, listed := MatchKinds[r.Name()]
-		for k := difftree.All; k <= difftree.Multi; k++ {
-			if want := !listed || kinds[k]; Kinds(r).Has(k) != want {
-				t.Errorf("Kinds(%s).Has(%s) = %v, want %v", r.Name(), k, !want, want)
-			}
-		}
-	}
-}
-
 func TestAny2AllOnPaperExample(t *testing.T) {
 	qs := paperQueries(t)
 	d := initial(t, qs)
