@@ -1,17 +1,24 @@
 GO ?= go
 
-.PHONY: verify build vet fmt test test-fast bench bench-allocs bench-json bench-serving bench-serving-fleet fleet load-smoke race-tree golden fuzz-smoke serve join-scenarios staticcheck mctsvet lint govulncheck
+.PHONY: verify build vet repobench-vet fmt test test-fast bench bench-allocs bench-json bench-serving bench-serving-fleet fleet load-smoke race-tree golden fuzz-smoke serve join-scenarios staticcheck mctsvet lint govulncheck
 
 # verify is the tier-1 gate: build, formatting, static analysis (go vet +
-# the custom mctsvet suite), and the full test suite. Everything in verify
-# works offline; lint adds the network-fetched checkers on top.
-verify: build fmt mctsvet test
+# the custom mctsvet suite, plus go vet over the nested repobench module),
+# and the full test suite. Everything in verify works offline; lint adds the
+# network-fetched checkers on top.
+verify: build fmt mctsvet repobench-vet test
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# repobench-vet builds and vets the benchmark module under repobench/. It
+# has its own go.mod, so `./...` from the root never compiles it; this is
+# what catches a change that removes an API the benchmark calls.
+repobench-vet:
+	cd repobench && $(GO) vet ./...
 
 fmt:
 	@out=$$(gofmt -l .); \

@@ -186,9 +186,10 @@ func BenchmarkBaselineVsMCTS(b *testing.B) {
 	})
 }
 
-// benchSpace is the shared comparator state space with the engine's prune.
-func benchSpace(init *difftree.Node, log []*ast.Node) search.Space {
-	return search.SpaceFor(init, log, rules.All())
+// benchEngine is an uncached engine with core's rule set and size cap, so
+// every iteration enumerates moves from scratch.
+func benchEngine(init *difftree.Node, log []*ast.Node) *eval.Engine {
+	return eval.New(eval.Config{Log: log, Rules: rules.All(), SizeCap: search.SizeCap(init)}, nil)
 }
 
 // BenchmarkSearchStrategies compares MCTS against random, greedy, and beam
@@ -202,13 +203,13 @@ func BenchmarkSearchStrategies(b *testing.B) {
 	model := cost.Default(layout.Wide)
 	obj := func(rng *rand.Rand) search.Objective {
 		return func(d *difftree.Node) float64 {
-			return core.StateCost(d, log, model, 3, rng)
+			return eval.SampledCost(d, log, model, 3, rng)
 		}
 	}
 	b.Run("random", func(b *testing.B) {
 		var last float64
 		for i := 0; i < b.N; i++ {
-			r := search.Random(context.Background(), init, benchSpace(init, log), obj(rand.New(rand.NewSource(1))), 4, 8, 1)
+			r := search.Random(context.Background(), init, benchEngine(init, log), obj(rand.New(rand.NewSource(1))), 4, 8, 1)
 			last = r.BestCost
 		}
 		reportCost(b, last)
@@ -216,7 +217,7 @@ func BenchmarkSearchStrategies(b *testing.B) {
 	b.Run("greedy", func(b *testing.B) {
 		var last float64
 		for i := 0; i < b.N; i++ {
-			r := search.Greedy(context.Background(), init, benchSpace(init, log), obj(rand.New(rand.NewSource(1))), 12)
+			r := search.Greedy(context.Background(), init, benchEngine(init, log), obj(rand.New(rand.NewSource(1))), 12)
 			last = r.BestCost
 		}
 		reportCost(b, last)
@@ -224,7 +225,7 @@ func BenchmarkSearchStrategies(b *testing.B) {
 	b.Run("beam3", func(b *testing.B) {
 		var last float64
 		for i := 0; i < b.N; i++ {
-			r := search.Beam(context.Background(), init, benchSpace(init, log), obj(rand.New(rand.NewSource(1))), 3, 8)
+			r := search.Beam(context.Background(), init, benchEngine(init, log), obj(rand.New(rand.NewSource(1))), 3, 8)
 			last = r.BestCost
 		}
 		reportCost(b, last)
@@ -442,7 +443,7 @@ func BenchmarkStateCost(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.StateCost(init, log, model, 5, rng)
+		eval.SampledCost(init, log, model, 5, rng)
 	}
 }
 

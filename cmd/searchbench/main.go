@@ -128,13 +128,6 @@ type fileReport struct {
 	GeneratedAt string                    `json:"generated_at"`
 }
 
-// legacyReport is the pre-multi-workload single-section file shape, still
-// accepted by -compare.
-type legacyReport struct {
-	Workload  string                    `json:"workload"`
-	Workloads map[string]workloadReport `json:"workloads"`
-}
-
 func logFor(name string) ([]*ast.Node, error) {
 	switch name {
 	case "sdss":
@@ -433,28 +426,22 @@ func benchWorkload(name string, log []*ast.Node, strategy core.Strategy, strateg
 }
 
 // printComparison diffs the fresh report against a previous file, printing
-// one line per workload metric that is present on both sides. Both the
-// multi-workload format and the legacy single-section format are accepted.
+// one line per workload metric that is present on both sides.
 func printComparison(path string, fresh fileReport) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		fmt.Printf("compare: cannot read %s (%v); skipping diff\n", path, err)
 		return
 	}
-	var old legacyReport
+	var old fileReport
 	if err := json.Unmarshal(data, &old); err != nil {
 		fmt.Printf("compare: cannot parse %s (%v); skipping diff\n", path, err)
 		return
 	}
 	prev := old.Workloads
 	if prev == nil {
-		// Legacy single-section file: the whole object is one workload.
-		var single workloadReport
-		if err := json.Unmarshal(data, &single); err != nil || single.Workload == "" {
-			fmt.Printf("compare: %s has no workloads section; skipping diff\n", path)
-			return
-		}
-		prev = map[string]workloadReport{single.Workload: single}
+		fmt.Printf("compare: %s has no workloads section; skipping diff\n", path)
+		return
 	}
 
 	names := make([]string, 0, len(fresh.Workloads))

@@ -1,6 +1,7 @@
 package mctsui_test
 
 import (
+	"context"
 	"fmt"
 
 	mctsui "repro"
@@ -11,11 +12,12 @@ import (
 // (Outputs depend on the search seed and cost constants, so the examples
 // are compile-checked rather than output-verified.)
 func Example_generate() {
-	iface, err := mctsui.Generate([]string{
+	gen := mctsui.New(mctsui.WithIterations(20), mctsui.WithSeed(1))
+	iface, err := gen.Generate(context.Background(), []string{
 		"SELECT Sales FROM sales WHERE cty = USA",
 		"SELECT Costs FROM sales WHERE cty = EUR",
 		"SELECT Costs FROM sales",
-	}, mctsui.Config{Iterations: 20, Seed: 1})
+	})
 	if err != nil {
 		panic(err)
 	}
@@ -25,10 +27,11 @@ func Example_generate() {
 
 // Example_session drives a generated interface widget by widget.
 func Example_session() {
-	iface, _ := mctsui.Generate([]string{
+	gen := mctsui.New(mctsui.WithIterations(10), mctsui.WithSeed(1))
+	iface, _ := gen.Generate(context.Background(), []string{
 		"SELECT Sales FROM sales WHERE cty = USA",
 		"SELECT Costs FROM sales",
-	}, mctsui.Config{Iterations: 10, Seed: 1})
+	})
 	sess := iface.NewSession()
 	_ = sess.LoadQuery("SELECT Sales FROM sales WHERE cty = USA")
 	_ = sess.Set(0, 1)
@@ -39,10 +42,11 @@ func Example_session() {
 // Example_execute runs the current query against an in-memory database and
 // prints the recommended visualization.
 func Example_execute() {
-	iface, _ := mctsui.Generate([]string{
+	gen := mctsui.New(mctsui.WithIterations(10), mctsui.WithSeed(1))
+	iface, _ := gen.Generate(context.Background(), []string{
 		"select count(*) from stars where u between 0 and 30",
 		"select count(*) from stars where u between 5 and 25",
-	}, mctsui.Config{Iterations: 10, Seed: 1})
+	})
 	sess := iface.NewSession()
 	db := engine.SDSSDB(100, 1)
 	_, spec, err := sess.Execute(db)

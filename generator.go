@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/ast"
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/mcts"
@@ -287,6 +288,39 @@ func WithProgress(fn func(Progress)) Option { return func(g *Generator) { g.opt.
 // an error (Stats().Interrupted reports the early stop). Errors are
 // reserved for empty logs and unparsable queries.
 func (g *Generator) Generate(ctx context.Context, queries []string) (*Interface, error) {
+	log, err := parseLog(queries)
+	if err != nil {
+		return nil, err
+	}
+	return g.GenerateFromASTs(ctx, log)
+}
+
+// GenerateMulti splits a mixed query log into structurally coherent clusters
+// (one analysis task each) and generates one interface per cluster with g's
+// settings. Real logs interleave unrelated tasks; a single interface over
+// all of them degenerates into one giant query picker, while per-cluster
+// interfaces recover the paper's setting. Clusters appear in first-query
+// log order. Each cluster's search is anytime under ctx, as in Generate.
+func (g *Generator) GenerateMulti(ctx context.Context, queries []string) ([]*Interface, error) {
+	log, err := parseLog(queries)
+	if err != nil {
+		return nil, err
+	}
+	clusters := cluster.Split(log, cluster.Options{})
+	out := make([]*Interface, 0, len(clusters))
+	for _, c := range clusters {
+		iface, err := g.GenerateFromASTs(ctx, c.Queries)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, iface)
+	}
+	return out, nil
+}
+
+// parseLog parses one SQL string per log entry, naming the first entry that
+// fails.
+func parseLog(queries []string) ([]*ast.Node, error) {
 	if len(queries) == 0 {
 		return nil, errors.New("mctsui: empty query log")
 	}
@@ -298,7 +332,7 @@ func (g *Generator) Generate(ctx context.Context, queries []string) (*Interface,
 		}
 		log[i] = n
 	}
-	return g.GenerateFromASTs(ctx, log)
+	return log, nil
 }
 
 // GenerateFromASTs runs the pipeline on pre-parsed queries (see the

@@ -10,35 +10,6 @@ import (
 	"repro/internal/workload"
 )
 
-// fastGen mirrors fastCfg for the Generator API.
-func fastGen(extra ...Option) *Generator {
-	opts := []Option{
-		WithIterations(10),
-		WithRolloutDepth(6),
-		WithRewardSamples(3),
-		WithSeed(1),
-	}
-	return New(append(opts, extra...)...)
-}
-
-func TestGeneratorMatchesDeprecatedShim(t *testing.T) {
-	iface, err := fastGen().Generate(context.Background(), paperLog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shim, err := Generate(paperLog, fastCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if iface.Cost() != shim.Cost() {
-		t.Errorf("Generator cost %.4f != deprecated shim cost %.4f for identical settings",
-			iface.Cost(), shim.Cost())
-	}
-	if !iface.Valid() {
-		t.Error("invalid interface")
-	}
-}
-
 func TestGenerateNilContext(t *testing.T) {
 	iface, err := fastGen().Generate(nil, paperLog) //nolint:staticcheck // nil ctx is documented as Background
 	if err != nil {
@@ -271,13 +242,9 @@ func TestTimeBudgetIsNotInterruption(t *testing.T) {
 }
 
 func TestGenerateFromASTsEmptyLog(t *testing.T) {
-	for name, err := range map[string]error{
-		"generator": func() error { _, e := New().GenerateFromASTs(context.Background(), nil); return e }(),
-		"shim":      func() error { _, e := GenerateFromASTs(nil, Config{}); return e }(),
-	} {
-		if err == nil || !strings.Contains(err.Error(), "mctsui: empty query log") {
-			t.Errorf("%s: want the documented mctsui error, got %v", name, err)
-		}
+	_, err := New().GenerateFromASTs(context.Background(), nil)
+	if err == nil || !strings.Contains(err.Error(), "mctsui: empty query log") {
+		t.Errorf("want the documented mctsui error, got %v", err)
 	}
 }
 

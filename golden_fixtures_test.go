@@ -51,14 +51,19 @@ func renderFixture(name string, queries int, iface *Interface) string {
 	return b.String()
 }
 
+// goldenGen is the fixtures' search: 15 iterations, rollouts of depth 8,
+// seed 1; extra options are applied after its own.
+func goldenGen(extra ...Option) *Generator {
+	return New(append([]Option{WithIterations(15), WithRolloutDepth(8), WithSeed(1)}, extra...)...)
+}
+
 func TestGoldenFixtures(t *testing.T) {
 	if testing.Short() {
 		t.Skip("search test")
 	}
 	for name, log := range goldenCases() {
 		t.Run(name, func(t *testing.T) {
-			gen := New(WithIterations(15), WithRolloutDepth(8), WithSeed(1))
-			iface, err := gen.GenerateFromASTs(context.Background(), log)
+			iface, err := goldenGen().GenerateFromASTs(context.Background(), log)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -98,13 +103,11 @@ func TestGoldenFixturesCacheInvariance(t *testing.T) {
 		t.Skip("search test")
 	}
 	log := workload.PaperFigure1Log()
-	cached, err := New(WithIterations(15), WithRolloutDepth(8), WithSeed(1)).
-		GenerateFromASTs(context.Background(), log)
+	cached, err := goldenGen().GenerateFromASTs(context.Background(), log)
 	if err != nil {
 		t.Fatal(err)
 	}
-	uncached, err := New(WithIterations(15), WithRolloutDepth(8), WithSeed(1), WithoutCache()).
-		GenerateFromASTs(context.Background(), log)
+	uncached, err := goldenGen(WithoutCache()).GenerateFromASTs(context.Background(), log)
 	if err != nil {
 		t.Fatal(err)
 	}

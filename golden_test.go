@@ -1,6 +1,7 @@
 package mctsui
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -20,7 +21,7 @@ func TestGoldenFigure6c(t *testing.T) {
 	for i, q := range sub {
 		srcs[i] = sqlparser.Render(q)
 	}
-	iface, err := Generate(srcs, Config{Iterations: 15, RolloutDepth: 8, Seed: 1})
+	iface, err := goldenGen().Generate(context.Background(), srcs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +43,7 @@ func TestGoldenFigure6c(t *testing.T) {
 		t.Errorf("shared WHERE clause must not produce widgets:\n%s", out)
 	}
 	// Strictly simpler than the full-log interface (paper's point).
-	full, err := Generate(workload.SDSSLogSQL(), Config{Iterations: 15, RolloutDepth: 8, Seed: 1})
+	full, err := goldenGen().Generate(context.Background(), workload.SDSSLogSQL())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestGoldenWideScreenEnumerates(t *testing.T) {
 	if testing.Short() {
 		t.Skip("search test")
 	}
-	iface, err := Generate(workload.SDSSLogSQL(), Config{Iterations: 15, RolloutDepth: 8, Seed: 1})
+	iface, err := goldenGen().Generate(context.Background(), workload.SDSSLogSQL())
 	if err != nil {
 		t.Fatal(err)
 	}

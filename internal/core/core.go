@@ -297,18 +297,13 @@ func BestInterface(d *difftree.Node, log []*ast.Node, model cost.Model, enumLimi
 	return bestUI, bestBD, complete
 }
 
-// StateCost is the paper's reward primitive: the best cost among k random
-// widget assignments (plus the cost-greedy first assignment) for a difftree.
-func StateCost(d *difftree.Node, log []*ast.Node, model cost.Model, k int, rng *rand.Rand) float64 {
-	return eval.SampledCost(d, log, model, k, rng)
-}
-
 // newEngine builds the evaluation engine for one generate call: the
 // memoized (or, with DisableMemo, recomputing) source of state costs,
 // legality verdicts, and move sets that every strategy shares. Costs are
 // seeded per state from EvalSeed, so two engines with equal configs agree
 // on every value — the basis for sharing Options.Cache across workers and
-// successive calls.
+// successive calls. The size cap derives from the initial state, not the
+// search root, so a warm start cannot inflate the reachable space.
 func newEngine(log []*ast.Node, init *difftree.Node, model cost.Model, opt Options) *eval.Engine {
 	cache := opt.Cache
 	if cache == nil && !opt.DisableMemo {

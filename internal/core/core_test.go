@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"math"
-	"math/rand"
 	"testing"
 
 	"repro/internal/cost"
@@ -133,24 +132,6 @@ func TestDeterministicGeneration(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = c // different seeds may or may not differ; just must not crash
-}
-
-func TestStateCost(t *testing.T) {
-	log := workload.PaperFigure1Log()
-	init, _ := difftree.Initial(log)
-	model := cost.Default(layout.Wide)
-	rng := rand.New(rand.NewSource(1))
-	c := StateCost(init, log, model, 3, rng)
-	if math.IsInf(c, 1) || c <= 0 {
-		t.Errorf("initial state cost = %f", c)
-	}
-	// More samples never increase the best-of-k cost in expectation; at
-	// minimum the function stays finite and deterministic under one rng.
-	rng2 := rand.New(rand.NewSource(1))
-	c2 := StateCost(init, log, model, 3, rng2)
-	if c != c2 {
-		t.Error("StateCost not deterministic under fixed rng")
-	}
 }
 
 func TestBestInterfaceExhaustiveVsSampled(t *testing.T) {

@@ -154,16 +154,6 @@ func (p *problem) objective() search.Objective {
 	}
 }
 
-// space is the shared comparator-searcher state space, with the same size
-// cap the MCTS domain prunes with and the same memoized move sets. The cap
-// always derives from the initial state, not the search root: a warm start
-// must not inflate the reachable space.
-func (p *problem) space() search.Space {
-	sp := search.SpaceFor(p.init, p.log, p.opt.Rules)
-	sp.Eng = p.eng
-	return sp
-}
-
 // steps resolves the per-strategy step budget: Options.Iterations, or
 // effectively unbounded when only a wall-clock budget was given (the
 // context deadline then ends the search).
@@ -298,7 +288,7 @@ func (beamStrategy) Name() string { return "beam" }
 func (s beamStrategy) search(ctx context.Context, p *problem) searchOutcome {
 	bctx, cancel := searchCtx(ctx, p.opt)
 	defer cancel()
-	return outcomeFromSearch("beam", search.Beam(bctx, p.root, p.space(), p.objective(), s.width, p.steps()), p, ctx)
+	return outcomeFromSearch("beam", search.Beam(bctx, p.root, p.eng, p.objective(), s.width, p.steps()), p, ctx)
 }
 
 type greedyStrategy struct{}
@@ -312,7 +302,7 @@ func (greedyStrategy) Name() string { return "greedy" }
 func (greedyStrategy) search(ctx context.Context, p *problem) searchOutcome {
 	gctx, cancel := searchCtx(ctx, p.opt)
 	defer cancel()
-	return outcomeFromSearch("greedy", search.Greedy(gctx, p.root, p.space(), p.objective(), p.steps()), p, ctx)
+	return outcomeFromSearch("greedy", search.Greedy(gctx, p.root, p.eng, p.objective(), p.steps()), p, ctx)
 }
 
 type randomStrategy struct{ walks int }
@@ -333,7 +323,7 @@ func (s randomStrategy) search(ctx context.Context, p *problem) searchOutcome {
 	rctx, cancel := searchCtx(ctx, p.opt)
 	defer cancel()
 	return outcomeFromSearch("random",
-		search.Random(rctx, p.root, p.space(), p.objective(), s.walks, p.opt.RolloutDepth, p.opt.Seed), p, ctx)
+		search.Random(rctx, p.root, p.eng, p.objective(), s.walks, p.opt.RolloutDepth, p.opt.Seed), p, ctx)
 }
 
 type exhaustiveStrategy struct{ maxStates int }
@@ -353,7 +343,7 @@ func (exhaustiveStrategy) Name() string { return "exhaustive" }
 func (s exhaustiveStrategy) search(ctx context.Context, p *problem) searchOutcome {
 	ectx, cancel := searchCtx(ctx, p.opt)
 	defer cancel()
-	res, complete := search.Exhaustive(ectx, p.root, p.space(), p.objective(), s.maxStates)
+	res, complete := search.Exhaustive(ectx, p.root, p.eng, p.objective(), s.maxStates)
 	out := outcomeFromSearch("exhaustive", res, p, ctx)
 	// A warm-started sweep covers only states reachable from the warm root
 	// (moves are not invertible), so it must not claim the whole-space

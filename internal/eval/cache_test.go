@@ -2,6 +2,7 @@ package eval
 
 import (
 	"math"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -196,6 +197,21 @@ func TestEngineDeterministicAndShared(t *testing.T) {
 
 // TestEngineFingerprintIsolation: engines with different configs sharing
 // one cache must not serve each other's entries.
+// TestSampledCost: the reward primitive scores the initial state finitely
+// and, under one rng seed, deterministically.
+func TestSampledCost(t *testing.T) {
+	log := workload.PaperFigure1Log()
+	init, _ := difftree.Initial(log)
+	model := cost.Default(layout.Wide)
+	c := SampledCost(init, log, model, 3, rand.New(rand.NewSource(1)))
+	if math.IsInf(c, 1) || c <= 0 {
+		t.Errorf("initial state cost = %f", c)
+	}
+	if c2 := SampledCost(init, log, model, 3, rand.New(rand.NewSource(1))); c != c2 {
+		t.Error("SampledCost not deterministic under fixed rng")
+	}
+}
+
 func TestEngineFingerprintIsolation(t *testing.T) {
 	shared := NewCache(0)
 	log := workload.PaperFigure1Log()

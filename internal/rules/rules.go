@@ -111,28 +111,12 @@ func LegalState(next *difftree.Node, queries []*ast.Node) bool {
 // returning the rewritten tree. Callers must check LegalState (directly or
 // through a cache) before treating the result as a search state.
 func Candidate(root *difftree.Node, p difftree.Path, r Rule) (*difftree.Node, bool) {
-	n := difftree.At(root, p)
-	if n == nil {
-		return nil, false
-	}
-	if pa, ok := r.(parentAware); ok {
-		var parent *difftree.Node
-		if len(p) > 0 {
-			parent = difftree.At(root, p[:len(p)-1])
-		}
-		if !pa.AllowedUnder(parent) {
-			return nil, false
-		}
-	}
-	sub, ok := r.Apply(n)
+	sub, ok := rewrite(root, p, r)
 	if !ok {
 		return nil, false
 	}
 	next := difftree.ReplaceAt(root, p, sub)
-	if next == nil {
-		return nil, false
-	}
-	return next, true
+	return next, next != nil
 }
 
 // CandidateArena is Candidate with the copy-on-write spine bump-allocated
@@ -140,6 +124,18 @@ func Candidate(root *difftree.Node, p difftree.Path, r Rule) (*difftree.Node, bo
 // is valid only until a.Reset and must not be retained as a search state —
 // callers that keep a candidate rebuild it with Candidate.
 func CandidateArena(root *difftree.Node, p difftree.Path, r Rule, a *difftree.SpineArena) (*difftree.Node, bool) {
+	sub, ok := rewrite(root, p, r)
+	if !ok {
+		return nil, false
+	}
+	next := a.ReplaceAt(root, p, sub)
+	return next, next != nil
+}
+
+// rewrite is the candidate builders' shared prologue: it applies r to the
+// node at p, honouring a parent-aware rule's veto, and returns the
+// replacement subtree.
+func rewrite(root *difftree.Node, p difftree.Path, r Rule) (*difftree.Node, bool) {
 	n := difftree.At(root, p)
 	if n == nil {
 		return nil, false
@@ -153,15 +149,7 @@ func CandidateArena(root *difftree.Node, p difftree.Path, r Rule, a *difftree.Sp
 			return nil, false
 		}
 	}
-	sub, ok := r.Apply(n)
-	if !ok {
-		return nil, false
-	}
-	next := a.ReplaceAt(root, p, sub)
-	if next == nil {
-		return nil, false
-	}
-	return next, true
+	return r.Apply(n)
 }
 
 // Moves enumerates all legal moves on root using the given rule set: the

@@ -26,8 +26,6 @@ func TestStrategiesDoNotMutateCachedMoves(t *testing.T) {
 	eng := eval.New(eval.Config{
 		Log: log, Rules: rules.All(), SizeCap: SizeCap(init), Samples: 1, Seed: 1,
 	}, eval.NewCache(0))
-	sp := SpaceFor(init, log, rules.All())
-	sp.Eng = eng
 
 	cached := eng.Moves(init)
 	if len(cached) == 0 {
@@ -40,10 +38,10 @@ func TestStrategiesDoNotMutateCachedMoves(t *testing.T) {
 
 	obj := func(d *difftree.Node) float64 { return float64(d.Size()) }
 	ctx := context.Background()
-	Random(ctx, init, sp, obj, 4, 6, 3)
-	Greedy(ctx, init, sp, obj, 4)
-	Beam(ctx, init, sp, obj, 3, 3)
-	Exhaustive(ctx, init, sp, obj, 200)
+	Random(ctx, init, eng, obj, 4, 6, 3)
+	Greedy(ctx, init, eng, obj, 4)
+	Beam(ctx, init, eng, obj, 3, 3)
+	Exhaustive(ctx, init, eng, obj, 200)
 	eng.Neighbors(init)
 
 	if again := eng.Moves(init); !movesEqual(again, snap) {

@@ -1,8 +1,9 @@
 // Package search implements the non-MCTS search strategies used as
 // comparators in the evaluation: uniform random walks, greedy hill-climbing,
 // beam search, and exhaustive breadth-first enumeration (feasible only for
-// tiny inputs). All operate on the same difftree state space and legality
-// gate as the MCTS search, differing only in exploration policy.
+// tiny inputs). All draw their moves from the evaluation engine the MCTS
+// search uses — eval.Engine.Moves applies the legality gate and the size cap
+// (see SizeCap) — so they differ from it only in exploration policy.
 //
 // Every searcher is anytime: it takes a context.Context and returns its
 // best-so-far result promptly when the context is cancelled or its deadline
@@ -11,11 +12,9 @@ package search
 
 import (
 	"context"
-	"math"
 	"math/rand"
 	"sort"
 
-	"repro/internal/ast"
 	"repro/internal/difftree"
 	"repro/internal/eval"
 	"repro/internal/rules"
@@ -24,78 +23,15 @@ import (
 // Objective scores a difftree; lower is better (interface cost).
 type Objective func(d *difftree.Node) float64
 
-// Space is the shared search space: the query log and rule set that gate
-// legal moves, plus the same tree-size cap the MCTS search prunes with
-// (states larger than SizeCap are never visited; 0 means uncapped).
-// Sharing one Space across strategies is what makes their results
-// comparable — and keeps exhaustive enumeration finite.
-type Space struct {
-	Log     []*ast.Node
-	Rules   []rules.Rule
-	SizeCap int
-	// Eng, when non-nil, supplies memoized legality verdicts and legal move
-	// sets from the shared evaluation engine (the same transposition cache
-	// the MCTS workers use). Move enumeration order — and therefore every
-	// search trajectory — is identical with and without it.
-	Eng *eval.Engine
-}
-
-// SpaceFor returns the canonical Space rooted at init: moves gated by the
-// given rule set with the size cap SizeCap(init). Tests and the engine both
-// build their spaces through here so the prune bound cannot drift.
-func SpaceFor(init *difftree.Node, log []*ast.Node, set []rules.Rule) Space {
-	return Space{Log: log, Rules: set, SizeCap: SizeCap(init)}
-}
-
 // SizeCap is the shared state-size prune bound (the paper lists pruning as
 // a needed optimization): states larger than 4x the initial tree are
-// skipped, with a floor for tiny inputs.
+// skipped, with a floor for tiny inputs. Core passes it as
+// eval.Config.SizeCap to the engine every strategy searches with.
 func SizeCap(init *difftree.Node) int {
 	if cap := 4 * init.Size(); cap > 64 {
 		return cap
 	}
 	return 64
-}
-
-// moves enumerates the legal moves from d. Both paths apply the same gates
-// — rule pattern, expressibility, and the size cap — so the move list (and
-// therefore every rng draw over it) is identical with and without the
-// engine; the engine only memoizes the answer.
-func (sp Space) moves(d *difftree.Node) []rules.Move {
-	if sp.Eng != nil {
-		return sp.Eng.Moves(d)
-	}
-	return filterMoves(d, rules.Moves(d, sp.Log, sp.Rules), sp.SizeCap)
-}
-
-// filterMoves returns the moves whose application keeps d within sizeCap.
-// The filter writes into a fresh slice — never in place — because ms belongs
-// to the enumerator that produced it: an in-place `ms[:0]` compaction would
-// silently corrupt any copy of that slice a memoizing layer (or any other
-// caller) retains.
-func filterMoves(d *difftree.Node, ms []rules.Move, sizeCap int) []rules.Move {
-	if sizeCap <= 0 {
-		return ms
-	}
-	out := make([]rules.Move, 0, len(ms))
-	for _, m := range ms {
-		if next, err := rules.ApplyMove(d, m); err == nil && next.Size() <= sizeCap {
-			out = append(out, m)
-		}
-	}
-	return out
-}
-
-// apply performs a move, rejecting oversized results.
-func (sp Space) apply(d *difftree.Node, m rules.Move) (*difftree.Node, bool) {
-	next, err := rules.ApplyMove(d, m)
-	if err != nil {
-		return nil, false
-	}
-	if sp.SizeCap > 0 && next.Size() > sp.SizeCap {
-		return nil, false
-	}
-	return next, true
 }
 
 // Result reports a search outcome.
@@ -127,7 +63,7 @@ func (r *Result) cancelled(ctx context.Context) bool {
 
 // Random performs `walks` independent uniform random walks of length ≤ depth
 // from init, evaluating every visited state.
-func Random(ctx context.Context, init *difftree.Node, sp Space, obj Objective, walks, depth int, seed int64) Result {
+func Random(ctx context.Context, init *difftree.Node, eng *eval.Engine, obj Objective, walks, depth int, seed int64) Result {
 	rng := rand.New(rand.NewSource(seed))
 	res := Result{Best: init, BestCost: obj(init), Evals: 1, States: 1}
 	for w := 0; w < walks; w++ {
@@ -136,12 +72,12 @@ func Random(ctx context.Context, init *difftree.Node, sp Space, obj Objective, w
 			if res.cancelled(ctx) {
 				return res
 			}
-			ms := sp.moves(cur)
+			ms := eng.Moves(cur)
 			if len(ms) == 0 {
 				break
 			}
-			next, ok := sp.apply(cur, ms[rng.Intn(len(ms))])
-			if !ok {
+			next, err := rules.ApplyMove(cur, ms[rng.Intn(len(ms))])
+			if err != nil {
 				break
 			}
 			cur = next
@@ -157,19 +93,19 @@ func Random(ctx context.Context, init *difftree.Node, sp Space, obj Objective, w
 // Greedy hill-climbs: at each step it applies the single move whose
 // resulting state has the lowest objective, stopping at a local optimum or
 // after maxSteps.
-func Greedy(ctx context.Context, init *difftree.Node, sp Space, obj Objective, maxSteps int) Result {
+func Greedy(ctx context.Context, init *difftree.Node, eng *eval.Engine, obj Objective, maxSteps int) Result {
 	res := Result{Best: init, BestCost: obj(init), Evals: 1, States: 1}
 	cur, curCost := init, res.BestCost
 	for s := 0; s < maxSteps; s++ {
-		ms := sp.moves(cur)
+		ms := eng.Moves(cur)
 		var best *difftree.Node
 		bestCost := curCost
 		for _, m := range ms {
 			if res.cancelled(ctx) {
 				return res
 			}
-			next, ok := sp.apply(cur, m)
-			if !ok {
+			next, err := rules.ApplyMove(cur, m)
+			if err != nil {
 				continue
 			}
 			res.States++
@@ -217,7 +153,7 @@ func selectBest(next []scored, width int) []scored {
 
 // Beam keeps the `width` best states per generation for maxSteps
 // generations, deduplicating by structural hash.
-func Beam(ctx context.Context, init *difftree.Node, sp Space, obj Objective, width, maxSteps int) Result {
+func Beam(ctx context.Context, init *difftree.Node, eng *eval.Engine, obj Objective, width, maxSteps int) Result {
 	res := Result{Best: init, BestCost: obj(init), Evals: 1, States: 1}
 	frontier := []scored{{init, res.BestCost, difftree.Hash(init)}}
 	seen := map[uint64]bool{difftree.Hash(init): true}
@@ -225,12 +161,12 @@ func Beam(ctx context.Context, init *difftree.Node, sp Space, obj Objective, wid
 	for s := 0; s < maxSteps && len(frontier) > 0; s++ {
 		var next []scored
 		for _, st := range frontier {
-			for _, m := range sp.moves(st.d) {
+			for _, m := range eng.Moves(st.d) {
 				if res.cancelled(ctx) {
 					return res
 				}
-				nd, ok := sp.apply(st.d, m)
-				if !ok {
+				nd, err := rules.ApplyMove(st.d, m)
+				if err != nil {
 					continue
 				}
 				h := difftree.Hash(nd)
@@ -254,7 +190,7 @@ func Beam(ctx context.Context, init *difftree.Node, sp Space, obj Objective, wid
 // space is exhausted or maxStates states have been generated; it returns
 // the optimum over everything visited (and reports completeness — false
 // when the cap was hit or the context ended the sweep).
-func Exhaustive(ctx context.Context, init *difftree.Node, sp Space, obj Objective, maxStates int) (Result, bool) {
+func Exhaustive(ctx context.Context, init *difftree.Node, eng *eval.Engine, obj Objective, maxStates int) (Result, bool) {
 	res := Result{Best: init, BestCost: obj(init), Evals: 1, States: 1}
 	queue := []*difftree.Node{init}
 	seen := map[uint64]bool{difftree.Hash(init): true}
@@ -262,12 +198,12 @@ func Exhaustive(ctx context.Context, init *difftree.Node, sp Space, obj Objectiv
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
-		for _, m := range sp.moves(cur) {
+		for _, m := range eng.Moves(cur) {
 			if res.cancelled(ctx) {
 				return res, false
 			}
-			next, ok := sp.apply(cur, m)
-			if !ok {
+			next, err := rules.ApplyMove(cur, m)
+			if err != nil {
 				continue
 			}
 			h := difftree.Hash(next)
@@ -287,6 +223,3 @@ func Exhaustive(ctx context.Context, init *difftree.Node, sp Space, obj Objectiv
 	}
 	return res, true
 }
-
-// Inf is a convenience for objectives.
-var Inf = math.Inf(1)

@@ -6,54 +6,28 @@ import (
 	"testing"
 
 	"repro/internal/difftree"
+	"repro/internal/eval"
 	"repro/internal/rules"
 	"repro/internal/workload"
 )
 
-// TestFilterMovesDoesNotMutateInput is the regression test for the
-// move-slice aliasing bug: the size-cap filter used to compact in place
-// (`out := ms[:0]`), overwriting the slice returned by rules.Moves. Any
-// caller retaining that slice — e.g. a memoizing layer — would observe it
-// silently rewritten. The filter must leave its input untouched.
-func TestFilterMovesDoesNotMutateInput(t *testing.T) {
-	log := workload.PaperFigure1Log()
-	init, err := difftree.Initial(log)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ms := rules.Moves(init, log, rules.All())
-	if len(ms) == 0 {
-		t.Fatal("no moves to filter")
-	}
-	snapshot := make([]rules.Move, len(ms))
-	copy(snapshot, ms)
-
-	// A cap at the initial size filters aggressively: most rewrites grow the
-	// tree, so the kept subset is a strict, reordered-if-in-place subset.
-	out := filterMoves(init, ms, init.Size())
-	if len(out) >= len(ms) {
-		t.Fatalf("cap filtered nothing (kept %d of %d); the regression is not exercised", len(out), len(ms))
-	}
-	if !reflect.DeepEqual(ms, snapshot) {
-		t.Error("filterMoves mutated its input slice")
-	}
-	if len(out) > 0 && &out[0] == &ms[0] {
-		t.Error("filterMoves aliased its input's backing array")
-	}
-}
-
 // TestMovesTwiceIdentical: enumerating the same state twice must return
 // equal move lists — in particular, the first enumeration must not have
-// corrupted any state the second depends on.
+// corrupted any state the second depends on. The engine is uncached, so
+// both calls enumerate from scratch, the second reusing the first's pooled
+// scratch space.
 func TestMovesTwiceIdentical(t *testing.T) {
 	log := workload.PaperFigure1Log()
 	init, err := difftree.Initial(log)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp := SpaceFor(init, log, rules.All())
-	a := sp.moves(init)
-	b := sp.moves(init)
+	eng := eval.New(eval.Config{Log: log, Rules: rules.All(), SizeCap: SizeCap(init)}, nil)
+	a := eng.Moves(init)
+	b := eng.Moves(init)
+	if len(a) == 0 {
+		t.Fatal("no moves at the initial state")
+	}
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("moves not stable across calls: %d vs %d moves", len(a), len(b))
 	}

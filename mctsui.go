@@ -36,15 +36,11 @@
 // promptly and yields the best interface found so far — generation never
 // fails just because time ran out. WithStrategy swaps the paper's MCTS for
 // beam, greedy, random, or exhaustive search, and WithWorkers runs
-// root-parallel searches. The package-level Generate and GenerateFromASTs
-// functions are deprecated one-shot shims over the same engine.
+// root-parallel searches. GenerateMulti splits a log that mixes analysis
+// tasks into clusters and generates one interface per cluster.
 package mctsui
 
 import (
-	"context"
-	"time"
-
-	"repro/internal/ast"
 	"repro/internal/core"
 	"repro/internal/difftree"
 	"repro/internal/layout"
@@ -60,79 +56,10 @@ var (
 	NarrowScreen = layout.Narrow
 )
 
-// Config tunes the deprecated one-shot Generate/GenerateFromASTs shims.
-// The zero value uses wide screen, UCT with c = √2, rollouts up to
-// DefaultRolloutDepth steps, DefaultRewardSamples random widget assignments
-// per reward, and DefaultIterations search iterations (all defined once in
-// the engine and re-exported by this package).
-//
-// Deprecated: configure a Generator with functional options instead —
-// mctsui.New(mctsui.WithScreen(...), ...).
-type Config struct {
-	// Screen is the output constraint; interfaces that do not fit are
-	// discarded as invalid. Default WideScreen.
-	Screen Screen
-	// Iterations bounds the MCTS iteration count. Default 60.
-	Iterations int
-	// TimeBudget, when set, bounds wall-clock search time instead (the
-	// paper runs ~1 minute per interface).
-	TimeBudget time.Duration
-	// Seed makes generation deterministic. Default 1.
-	Seed int64
-	// RolloutDepth bounds random walks during search. The paper allows up
-	// to 200; the default of 16 already saturates quality on the paper's
-	// logs (see the rollout-depth ablation in EXPERIMENTS.md).
-	RolloutDepth int
-	// RewardSamples is k, the random widget assignments scored per state.
-	// Default 5.
-	RewardSamples int
-	// ExplorationC is the UCT exploration constant. Default √2.
-	ExplorationC float64
-	// Workers > 1 runs that many independent searches in parallel with
-	// distinct seeds and keeps the best interface (root parallelization,
-	// the paper's suggested optimization for interactive run-times).
-	Workers int
-}
-
 // Interface is a generated interactive interface.
 type Interface struct {
 	res     *core.Result
 	cooccur map[pairKey]bool // lazily built log co-occurrence index
-}
-
-// options converts the legacy Config into Generator options.
-func (c Config) options() []Option {
-	return []Option{
-		WithScreen(c.Screen),
-		WithIterations(c.Iterations),
-		WithTimeBudget(c.TimeBudget),
-		WithSeed(c.Seed),
-		WithRolloutDepth(c.RolloutDepth),
-		WithRewardSamples(c.RewardSamples),
-		WithExplorationC(c.ExplorationC),
-		WithWorkers(c.Workers),
-	}
-}
-
-// Generate parses the query log (one SQL string per entry) and runs the
-// full pipeline.
-//
-// Deprecated: Generate is the v0 blocking one-shot call. Use the
-// context-aware Generator — New(opts...).Generate(ctx, queries) — which
-// adds cancellation, deadlines, progress snapshots, and pluggable search
-// strategies. This shim is equivalent to
-// New(cfg options...).Generate(context.Background(), queries).
-func Generate(queries []string, cfg Config) (*Interface, error) {
-	return New(cfg.options()...).Generate(context.Background(), queries)
-}
-
-// GenerateFromASTs runs the pipeline on pre-parsed queries (see the
-// internal/sqlparser and internal/workload packages).
-//
-// Deprecated: use New(opts...).GenerateFromASTs(ctx, log) for the same
-// reasons as Generate.
-func GenerateFromASTs(log []*ast.Node, cfg Config) (*Interface, error) {
-	return New(cfg.options()...).GenerateFromASTs(context.Background(), log)
 }
 
 // Cost returns the interface's total cost C(W,Q); +Inf if no valid
@@ -184,11 +111,6 @@ func (f *Interface) Describe() string { return f.res.Describe() }
 // metrics (Stats.CacheHits / CacheMisses / CacheHitRate — zero when the
 // cache was disabled with WithoutCache).
 func (f *Interface) Stats() Stats { return f.res.Stats }
-
-// SearchStats exposes the search diagnostics.
-//
-// Deprecated: use Stats.
-func (f *Interface) SearchStats() Stats { return f.res.Stats }
 
 // SearchTree returns the MCTS search tree this generation persisted, for
 // feeding back through WithSearchTree on the next generation over an

@@ -1,6 +1,7 @@
 package mctsui
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -9,9 +10,16 @@ import (
 	"repro/internal/workload"
 )
 
-// fastCfg keeps test searches quick and deterministic.
-func fastCfg() Config {
-	return Config{Iterations: 10, RolloutDepth: 6, RewardSamples: 3, Seed: 1}
+// fastGen keeps test searches quick and deterministic; extra options are
+// applied after its own.
+func fastGen(extra ...Option) *Generator {
+	opts := []Option{
+		WithIterations(10),
+		WithRolloutDepth(6),
+		WithRewardSamples(3),
+		WithSeed(1),
+	}
+	return New(append(opts, extra...)...)
 }
 
 var paperLog = []string{
@@ -21,7 +29,7 @@ var paperLog = []string{
 }
 
 func TestGeneratePaperExample(t *testing.T) {
-	iface, err := Generate(paperLog, fastCfg())
+	iface, err := fastGen().Generate(context.Background(), paperLog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,8 +59,8 @@ func TestGeneratePaperExample(t *testing.T) {
 	if iface.DiffTree() == "" || iface.Describe() == "" {
 		t.Error("descriptions empty")
 	}
-	if iface.SearchStats().Iterations != 10 {
-		t.Errorf("stats: %+v", iface.SearchStats())
+	if iface.Stats().Iterations != 10 {
+		t.Errorf("stats: %+v", iface.Stats())
 	}
 	if iface.InitialCost() < iface.Cost() {
 		t.Error("final cost must not exceed initial")
@@ -60,13 +68,13 @@ func TestGeneratePaperExample(t *testing.T) {
 }
 
 func TestGenerateErrors(t *testing.T) {
-	if _, err := Generate(nil, Config{}); err == nil {
+	if _, err := New().Generate(context.Background(), nil); err == nil {
 		t.Error("empty log")
 	}
-	if _, err := Generate([]string{"not sql"}, Config{}); err == nil {
+	if _, err := New().Generate(context.Background(), []string{"not sql"}); err == nil {
 		t.Error("parse error must propagate")
 	}
-	if _, err := Generate([]string{"select a from t", "nope"}, Config{}); err == nil {
+	if _, err := New().Generate(context.Background(), []string{"select a from t", "nope"}); err == nil {
 		t.Error("second query parse error must propagate")
 	} else if !strings.Contains(err.Error(), "query 2") {
 		t.Errorf("error should name the query: %v", err)
@@ -74,7 +82,7 @@ func TestGenerateErrors(t *testing.T) {
 }
 
 func TestQueriesAndCanExpress(t *testing.T) {
-	iface, err := Generate(paperLog, fastCfg())
+	iface, err := fastGen().Generate(context.Background(), paperLog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +112,7 @@ func TestQueriesAndCanExpress(t *testing.T) {
 }
 
 func TestSessionLoadAndSQL(t *testing.T) {
-	iface, err := Generate(paperLog, fastCfg())
+	iface, err := fastGen().Generate(context.Background(), paperLog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +145,7 @@ func TestSessionLoadAndSQL(t *testing.T) {
 
 func canonical(t *testing.T, src string) string {
 	t.Helper()
-	iface, err := Generate([]string{src}, fastCfg())
+	iface, err := fastGen().Generate(context.Background(), []string{src})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +157,7 @@ func canonical(t *testing.T, src string) string {
 }
 
 func TestSessionSetWidgets(t *testing.T) {
-	iface, err := Generate(paperLog, fastCfg())
+	iface, err := fastGen().Generate(context.Background(), paperLog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +206,7 @@ func TestSessionSetWidgets(t *testing.T) {
 
 func TestSessionExecute(t *testing.T) {
 	log := workload.SDSSLogSQL()
-	iface, err := Generate(log, fastCfg())
+	iface, err := fastGen().Generate(context.Background(), log)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +242,7 @@ func TestSessionExecute(t *testing.T) {
 }
 
 func TestSingleQueryInterface(t *testing.T) {
-	iface, err := Generate([]string{"select a from t"}, fastCfg())
+	iface, err := fastGen().Generate(context.Background(), []string{"select a from t"})
 	if err != nil {
 		t.Fatal(err)
 	}

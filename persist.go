@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/ast"
-	"repro/internal/cluster"
 	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/cost"
@@ -63,33 +62,4 @@ func (f *Interface) QueryLog() []string {
 // query generator shows the current SQL on every interaction.
 func (f *Interface) Page(title string) (string, error) {
 	return htmlpage.Render(f.res.DiffTree, f.res.UI, f.QueryLog(), title)
-}
-
-// GenerateMulti splits a mixed query log into structurally coherent clusters
-// (one analysis task each) and generates one interface per cluster. Real
-// logs interleave unrelated tasks; a single interface over all of them
-// degenerates into one giant query picker, while per-cluster interfaces
-// recover the paper's setting. Clusters appear in first-query log order.
-func GenerateMulti(queries []string, cfg Config) ([]*Interface, error) {
-	if len(queries) == 0 {
-		return nil, fmt.Errorf("mctsui: empty query log")
-	}
-	log := make([]*ast.Node, len(queries))
-	for i, q := range queries {
-		n, err := sqlparser.Parse(q)
-		if err != nil {
-			return nil, fmt.Errorf("mctsui: query %d: %w", i+1, err)
-		}
-		log[i] = n
-	}
-	clusters := cluster.Split(log, cluster.Options{})
-	out := make([]*Interface, 0, len(clusters))
-	for _, c := range clusters {
-		iface, err := GenerateFromASTs(c.Queries, cfg)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, iface)
-	}
-	return out, nil
 }

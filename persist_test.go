@@ -1,12 +1,13 @@
 package mctsui
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
 
 func TestMarshalLoadRoundTrip(t *testing.T) {
-	iface, err := Generate(paperLog, fastCfg())
+	iface, err := fastGen().Generate(context.Background(), paperLog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestGenerateMultiSplitsTasks(t *testing.T) {
 		"select top 100 objid from stars where u between 5 and 25",
 		"select region, sum(revenue) from sales where year = 2020 group by region",
 	}
-	ifaces, err := GenerateMulti(mixed, fastCfg())
+	ifaces, err := fastGen().GenerateMulti(context.Background(), mixed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,16 +85,16 @@ func TestGenerateMultiSplitsTasks(t *testing.T) {
 }
 
 func TestGenerateMultiErrors(t *testing.T) {
-	if _, err := GenerateMulti(nil, Config{}); err == nil {
+	if _, err := New().GenerateMulti(context.Background(), nil); err == nil {
 		t.Error("empty log")
 	}
-	if _, err := GenerateMulti([]string{"nope"}, Config{}); err == nil {
+	if _, err := New().GenerateMulti(context.Background(), []string{"nope"}); err == nil {
 		t.Error("parse error")
 	}
 }
 
 func TestGenerateMultiCoherentLogStaysWhole(t *testing.T) {
-	ifaces, err := GenerateMulti(paperLog, fastCfg())
+	ifaces, err := fastGen().GenerateMulti(context.Background(), paperLog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +104,7 @@ func TestGenerateMultiCoherentLogStaysWhole(t *testing.T) {
 }
 
 func TestInterfacePage(t *testing.T) {
-	iface, err := Generate(paperLog, fastCfg())
+	iface, err := fastGen().Generate(context.Background(), paperLog)
 	if err != nil {
 		t.Fatal(err)
 	}

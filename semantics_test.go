@@ -1,6 +1,7 @@
 package mctsui
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/engine"
@@ -8,7 +9,7 @@ import (
 )
 
 func TestValidateSemanticsSDSS(t *testing.T) {
-	iface, err := Generate(workload.SDSSLogSQL(), fastCfg())
+	iface, err := fastGen().Generate(context.Background(), workload.SDSSLogSQL())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,10 +27,10 @@ func TestValidateSemanticsSDSS(t *testing.T) {
 }
 
 func TestValidateSemanticsCatchesUnknownTable(t *testing.T) {
-	iface, err := Generate([]string{
+	iface, err := fastGen().Generate(context.Background(), []string{
 		"select a from known",
 		"select a from unknown",
-	}, fastCfg())
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func TestSemanticReportEmptyFraction(t *testing.T) {
 }
 
 func TestPlausibility(t *testing.T) {
-	iface, err := Generate(paperLog, fastCfg())
+	iface, err := fastGen().Generate(context.Background(), paperLog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,10 +111,10 @@ func TestPlausibility(t *testing.T) {
 
 func TestPlausibilitySingleWidget(t *testing.T) {
 	// An interface with fewer than 2 choice nodes has no pairs: always 1.
-	iface, err := Generate([]string{
+	iface, err := fastGen().Generate(context.Background(), []string{
 		"select a from t",
 		"select b from t",
-	}, fastCfg())
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
