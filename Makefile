@@ -118,6 +118,7 @@ fuzz-smoke:
 	$(GO) test ./internal/codec -run '^$$' -fuzz FuzzUnmarshal -fuzztime 10s
 	$(GO) test ./internal/eval -run '^$$' -fuzz FuzzLoadSnapshot -fuzztime 10s
 	$(GO) test ./internal/eval -run '^$$' -fuzz FuzzIncrementalLegality -fuzztime 10s
+	$(GO) test ./internal/difftree -run '^$$' -fuzz FuzzNthOfKind -fuzztime 10s
 
 # join-scenarios mirrors the CI acceptance step for the multi-table grammar:
 # end-to-end join/union/subquery generation, golden fixtures, and a

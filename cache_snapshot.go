@@ -17,9 +17,10 @@ import (
 //
 // What travels: state costs, legality verdicts and legal move sets, keyed
 // by the mixed configuration-fingerprint key, plus the fingerprint
-// inventory (which configurations the warm set covers). What doesn't:
-// memoized path pools, which are process-local arenas and cheap to rebuild
-// on first visit. Snapshots written before move sets travelled still load.
+// inventory (which configurations the warm set covers): every aspect the
+// cache holds. What doesn't: the process-local cost term memo and per-node
+// hash and kind-count memos, rebuilt on first visit. Snapshots written
+// before move sets travelled still load.
 //
 // The format is versioned and self-checking: a checksum trailer plus an
 // embedded grammar-numbering table mean a truncated, corrupt, or

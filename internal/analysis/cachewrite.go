@@ -13,10 +13,10 @@
 // Concretely, in internal/eval every assignment to a field of the cache
 // `entry` struct must be dominated by an if-condition proving the aspect is
 // still unset: `!e.hasCost` (or `e.hasCost == false`) for the cost pair,
-// `e.legal == 0` for the legality byte, `!e.hasMoves` / `!e.hasPools` for
-// the owned-slice aspects. Whole-entry overwrites (`*e = ...`) are flagged
-// unconditionally — there is no guard that makes replacing a live entry's
-// every aspect first-write-safe.
+// `e.legal == 0` for the legality byte, `!e.hasMoves` for the owned move
+// slice. Whole-entry overwrites (`*e = ...`) are flagged unconditionally —
+// there is no guard that makes replacing a live entry's every aspect
+// first-write-safe.
 
 package analysis
 
@@ -37,8 +37,6 @@ var cacheWriteGuards = map[string]string{
 	"legal":    "legal",
 	"moves":    "hasMoves",
 	"hasMoves": "hasMoves",
-	"pools":    "hasPools",
-	"hasPools": "hasPools",
 }
 
 // Cachewrite flags cache entry writes outside first-write-wins guards.

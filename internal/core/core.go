@@ -346,6 +346,7 @@ func (s state) Hash() uint64 { return s.h }
 type domain struct {
 	eng        *eval.Engine
 	ruleSet    []rules.Rule
+	masks      []uint8 // masks[i] is rules.KindMask(ruleSet[i])
 	scale      float64 // reward normalization: the initial state's cost
 	concurrent bool    // guard the run-local memo for tree-parallel workers
 	mu         sync.RWMutex
@@ -388,7 +389,10 @@ func (d *domain) storeReward(h uint64, r float64) bool {
 }
 
 func newDomain(log []*ast.Node, opt Options, eng *eval.Engine) *domain {
-	d := &domain{eng: eng, ruleSet: opt.Rules}
+	d := &domain{eng: eng, ruleSet: opt.Rules, masks: make([]uint8, len(opt.Rules))}
+	for i, r := range opt.Rules {
+		d.masks[i] = rules.KindMask(r)
+	}
 	if eng.Enabled() {
 		d.rewards = make(map[uint64]float64)
 	}
@@ -424,54 +428,58 @@ func (d *domain) Neighbors(s mcts.State) []mcts.State {
 var spinePool = sync.Pool{New: func() any { return new(difftree.SpineArena) }}
 
 // RandomNeighbor implements mcts.Sampler: it draws random (rule, node)
-// candidates — restricted to node kinds the rule can match — and returns the
-// first legal rewrite, falling back to one uniform draw from the full move
-// set when unlucky (only the drawn move is applied). This keeps rollouts
-// cheap relative to full neighbor enumeration. Candidate pools are
-// assembled in fixed Kind order, and the draw sequence never consults the
-// memoization state, so the sampled walk is a pure function of
-// (state, rng stream): cached and uncached runs take identical
-// trajectories, the cache only answers the legality probes faster.
-// Candidates are built on a pooled spine arena; the accepted one is rebuilt
-// on the heap (consuming no rng draws), since arena trees must not become
-// retained search states.
+// candidates — restricted to node kinds the rule's rules.KindMask admits —
+// and returns the first legal rewrite, falling back to one uniform draw from
+// the full move set when unlucky (only the drawn move is applied). This
+// keeps rollouts cheap relative to full neighbor enumeration.
+//
+// Each try makes two draws: the rule, then an index into the rule's
+// candidate nodes, which are the pre-order per-kind node lists concatenated
+// in fixed Kind order (eval.Engine.PathPools, restricted to the mask). The
+// list is never materialized: the index picks a kind segment from the
+// state's memoized difftree.KindCounts, and difftree.NthOfKind descends
+// subtree counts to the node, writing its path into a stack buffer. The
+// draw sequence never consults the memoization state, so the sampled walk
+// is a pure function of (state, rng stream): cached and uncached runs take
+// identical trajectories, the cache only answers the legality probes
+// faster. Candidates are built on a pooled spine arena; the accepted one is
+// rebuilt on the heap (consuming no rng draws), since arena trees must not
+// become retained search states.
 func (d *domain) RandomNeighbor(s mcts.State, rng *rand.Rand) (mcts.State, bool) {
 	st := s.(state)
 	cur := st.d
-	byKind := d.eng.PathPools(cur)
+	counts := cur.KindCounts()
 	arena := spinePool.Get().(*difftree.SpineArena)
 	defer func() {
 		arena.Reset()
 		spinePool.Put(arena)
 	}()
+	var buf [32]int
 	const tries = 48
 	for i := 0; i < tries; i++ {
-		r := d.ruleSet[rng.Intn(len(d.ruleSet))]
-		kinds := rules.MatchKinds[r.Name()]
-		// The candidate pool is the concatenation, in fixed Kind order, of
-		// the per-kind path pools this rule can match; index into the
-		// segments instead of materializing it.
+		ri := rng.Intn(len(d.ruleSet))
+		r, mask := d.ruleSet[ri], d.masks[ri]
 		total := 0
-		for k := difftree.All; k <= difftree.Multi; k++ {
-			if kinds == nil || kinds[k] {
-				total += len(byKind[k])
+		for k, c := range counts {
+			if mask&(1<<k) != 0 {
+				total += c
 			}
 		}
 		if total == 0 {
 			continue
 		}
 		idx := rng.Intn(total)
-		var p difftree.Path
-		for k := difftree.All; k <= difftree.Multi; k++ {
-			if kinds != nil && !kinds[k] {
+		var k difftree.Kind
+		for k = difftree.All; ; k++ {
+			if mask&(1<<k) == 0 {
 				continue
 			}
-			if idx < len(byKind[k]) {
-				p = byKind[k][idx]
+			if idx < counts[k] {
 				break
 			}
-			idx -= len(byKind[k])
+			idx -= counts[k]
 		}
+		p := difftree.NthOfKind(cur, k, idx, buf[:0])
 		arena.Reset()
 		next, ok := rules.CandidateArena(cur, p, r, arena)
 		if !ok {
@@ -534,16 +542,9 @@ func RandomWalk(log []*ast.Node, steps int, seed int64) (*difftree.Node, error) 
 	if err != nil {
 		return nil, err
 	}
-	eng := eval.New(eval.Config{
-		Log:     log,
-		Rules:   rules.All(),
-		SizeCap: 4*init.Size() + 64,
-	}, eval.NewCache(0))
-	d := &domain{
-		eng:     eng,
-		ruleSet: rules.All(),
-		rewards: map[uint64]float64{},
-	}
+	opt := Options{}.withDefaults()
+	model := cost.Model{NavUnit: opt.NavUnit, Screen: opt.Screen}
+	d := newDomain(log, opt, newEngine(log, init, model, opt))
 	rng := rand.New(rand.NewSource(seed))
 	cur := state{d: init, h: difftree.Hash(init)}
 	for i := 0; i < steps; i++ {

@@ -55,7 +55,7 @@ func TestQuickSpineArenaReplaceAtEquivalence(t *testing.T) {
 }
 
 // TestSpineArenaResetRecycles: after Reset the arena hands out the same
-// backing nodes again with cleanly reset hash memos.
+// backing nodes again with cleanly reset hash and kind-count memos.
 func TestSpineArenaResetRecycles(t *testing.T) {
 	arena := &SpineArena{}
 	rng := rand.New(rand.NewSource(5))
@@ -67,6 +67,7 @@ func TestSpineArenaResetRecycles(t *testing.T) {
 		t.Fatal("replace failed")
 	}
 	Hash(first) // memoize on the arena node
+	first.KindCounts()
 
 	arena.Reset()
 	repl2 := genDiff(rng, 2)
@@ -76,5 +77,8 @@ func TestSpineArenaResetRecycles(t *testing.T) {
 	}
 	if got, want := Hash(second), Hash(rebuild(second)); got != want {
 		t.Fatalf("stale hash memo survived Reset: %x want %x", got, want)
+	}
+	if got, want := second.KindCounts(), rebuild(second).KindCounts(); got != want {
+		t.Fatalf("stale kind-count memo survived Reset: %v want %v", got, want)
 	}
 }

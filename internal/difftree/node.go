@@ -71,6 +71,10 @@ type Node struct {
 	// never returns 0). Atomic because immutable subtrees are shared across
 	// search states and may be hashed from concurrent workers.
 	h atomic.Uint64
+	// kc memoizes KindCounts for the subtree, packed kindCountBits per
+	// Kind; 0 means "not computed yet" (a subtree has at least one node).
+	// Atomic for the same reason as h.
+	kc atomic.Uint64
 }
 
 // NewAll constructs an All node mirroring a grammar rule.
@@ -163,6 +167,7 @@ func (n *Node) Clone() *Node {
 	if h := n.h.Load(); h != 0 {
 		c.h.Store(h)
 	}
+	c.kc.Store(n.kc.Load())
 	return c
 }
 
@@ -293,6 +298,74 @@ func Hash(n *Node) uint64 {
 	}
 	n.h.Store(h)
 	return h
+}
+
+// kindCountBits is the width of one packed per-kind count in Node.kc.
+const kindCountBits = 16
+
+// KindCounts returns the number of nodes of each Kind in the subtree,
+// indexed by Kind. Counts are memoized per node and compose from the
+// children's, so after a copy-on-write edit only the fresh spine is
+// recounted. A subtree with more than 2^kindCountBits-1 nodes of one kind
+// is counted exactly but not memoized.
+func (n *Node) KindCounts() [4]int {
+	var c [4]int
+	if n == nil {
+		return c
+	}
+	if v := n.kc.Load(); v != 0 {
+		for k := range c {
+			c[k] = int(v >> (k * kindCountBits) & (1<<kindCountBits - 1))
+		}
+		return c
+	}
+	c[n.Kind]++
+	for _, ch := range n.Children {
+		cc := ch.KindCounts()
+		for k := range c {
+			c[k] += cc[k]
+		}
+	}
+	var v uint64
+	for k := range c {
+		if c[k] >= 1<<kindCountBits {
+			return c
+		}
+		v |= uint64(c[k]) << (k * kindCountBits)
+	}
+	n.kc.Store(v)
+	return c
+}
+
+// NthOfKind appends to buf the path of the j-th node (from 0) of kind k in
+// root's pre-order and returns the extended slice: the node a draw of index
+// j from the pre-order list of kind-k paths would pick, found by descending
+// the memoized KindCounts instead of materializing the list. Passing a
+// reused buffer as buf[:0] makes the lookup allocation-free. It panics
+// unless 0 <= j < root.KindCounts()[k].
+func NthOfKind(root *Node, k Kind, j int, buf Path) Path {
+	p := buf
+	n := root
+	if j < 0 || j >= n.KindCounts()[k] {
+		panic(fmt.Sprintf("difftree: NthOfKind index %d out of range for %v", j, k))
+	}
+	for {
+		if n.Kind == k {
+			if j == 0 {
+				return p
+			}
+			j--
+		}
+		for i, c := range n.Children {
+			m := c.KindCounts()[k]
+			if j < m {
+				p = append(p, i)
+				n = c
+				break
+			}
+			j -= m
+		}
+	}
 }
 
 // Nullable reports whether the subtree can generate the empty sequence.

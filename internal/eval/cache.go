@@ -23,7 +23,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/difftree"
 	"repro/internal/rules"
 )
 
@@ -102,8 +101,6 @@ type entry struct {
 	legal    uint8 // 0 unknown, 1 legal, 2 illegal
 	moves    []rules.Move
 	hasMoves bool
-	pools    [4][]difftree.Path // node paths by difftree.Kind
-	hasPools bool
 }
 
 // NewCache returns a cache holding at least maxEntries states
@@ -206,8 +203,7 @@ func (c *Cache) lockFor(key uint64) (*shard, *entry) {
 
 // CachedState is a read-only snapshot of one state's full memo record — every
 // aspect the engine tracks, retrieved by a single keyed shard probe. The
-// Moves and Pools slices are shared with the cache: callers must not modify
-// them.
+// Moves slice is shared with the cache: callers must not modify it.
 type CachedState struct {
 	Cost     float64
 	HasCost  bool
@@ -215,8 +211,6 @@ type CachedState struct {
 	HasLegal bool
 	Moves    []rules.Move
 	HasMoves bool
-	Pools    [4][]difftree.Path
-	HasPools bool
 }
 
 // Probe returns key's full memo record in one shard lookup, marking the
@@ -235,7 +229,6 @@ func (c *Cache) Probe(key uint64) (CachedState, bool) {
 		Cost: e.cost, HasCost: e.hasCost,
 		Legal: e.legal == 1, HasLegal: e.legal != 0,
 		Moves: e.moves, HasMoves: e.hasMoves,
-		Pools: e.pools, HasPools: e.hasPools,
 	}, true
 }
 
@@ -323,27 +316,6 @@ func (c *Cache) SetMoves(key uint64, ms []rules.Move) {
 	s, e := c.lockFor(key)
 	if !e.hasMoves {
 		e.moves, e.hasMoves = ms, true
-	}
-	s.mu.Unlock()
-}
-
-// Pools returns the memoized per-kind node path pools. The returned slices
-// are shared: callers must not modify them.
-func (c *Cache) Pools(key uint64) ([4][]difftree.Path, bool) {
-	e, found := c.Probe(key)
-	ok := found && e.HasPools
-	c.count(ok)
-	if !ok {
-		return [4][]difftree.Path{}, false
-	}
-	return e.Pools, true
-}
-
-// SetPools records per-kind node path pools. The cache takes ownership.
-func (c *Cache) SetPools(key uint64, pools [4][]difftree.Path) {
-	s, e := c.lockFor(key)
-	if !e.hasPools {
-		e.pools, e.hasPools = pools, true
 	}
 	s.mu.Unlock()
 }

@@ -42,11 +42,18 @@ type Engine struct {
 	// evaluation; nil when memoization is off, so the uncached engine stays
 	// the pure recompute-everything reference.
 	terms *cost.TermMemo
+
+	// masks[i] is rules.KindMask(cfg.Rules[i]).
+	masks []uint8
 }
 
 // New builds an engine over cfg, memoizing into cache (nil = uncached).
 func New(cfg Config, cache *Cache) *Engine {
 	e := &Engine{cfg: cfg, cache: cache, fp: fingerprint(cfg)}
+	e.masks = make([]uint8, len(cfg.Rules))
+	for i, r := range cfg.Rules {
+		e.masks[i] = rules.KindMask(r)
+	}
 	if cache != nil {
 		e.terms = cost.NewTermMemo()
 		cache.noteFingerprint(e.fp)
@@ -213,9 +220,11 @@ var movesPool = sync.Pool{New: func() any { return new(movesScratch) }}
 // Moves enumerates d's legal moves — rule pattern matches, the rewrite is
 // within the size cap, and every query stays expressible — in deterministic
 // order (pre-order paths, rule order), memoized per state. The returned
-// slice is shared with the cache; callers must not modify it. Candidate
-// trees are spine-allocated from a pooled arena: only the (rule, path)
-// pair survives the legality check, never the tree.
+// slice is shared with the cache; callers must not modify it. A rule is
+// tried only on the node kinds its rules.KindMask admits, read from masks
+// computed once per engine. Candidate trees are spine-allocated from a
+// pooled arena: only the (rule, path) pair survives the legality check,
+// never the tree.
 //
 // Legality is judged incrementally: one first-found derivation per log
 // query is recorded on d (difftree.QueryVisits), and a candidate that
@@ -248,8 +257,8 @@ func (e *Engine) Moves(d *difftree.Node) []rules.Move {
 	pos := -1
 	difftree.WalkPath(d, func(n *difftree.Node, p difftree.Path) bool {
 		pos++
-		for _, r := range e.cfg.Rules {
-			if kinds, ok := rules.MatchKinds[r.Name()]; ok && !kinds[n.Kind] {
+		for i, r := range e.cfg.Rules {
+			if e.masks[i]&(1<<n.Kind) == 0 {
 				continue
 			}
 			sc.arena.Reset()
@@ -286,22 +295,13 @@ func (e *Engine) legalEdit(next *difftree.Node, p difftree.Path, pos int, sc *mo
 	return difftree.ExpressibleAll(next, sc.qs)
 }
 
-// PathPools returns d's node paths grouped by node kind, memoized per
-// state. Rollout samplers draw (rule, node) candidates from these pools on
-// every walk step; without memoization each step re-walks the tree and
-// re-allocates every path. All paths share one exactly-sized backing array,
-// so building the pools costs a handful of allocations, not one per node.
+// PathPools returns d's node paths grouped by node kind, each group in
+// pre-order. It is not memoized: core's rollout draws its node with
+// difftree.NthOfKind from memoized per-node kind counts, and PathPools, a
+// plain walk, is the reference oracle for that draw: pools[k][j] equals
+// difftree.NthOfKind(d, k, j, nil). All paths share one exactly-sized
+// backing array.
 func (e *Engine) PathPools(d *difftree.Node) [4][]difftree.Path {
-	h := difftree.Hash(d)
-	var k uint64
-	if e.cache != nil {
-		k = e.key(h)
-		if v, ok := e.cache.Probe(k); ok && v.HasPools {
-			e.cache.Count(true)
-			return v.Pools
-		}
-		e.cache.Count(false)
-	}
 	var counts [4]int
 	total := 0
 	difftree.WalkPath(d, func(n *difftree.Node, p difftree.Path) bool {
@@ -322,9 +322,6 @@ func (e *Engine) PathPools(d *difftree.Node) [4][]difftree.Path {
 		pools[n.Kind] = append(pools[n.Kind], difftree.Path(flat[off:len(flat):len(flat)]))
 		return true
 	})
-	if e.cache != nil {
-		e.cache.SetPools(k, pools)
-	}
 	return pools
 }
 

@@ -23,9 +23,9 @@ import (
 // reloaded after a restart, answers from the first request at warm speed
 // without ever being able to change a result.
 //
-// Cost, legality and move sets travel. A move set is a list of (rule name,
-// path) pairs, written against a rule-name table. Path pools are shared
-// path arenas, cheap to rebuild, and are recomputed on first visit.
+// Cost, legality and move sets travel: every aspect a cache entry holds.
+// A move set is a list of (rule name, path) pairs, written against a
+// rule-name table.
 //
 // Binary format, version 2 (all integers little-endian):
 //
@@ -69,7 +69,7 @@ const (
 )
 
 // Move-set encoding limits. A move set beyond them is not exported; it is
-// recomputed on first visit like a path pool.
+// recomputed on first visit.
 const (
 	snapMaxMoves   = math.MaxUint16
 	snapMaxPathLen = math.MaxUint8
@@ -189,7 +189,7 @@ func (c *Cache) Snapshot(w io.Writer) (entries int64, err error) {
 				moves = sl.e.moves
 			}
 			if flags == 0 {
-				continue // pools-only entry: nothing portable
+				continue // moves-only entry whose move set does not encode
 			}
 			rows = append(rows, snapEntry{key: sl.key, cost: sl.e.cost, flags: flags, moves: moves})
 		}

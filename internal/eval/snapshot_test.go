@@ -221,11 +221,12 @@ func TestSnapshotImportIntoSmallerCacheEvicts(t *testing.T) {
 
 func TestSnapshotSkipsNonPortableAspects(t *testing.T) {
 	c := NewCache(0)
-	// Path pools are process-local arenas: a pools-only entry must not
-	// appear at all. Move sets are (rule name, path) lists and travel.
+	// Move sets are (rule name, path) lists and travel; one naming a rule
+	// outside the table does not encode, so a moves-only entry holding it
+	// must not appear at all.
 	ms := []rules.Move{{Rule: "Wrap", Path: difftree.Path{0, 2}}, {Rule: "Any2All", Path: nil}}
 	c.SetMoves(1, ms)
-	c.SetPools(2, [4][]difftree.Path{})
+	c.SetMoves(2, []rules.Move{{Rule: "NoSuchRule", Path: nil}})
 	c.SetCost(3, 7)
 	var buf bytes.Buffer
 	n, err := c.Snapshot(&buf)
@@ -245,8 +246,8 @@ func TestSnapshotSkipsNonPortableAspects(t *testing.T) {
 	if got, ok := dst.Moves(1); !ok || !sameMoves(got, ms) {
 		t.Fatalf("moves entry = %v %v, want %v", got, ok, ms)
 	}
-	if _, ok := dst.Pools(2); ok {
-		t.Fatal("pools travelled across the snapshot")
+	if _, ok := dst.Moves(2); ok {
+		t.Fatal("an unencodable move set travelled across the snapshot")
 	}
 }
 

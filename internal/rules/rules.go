@@ -61,9 +61,9 @@ func Forward() []Rule {
 }
 
 // MatchKinds maps each built-in rule to the difftree node kinds its pattern
-// can match. Move enumerators and rollout samplers use it to skip (rule,
-// node) pairs that cannot possibly apply; rules absent from the table are
-// tried on every node.
+// can match. Move enumerators and rollout samplers read it through KindMask
+// to skip (rule, node) pairs that cannot possibly apply; rules absent from
+// the table are tried on every node.
 var MatchKinds = map[string]map[difftree.Kind]bool{
 	"Any2All":    {difftree.Any: true},
 	"All2Any":    {difftree.All: true},
@@ -77,6 +77,24 @@ var MatchKinds = map[string]map[difftree.Kind]bool{
 	"DedupAny":   {difftree.Any: true},
 	"Wrap":       {difftree.All: true},
 	"GroupAny":   {difftree.Any: true},
+}
+
+// KindMask returns r's MatchKinds row as a bitmask with bit k set for each
+// difftree.Kind k the rule can match: all four bits for a rule absent from
+// the table. Hot loops compute it once per rule instead of looking the
+// table up by name for every (node, rule) pair.
+func KindMask(r Rule) uint8 {
+	kinds, ok := MatchKinds[r.Name()]
+	if !ok {
+		return 1<<(difftree.Multi+1) - 1
+	}
+	var m uint8
+	for k, yes := range kinds {
+		if yes {
+			m |= 1 << k
+		}
+	}
+	return m
 }
 
 var ruleByName = func() map[string]Rule {

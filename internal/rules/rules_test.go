@@ -477,3 +477,29 @@ func TestMoveString(t *testing.T) {
 		t.Errorf("Move.String = %q", m.String())
 	}
 }
+
+// TestKindMask: every rule's mask is its MatchKinds row; a rule absent from
+// the table matches all four kinds.
+func TestKindMask(t *testing.T) {
+	for _, r := range All() {
+		kinds, ok := MatchKinds[r.Name()]
+		if !ok {
+			t.Errorf("built-in rule %s has no MatchKinds row", r.Name())
+		}
+		m := KindMask(r)
+		for k := difftree.All; k <= difftree.Multi; k++ {
+			if got := m&(1<<k) != 0; got != kinds[k] {
+				t.Errorf("KindMask(%s) bit %v = %v, MatchKinds says %v", r.Name(), k, got, kinds[k])
+			}
+		}
+	}
+	if m := KindMask(unlistedRule{}); m != 0b1111 {
+		t.Errorf("KindMask of a rule outside MatchKinds = %04b, want 1111", m)
+	}
+}
+
+// unlistedRule is a rule MatchKinds does not know.
+type unlistedRule struct{}
+
+func (unlistedRule) Name() string                                { return "Unlisted" }
+func (unlistedRule) Apply(*difftree.Node) (*difftree.Node, bool) { return nil, false }
