@@ -57,8 +57,9 @@ bench-allocs:
 # imported into a fresh cache before searching), and the first workload's
 # tree_parallel section (4 workers on one tree vs sequential, both cold).
 # Fails if any workload's warm-cache speedup drops below 3x, if a cold
-# first search is slower than uncached (speedup_cold < 1.0 — every mode is
-# timed fastest-of-N, cold with a fresh cache per repetition), if a warm
+# first search is slower than uncached (speedup_cold < 1.0 — the median
+# ratio over 10 interleaved cold/uncached pairs, cold with a fresh cache per
+# run; the per-pair win count is printed), if a warm
 # run allocates more than 300k/iteration, if restart-from-snapshot misses
 # 3x over cold or changes a result, if caching changes a result, or — on
 # machines with >= 4 CPUs — if tree-parallel misses 2x iters/sec or
@@ -118,6 +119,7 @@ fuzz-smoke:
 	$(GO) test ./internal/codec -run '^$$' -fuzz FuzzUnmarshal -fuzztime 10s
 	$(GO) test ./internal/eval -run '^$$' -fuzz FuzzLoadSnapshot -fuzztime 10s
 	$(GO) test ./internal/eval -run '^$$' -fuzz FuzzIncrementalLegality -fuzztime 10s
+	$(GO) test ./internal/rules -run '^$$' -fuzz FuzzWideningRules -fuzztime 10s
 	$(GO) test ./internal/difftree -run '^$$' -fuzz FuzzNthOfKind -fuzztime 10s
 
 # join-scenarios mirrors the CI acceptance step for the multi-table grammar:

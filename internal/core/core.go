@@ -433,6 +433,15 @@ var spinePool = sync.Pool{New: func() any { return new(difftree.SpineArena) }}
 // the full move set when unlucky (only the drawn move is applied). This
 // keeps rollouts cheap relative to full neighbor enumeration.
 //
+// The domain's invariant is that every state is legal: the search starts at
+// the initial state or a warm start that passed LegalState, every successor
+// is a legal move, and a search tree reused across a log append reconciles
+// each stale node's children under the current log before descending
+// through them. That is the precondition of eval.Engine.LegalMove, which
+// judges each probe: a widening rule's candidate (rules.Widens) by size and
+// structure alone, any other through the memoized LegalState. The domain's
+// rule set is the engine's, so a draw's rule index is the engine's.
+//
 // Each try makes two draws: the rule, then an index into the rule's
 // candidate nodes, which are the pre-order per-kind node lists concatenated
 // in fixed Kind order (eval.Engine.PathPools, restricted to the mask). The
@@ -485,7 +494,7 @@ func (d *domain) RandomNeighbor(s mcts.State, rng *rand.Rand) (mcts.State, bool)
 		if !ok {
 			continue
 		}
-		if !d.eng.LegalState(next) {
+		if !d.eng.LegalMove(next, p, ri) {
 			continue
 		}
 		kept, ok := rules.Candidate(cur, p, r)

@@ -11,7 +11,7 @@ import (
 // BenchmarkProf2 is the end-to-end profiling benchmark for the search: one
 // 5-iteration generation over the full SDSS log with a cold cache. Profile
 // it with -cpuprofile to see the layers (move enumeration and its
-// incremental legality in eval.Engine.Moves, rollout sampling in
+// legality checks in eval.Engine.Moves, rollout sampling and its probes in
 // domain.RandomNeighbor, cost sampling in eval.Engine.StateCost).
 func BenchmarkProf2(b *testing.B) {
 	log := workload.SDSSLog()

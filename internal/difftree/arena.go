@@ -84,6 +84,7 @@ func (a *SpineArena) ReplaceAt(root *Node, p Path, repl *Node) *Node {
 	out.Kind, out.Label, out.Value = root.Kind, root.Label, root.Value
 	out.h.Store(0)
 	out.kc.Store(0)
+	out.valid.Store(false)
 	out.Children = a.childSlice(len(root.Children))
 	copy(out.Children, root.Children)
 	out.Children[p[0]] = sub

@@ -55,7 +55,8 @@ func TestQuickSpineArenaReplaceAtEquivalence(t *testing.T) {
 }
 
 // TestSpineArenaResetRecycles: after Reset the arena hands out the same
-// backing nodes again with cleanly reset hash and kind-count memos.
+// backing nodes again with cleanly reset hash, kind-count and validity
+// memos.
 func TestSpineArenaResetRecycles(t *testing.T) {
 	arena := &SpineArena{}
 	rng := rand.New(rand.NewSource(5))
@@ -68,9 +69,10 @@ func TestSpineArenaResetRecycles(t *testing.T) {
 	}
 	Hash(first) // memoize on the arena node
 	first.KindCounts()
+	first.valid.Store(true)
 
 	arena.Reset()
-	repl2 := genDiff(rng, 2)
+	repl2 := &Node{Kind: Opt} // invalid: OPT without a child
 	second := arena.ReplaceAt(root, p, repl2)
 	if second != first {
 		t.Fatalf("expected the arena to recycle the spine node: %p vs %p", second, first)
@@ -80,5 +82,8 @@ func TestSpineArenaResetRecycles(t *testing.T) {
 	}
 	if got, want := second.KindCounts(), rebuild(second).KindCounts(); got != want {
 		t.Fatalf("stale kind-count memo survived Reset: %v want %v", got, want)
+	}
+	if ValidEdit(second, nil) {
+		t.Fatal("stale validity memo survived Reset")
 	}
 }

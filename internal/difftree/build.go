@@ -37,39 +37,68 @@ func Validate(root *Node) error {
 		if err != nil {
 			return false
 		}
-		switch n.Kind {
-		case Any:
-			if len(n.Children) == 0 {
-				err = errorsAt(p, "ANY node with no children")
-			}
-		case Opt:
-			if len(n.Children) != 1 {
-				err = errorsAt(p, "OPT node must have exactly one child")
-			}
-		case Multi:
-			if len(n.Children) != 1 {
-				err = errorsAt(p, "MULTI node must have exactly one child")
-			} else if Nullable(n.Children[0]) {
-				err = errorsAt(p, "MULTI child must not be nullable")
-			}
-		case All:
-			if !n.Label.Valid() {
-				err = errorsAt(p, "ALL node with invalid grammar label")
-			}
-			if n.Label == ast.KindEmpty && len(n.Children) != 0 {
-				err = errorsAt(p, "Empty node must be a leaf")
-			}
+		if msg := invalid(n); msg != "" {
+			err = errorsAt(p, msg)
 		}
 		return true
 	})
 	return err
 }
 
+// invalid returns the invariant n itself breaks, its children's aside, or
+// "" when it breaks none.
+func invalid(n *Node) string {
+	switch n.Kind {
+	case Any:
+		if len(n.Children) == 0 {
+			return "ANY node with no children"
+		}
+	case Opt:
+		if len(n.Children) != 1 {
+			return "OPT node must have exactly one child"
+		}
+	case Multi:
+		if len(n.Children) != 1 {
+			return "MULTI node must have exactly one child"
+		}
+		if Nullable(n.Children[0]) {
+			return "MULTI child must not be nullable"
+		}
+	case All:
+		if n.Label == ast.KindEmpty && len(n.Children) != 0 {
+			return "Empty node must be a leaf"
+		}
+		if !n.Label.Valid() {
+			return "ALL node with invalid grammar label"
+		}
+	}
+	return ""
+}
+
+// validSubtree reports Validate(n) == nil, memoized per node: nodes are
+// immutable, so a subtree that passed once is not walked again.
+func validSubtree(n *Node) bool {
+	if n == nil || n.valid.Load() {
+		return true
+	}
+	if invalid(n) != "" {
+		return false
+	}
+	for _, c := range n.Children {
+		if !validSubtree(c) {
+			return false
+		}
+	}
+	n.valid.Store(true)
+	return true
+}
+
 // ValidEdit reports whether Validate(next) == nil, for next built from a
 // valid tree by replacing the subtree at p. Only the replacement and the
 // spine can differ from the valid original: spine copies keep their kind,
 // label and arity, so the one check they can newly fail is a Multi whose
-// child on the spine became nullable.
+// child on the spine became nullable. The replacement's check is memoized
+// per node, so subtrees a rewrite shares with the original are walked once.
 func ValidEdit(next *Node, p Path) bool {
 	n := next
 	for _, i := range p {
@@ -81,7 +110,7 @@ func ValidEdit(next *Node, p Path) bool {
 		}
 		n = n.Children[i]
 	}
-	return Validate(n) == nil
+	return validSubtree(n)
 }
 
 func errorsAt(p Path, msg string) error {

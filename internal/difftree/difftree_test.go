@@ -265,6 +265,71 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+func TestValidEdit(t *testing.T) {
+	d := NewAll(ast.KindAnd, "", NewMulti(NewAll(ast.KindColExpr, "a")))
+	for _, c := range []struct {
+		repl *Node
+		want bool
+	}{
+		{NewAll(ast.KindColExpr, "b"), true},
+		{NewOpt(NewAll(ast.KindColExpr, "a")), false}, // nullable Multi child
+		{NewAny(), false},                             // invalid replacement
+	} {
+		next := ReplaceAt(d, Path{0, 0}, c.repl)
+		if got := ValidEdit(next, Path{0, 0}); got != c.want || got != (Validate(next) == nil) {
+			t.Errorf("ValidEdit(%s) = %v, want %v (Validate: %v)", next, got, c.want, Validate(next))
+		}
+	}
+
+	// The check is memoized per node: a subtree that passed is shared into
+	// a replacement whose own root is invalid, and the verdict still reads
+	// the fresh root; a valid replacement passes again from the memo.
+	shared := NewAll(ast.KindAnd, "", NewAll(ast.KindColExpr, "a"))
+	if !ValidEdit(ReplaceAt(d, Path{0, 0}, shared), Path{0, 0}) {
+		t.Fatal("valid replacement rejected")
+	}
+	bad := &Node{Kind: Opt, Children: []*Node{shared, NewAll(ast.KindColExpr, "b")}}
+	if next := ReplaceAt(d, Path{0, 0}, bad); ValidEdit(next, Path{0, 0}) {
+		t.Errorf("ValidEdit(%s) = true over a memoized child, want false", next)
+	}
+	if !ValidEdit(ReplaceAt(d, Path{0, 0}, shared), Path{0, 0}) {
+		t.Error("memoized valid replacement rejected")
+	}
+}
+
+// TestExpressDescribeAssignment pins Express's witness on a tree with every
+// choice kind: the chosen Any alternative, Opt on/off, and one "+" per Multi
+// instance closed by "0".
+func TestExpressDescribeAssignment(t *testing.T) {
+	project := NewAll(ast.KindProject, "",
+		NewAny(
+			NewAll(ast.KindColExpr, "Sales"),
+			NewAll(ast.KindColExpr, "Costs"),
+		),
+		NewMulti(NewAll(ast.KindColExpr, "extra")))
+	from := NewAll(ast.KindFrom, "", NewAll(ast.KindTable, "sales"))
+	where := NewOpt(NewAll(ast.KindWhere, "",
+		NewAll(ast.KindBiExpr, "=",
+			NewAll(ast.KindColExpr, "cty"),
+			NewAny(
+				NewAll(ast.KindStrExpr, "USA"),
+				NewAll(ast.KindStrExpr, "EUR"),
+			))))
+	d := NewAll(ast.KindSelect, "", project, from, where)
+	for _, c := range []struct{ q, want string }{
+		{"SELECT Sales FROM sales WHERE cty = USA", "/0/0=0\n/0/1=0\n/2=on\n/2/0/0/1=0\n"},
+		{"SELECT Costs, extra, extra FROM sales", "/0/0=1\n/0/1=+|+|0\n/2=off\n"},
+	} {
+		a, ok := Express(d, sqlparser.MustParse(c.q))
+		if !ok {
+			t.Fatalf("%q inexpressible", c.q)
+		}
+		if got := DescribeAssignment(d, a); got != c.want {
+			t.Errorf("Express(%q) = %q, want %q", c.q, got, c.want)
+		}
+	}
+}
+
 func TestNullable(t *testing.T) {
 	cases := []struct {
 		n    *Node

@@ -62,9 +62,13 @@ func (k Kind) IsChoice() bool { return k == Any || k == Opt || k == Multi }
 // every node pointer occurs at exactly one position — widget assignment and
 // cost attribution key maps by node identity.
 type Node struct {
-	Kind     Kind
-	Label    ast.Kind // grammar rule, meaningful when Kind == All
-	Value    string   // literal/operator value, meaningful when Kind == All
+	Kind  Kind
+	Label ast.Kind // grammar rule, meaningful when Kind == All
+	// valid memoizes that the subtree passed ValidEdit's structural check.
+	// It sits in the padding after Label, so a Node stays 64 bytes. Atomic
+	// for the same reason as h.
+	valid    atomic.Bool
+	Value    string // literal/operator value, meaningful when Kind == All
 	Children []*Node
 
 	// h memoizes Hash for the subtree; 0 means "not computed yet" (Hash
@@ -168,19 +172,15 @@ func (n *Node) Clone() *Node {
 		c.h.Store(h)
 	}
 	c.kc.Store(n.kc.Load())
+	c.valid.Store(n.valid.Load())
 	return c
 }
 
-// Size counts nodes in the subtree.
+// Size counts nodes in the subtree: the sum of its memoized KindCounts, so
+// after a copy-on-write edit only the fresh spine is recounted.
 func (n *Node) Size() int {
-	if n == nil {
-		return 0
-	}
-	s := 1
-	for _, c := range n.Children {
-		s += c.Size()
-	}
-	return s
+	c := n.KindCounts()
+	return c[All] + c[Any] + c[Opt] + c[Multi]
 }
 
 // CountChoice counts Any/Opt/Multi nodes in the subtree; the paper uses this

@@ -43,16 +43,20 @@ type Engine struct {
 	// the pure recompute-everything reference.
 	terms *cost.TermMemo
 
-	// masks[i] is rules.KindMask(cfg.Rules[i]).
-	masks []uint8
+	// masks[i] is rules.KindMask(cfg.Rules[i]); widens[i] is
+	// rules.Widens(cfg.Rules[i]).
+	masks  []uint8
+	widens []bool
 }
 
 // New builds an engine over cfg, memoizing into cache (nil = uncached).
 func New(cfg Config, cache *Cache) *Engine {
 	e := &Engine{cfg: cfg, cache: cache, fp: fingerprint(cfg)}
 	e.masks = make([]uint8, len(cfg.Rules))
+	e.widens = make([]bool, len(cfg.Rules))
 	for i, r := range cfg.Rules {
 		e.masks[i] = rules.KindMask(r)
+		e.widens[i] = rules.Widens(r)
 	}
 	if cache != nil {
 		e.terms = cost.NewTermMemo()
@@ -208,14 +212,9 @@ func (e *Engine) fullLegal(d *difftree.Node) bool {
 	return (e.cfg.SizeCap <= 0 || d.Size() <= e.cfg.SizeCap) && rules.LegalState(d, e.cfg.Log)
 }
 
-// movesScratch is the per-call working set of Moves, pooled across calls.
-type movesScratch struct {
-	arena  difftree.SpineArena  // copy-on-write spines of candidate trees
-	visits difftree.QueryVisits // derivations of the state's log queries
-	qs     []*ast.Node          // queries to re-match for one candidate
-}
-
-var movesPool = sync.Pool{New: func() any { return new(movesScratch) }}
+// arenaPool recycles the copy-on-write spine arenas Moves builds its
+// candidates on.
+var arenaPool = sync.Pool{New: func() any { return new(difftree.SpineArena) }}
 
 // Moves enumerates d's legal moves — rule pattern matches, the rewrite is
 // within the size cap, and every query stays expressible — in deterministic
@@ -226,17 +225,15 @@ var movesPool = sync.Pool{New: func() any { return new(movesScratch) }}
 // pooled arena: only the (rule, path) pair survives the legality check,
 // never the tree.
 //
-// Legality is judged incrementally: one first-found derivation per log
-// query is recorded on d (difftree.QueryVisits), and a candidate that
-// replaces node n by sub is judged by its size (d's minus n's plus sub's),
-// difftree.ValidEdit, and re-matching only the queries whose derivation
-// visits n. Verdicts equal the full re-match oracle's (rules.Moves and
-// rules.LegalState remain the reference) as long as no re-match of a
-// skipped query would exhaust the matcher's backtracking budget; see
-// difftree.QueryVisits. Candidates of a d that is itself invalid are
-// judged by the oracle. Only the move list is memoized, not the verdict of
-// each candidate: judging a candidate incrementally costs about what
-// hashing it and probing the cache would.
+// When d is itself legal (one memoized LegalState per miss), a candidate of
+// a widening rule (rules.Widens) is judged by the size cap and
+// difftree.ValidEdit alone: the rewrite keeps every derivation d had, so
+// every query stays expressible. Every other candidate, and every candidate
+// of a d that is not legal, goes through the full re-match. Verdicts equal
+// the full re-match oracle's (rules.Moves and rules.LegalState remain the
+// reference) as long as no re-match of a widened tree would exhaust the
+// matcher's backtracking budget. Only the move list is memoized, not the
+// verdict of each candidate.
 func (e *Engine) Moves(d *difftree.Node) []rules.Move {
 	h := difftree.Hash(d)
 	var k uint64
@@ -248,51 +245,52 @@ func (e *Engine) Moves(d *difftree.Node) []rules.Move {
 		}
 		e.cache.Count(false)
 	}
-	sc := movesPool.Get().(*movesScratch)
-	valid := difftree.Validate(d) == nil
-	if valid {
-		sc.visits.Index(d, e.cfg.Log)
-	}
+	legal := e.LegalState(d)
+	arena := arenaPool.Get().(*difftree.SpineArena)
 	var out []rules.Move
-	pos := -1
 	difftree.WalkPath(d, func(n *difftree.Node, p difftree.Path) bool {
-		pos++
 		for i, r := range e.cfg.Rules {
 			if e.masks[i]&(1<<n.Kind) == 0 {
 				continue
 			}
-			sc.arena.Reset()
-			next, ok := rules.CandidateArena(d, p, r, &sc.arena)
+			arena.Reset()
+			next, ok := rules.CandidateArena(d, p, r, arena)
 			if !ok {
 				continue
 			}
-			if valid && e.legalEdit(next, p, pos, sc) || !valid && e.fullLegal(next) {
+			widened := legal && e.widens[i]
+			if widened && e.legalWidened(next, p) || !widened && e.fullLegal(next) {
 				out = append(out, rules.Move{Rule: r.Name(), Path: p.Clone()})
 			}
 		}
 		return true
 	})
-	sc.arena.Reset()
-	clear(sc.qs)
-	movesPool.Put(sc)
+	arena.Reset()
+	arenaPool.Put(arena)
 	if e.cache != nil {
 		e.cache.SetMoves(k, out)
 	}
 	return out
 }
 
-// legalEdit is fullLegal for next: the valid state indexed in sc.visits
-// with its subtree at pre-order position pos (path p) replaced.
-func (e *Engine) legalEdit(next *difftree.Node, p difftree.Path, pos int, sc *movesScratch) bool {
-	sub := difftree.At(next, p)
-	if e.cfg.SizeCap > 0 && sc.visits.Size(0)-sc.visits.Size(pos)+sub.Size() > e.cfg.SizeCap {
-		return false
+// LegalMove is the rollout's legality probe: LegalState(next) for next
+// built from a legal state by applying Config.Rules[ruleIndex] at path p.
+// The caller must guarantee that the source state is legal; the verdict is
+// unspecified otherwise. A widening rule's candidate is judged by the size
+// cap and difftree.ValidEdit, without hashing it or touching the cache (see
+// Moves); any other candidate goes through the memoized LegalState.
+func (e *Engine) LegalMove(next *difftree.Node, p difftree.Path, ruleIndex int) bool {
+	if e.widens[ruleIndex] {
+		return e.legalWidened(next, p)
 	}
-	if !difftree.ValidEdit(next, p) {
-		return false
-	}
-	sc.qs = sc.visits.Affected(sc.qs[:0], e.cfg.Log, pos)
-	return difftree.ExpressibleAll(next, sc.qs)
+	return e.LegalState(next)
+}
+
+// legalWidened is fullLegal for next built from a legal state by a widening
+// rewrite of the subtree at p: the size gate and the structural checks the
+// edit can break.
+func (e *Engine) legalWidened(next *difftree.Node, p difftree.Path) bool {
+	return (e.cfg.SizeCap <= 0 || next.Size() <= e.cfg.SizeCap) && difftree.ValidEdit(next, p)
 }
 
 // PathPools returns d's node paths grouped by node kind, each group in

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -38,12 +39,34 @@ func sameMoves(a, b []rules.Move) bool {
 	return true
 }
 
+// checkLegalMoves asserts, for a state d that is legal for eng, that the
+// rollout probe Engine.LegalMove agrees with the full re-match oracle on
+// every (node, rule) candidate of d.
+func checkLegalMoves(t testing.TB, eng *Engine, d *difftree.Node, log []*ast.Node, what string) {
+	t.Helper()
+	difftree.WalkPath(d, func(_ *difftree.Node, p difftree.Path) bool {
+		for i, r := range eng.cfg.Rules {
+			next, ok := rules.Candidate(d, p, r)
+			if !ok {
+				continue
+			}
+			want := (eng.SizeCap() <= 0 || next.Size() <= eng.SizeCap()) && rules.LegalState(next, log)
+			if got := eng.LegalMove(next, p, i); got != want {
+				t.Fatalf("%s: LegalMove(%s@%s) = %v, oracle %v\nstate %s", what, r.Name(), p, got, want, d)
+			}
+		}
+		return true
+	})
+}
+
 // checkIncrementalWalk takes a seeded random walk of the given length over
 // the size-capped legal moves for walkLog, from its initial state, and
-// asserts at every state that the incremental Engine.Moves agrees with the
-// oracle for checkLog — on a cached and an uncached engine, under the
-// search's size cap and a tight one — and that Neighbors applies every move
-// (the rollout fallback draws an index into Moves).
+// asserts at every state that Engine.Moves agrees with the oracle for
+// checkLog — on a cached and an uncached engine, under the search's size cap
+// and a tight one — and that Neighbors applies every move (the rollout
+// fallback draws an index into Moves). At states legal for checkLog, the
+// precondition of the rollout probe, LegalMove must agree with the oracle
+// on every candidate.
 func checkIncrementalWalk(t testing.TB, walkLog, checkLog []*ast.Node, seed int64, steps int) {
 	t.Helper()
 	init, err := difftree.Initial(walkLog)
@@ -70,6 +93,9 @@ func checkIncrementalWalk(t testing.TB, walkLog, checkLog []*ast.Node, seed int6
 			}
 			if n := len(eng.Neighbors(d)); n != len(got) {
 				t.Fatalf("seed %d step %d engine %d: %d neighbors for %d moves", seed, step, i, n, len(got))
+			}
+			if eng.LegalState(d) {
+				checkLegalMoves(t, eng, d, checkLog, fmt.Sprintf("seed %d step %d engine %d", seed, step, i))
 			}
 		}
 		walk := capMoves(d, rules.Moves(d, walkLog, rules.All()), caps[0])
@@ -109,8 +135,9 @@ func TestIncrementalMovesMatchOracle(t *testing.T) {
 }
 
 // TestIncrementalMovesUnexpressedQuery runs the engine over states that do
-// not express its whole log: the query without a derivation must be
-// re-matched after every edit, since a rewrite may make it expressible.
+// not express its whole log: such a state is not legal, so every candidate,
+// widening or not, must go through the full re-match, since a rewrite may
+// make the missing query expressible.
 func TestIncrementalMovesUnexpressedQuery(t *testing.T) {
 	log := workload.PaperFigure1Log()
 	for seed := int64(1); seed <= 4; seed++ {
@@ -118,9 +145,9 @@ func TestIncrementalMovesUnexpressedQuery(t *testing.T) {
 	}
 }
 
-// FuzzIncrementalLegality differentially checks incremental move
-// enumeration against the full re-match oracle on random walks over
-// random multi-table logs.
+// FuzzIncrementalLegality differentially checks move enumeration and the
+// rollout probe (LegalMove) against the full re-match oracle on random
+// walks over random multi-table logs.
 func FuzzIncrementalLegality(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(6))
 	f.Add(int64(7), uint8(5), uint8(8))

@@ -117,10 +117,43 @@ type parentAware interface {
 	AllowedUnder(parent *difftree.Node) bool
 }
 
+// widening marks the built-in rules whose rewrite generates a superset of
+// the rewritten node's language; see Widens.
+type widening interface {
+	widens()
+}
+
+// Widens reports whether r is a built-in rule whose rewrite generates a
+// superset of the rewritten node's language: it only regroups (Lift,
+// Unlift, Optional, Unoptional, Unwrap, Wrap, Flatten, DedupAny, GroupAny)
+// or widens (MultiMerge) what the node can generate. A difftree node's
+// language does not depend on its context, so such a rewrite keeps every
+// derivation of the tree it edits: applied to a legal state, its result
+// expresses every query the state did and needs no re-match, only the size
+// and structural checks. Any2All and All2Any can drop a query and do not
+// widen. The marker method is unexported, so a rule type defined outside
+// this package cannot declare it.
+func Widens(r Rule) bool {
+	_, ok := r.(widening)
+	return ok
+}
+
+func (Lift) widens()       {}
+func (Unlift) widens()     {}
+func (MultiMerge) widens() {}
+func (Optional) widens()   {}
+func (Unoptional) widens() {}
+func (Unwrap) widens()     {}
+func (Wrap) widens()       {}
+func (Flatten) widens()    {}
+func (DedupAny) widens()   {}
+func (GroupAny) widens()   {}
+
 // LegalState reports whether a rewritten difftree satisfies the system
 // invariant: structurally valid and still expressing every input query. It
 // re-matches every query against the whole tree: the reference oracle for
-// eval.Engine, whose move enumeration judges legality incrementally.
+// eval.Engine, which skips the re-match for widening rewrites of a legal
+// state (Widens).
 func LegalState(next *difftree.Node, queries []*ast.Node) bool {
 	return difftree.Validate(next) == nil && difftree.ExpressibleAll(next, queries)
 }
@@ -174,8 +207,8 @@ func rewrite(root *difftree.Node, p difftree.Path, r Rule) (*difftree.Node, bool
 // rule pattern matches, the resulting tree validates, and every query stays
 // expressible. The result order is deterministic (pre-order paths, rule
 // order). Every candidate goes through the full LegalState re-match, which
-// makes Moves the oracle that eval.Engine.Moves (incremental, size-capped,
-// memoized) is differentially tested against.
+// makes Moves the oracle that eval.Engine.Moves (re-match skipped for
+// widening rules, size-capped, memoized) is differentially tested against.
 func Moves(root *difftree.Node, queries []*ast.Node, set []Rule) []Move {
 	var out []Move
 	difftree.WalkPath(root, func(n *difftree.Node, p difftree.Path) bool {
