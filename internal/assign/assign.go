@@ -43,6 +43,14 @@ type decision struct {
 type Plan struct {
 	root      *difftree.Node
 	decisions []decision
+	domains   []choiceDomain // one per choice node, in build's visit order
+}
+
+// choiceDomain is a choice node's widget domain, labels included, computed
+// once per plan and shared by every widget tree the plan materializes.
+type choiceDomain struct {
+	node *difftree.Node
+	dom  widgets.Domain
 }
 
 // boxDirs are the direction candidates for a layout box.
@@ -50,11 +58,19 @@ var boxDirs = []widgets.Type{widgets.VBox, widgets.HBox}
 
 // BuildPlan analyses the difftree and returns its assignment plan. It fails
 // with ErrNoWidget if some choice node has no applicable widget template.
+// Feasibility and every decision's candidates depend on a domain's shape —
+// its alternative count and flags — never on its option labels, so the
+// analysis renders no label; only a plan that succeeds renders each choice
+// node's labels, once (most states the search scores have no plan).
 func BuildPlan(root *difftree.Node) (*Plan, error) {
 	p := &Plan{root: root}
-	rec := &planRecorder{plan: p}
-	if _, err := build(root, nil, rec); err != nil {
+	if _, err := build(root, nil, &builder{plan: p, planning: true}); err != nil {
 		return nil, err
+	}
+	for i := range p.domains {
+		if cd := &p.domains[i]; cd.dom.Kind == widgets.ChoiceDomain {
+			cd.dom.Options = difftree.OptionLabels(cd.node)
+		}
 	}
 	return p, nil
 }
@@ -75,14 +91,14 @@ func (p *Plan) SpaceSize(cap int) int {
 }
 
 // Assignment materializes the widget tree for a decision vector (one index
-// per decision, in plan order). It panics on malformed vectors; callers use
-// Random/Enumerate/First which always produce well-formed ones.
+// per decision, in plan order). Its widgets carry the plan's domains. It
+// panics on malformed vectors; callers use Random/Enumerate/First which
+// always produce well-formed ones.
 func (p *Plan) Assignment(picks []int) *layout.Node {
 	if len(picks) != len(p.decisions) {
 		panic(fmt.Sprintf("assign: vector length %d, want %d", len(picks), len(p.decisions)))
 	}
-	rec := &vectorPicker{plan: p, picks: picks}
-	n, err := build(p.root, nil, rec)
+	n, err := build(p.root, nil, &builder{plan: p, picks: picks})
 	if err != nil {
 		panic("assign: plan/build divergence: " + err.Error())
 	}
@@ -134,40 +150,59 @@ func (p *Plan) Enumerate(limit int, fn func(*layout.Node) bool) bool {
 	}
 }
 
-// picker supplies decisions during tree building; the planning pass records
-// candidates, the materialization pass consumes a vector.
-type picker interface {
-	pick(kind decisionKind, node *difftree.Node, candidates []widgets.Type) widgets.Type
+// builder supplies domains and decisions while build walks a difftree. The
+// planning pass computes each choice node's label-free domain shape and
+// records the candidates of every decision, picking the first; the
+// materialization pass replays the plan's domains and the vector's picks in
+// the same visit order.
+type builder struct {
+	plan     *Plan
+	planning bool
+	picks    []int
+	next     int // decisions consumed
+	doms     int // domains consumed
 }
 
-type planRecorder struct {
-	plan *Plan
+// domain returns the widget domain of choice node d.
+func (b *builder) domain(d, parent *difftree.Node) widgets.Domain {
+	if b.planning {
+		dom := domainShape(d, parent)
+		b.plan.domains = append(b.plan.domains, choiceDomain{node: d, dom: dom})
+		return dom
+	}
+	cd := b.plan.domains[b.doms]
+	if cd.node != d {
+		panic("assign: plan/build divergence")
+	}
+	b.doms++
+	return cd.dom
 }
 
-func (r *planRecorder) pick(kind decisionKind, node *difftree.Node, cands []widgets.Type) widgets.Type {
-	r.plan.decisions = append(r.plan.decisions, decision{kind: kind, node: node, candidates: cands})
-	return cands[0]
-}
-
-type vectorPicker struct {
-	plan  *Plan
-	picks []int
-	next  int
-}
-
-func (v *vectorPicker) pick(kind decisionKind, node *difftree.Node, cands []widgets.Type) widgets.Type {
-	d := v.plan.decisions[v.next]
+// pick returns the template for one decision on node. While planning, it
+// records the candidates computed by cands and picks the first; ok is false
+// when there are none. Otherwise it returns the vector's pick among the
+// recorded candidates.
+func (b *builder) pick(kind decisionKind, node *difftree.Node, cands func() []widgets.Type) (t widgets.Type, ok bool) {
+	if b.planning {
+		cs := cands()
+		if len(cs) == 0 {
+			return 0, false
+		}
+		b.plan.decisions = append(b.plan.decisions, decision{kind: kind, node: node, candidates: cs})
+		return cs[0], true
+	}
+	d := b.plan.decisions[b.next]
 	if d.kind != kind || d.node != node {
 		panic("assign: plan/build divergence")
 	}
-	t := cands[v.picks[v.next]]
-	v.next++
-	return t
+	t = d.candidates[b.picks[b.next]]
+	b.next++
+	return t, true
 }
 
 // build constructs the widget tree for the subtree rooted at d. It returns
 // nil for subtrees without choice nodes (static structure needs no widget).
-func build(d *difftree.Node, parent *difftree.Node, pk picker) (*layout.Node, error) {
+func build(d *difftree.Node, parent *difftree.Node, b *builder) (*layout.Node, error) {
 	if d == nil || !d.HasChoice() {
 		return nil, nil
 	}
@@ -175,7 +210,7 @@ func build(d *difftree.Node, parent *difftree.Node, pk picker) (*layout.Node, er
 	case difftree.All:
 		var kids []*layout.Node
 		for _, c := range d.Children {
-			k, err := build(c, d, pk)
+			k, err := build(c, d, b)
 			if err != nil {
 				return nil, err
 			}
@@ -183,10 +218,10 @@ func build(d *difftree.Node, parent *difftree.Node, pk picker) (*layout.Node, er
 				kids = append(kids, k)
 			}
 		}
-		return box(d, kids, pk), nil
+		return box(d, kids, b), nil
 
 	case difftree.Any:
-		dom := DomainOf(d, parent)
+		dom := b.domain(d, parent)
 		if dom.Nested {
 			// Alternatives carry inner widgets: tabs with per-alternative
 			// panels is the only template that can host them.
@@ -195,7 +230,7 @@ func build(d *difftree.Node, parent *difftree.Node, pk picker) (*layout.Node, er
 			}
 			tabs := &layout.Node{Type: widgets.Tabs, Domain: dom, Title: dom.Title, Choice: d}
 			for _, alt := range d.Children {
-				panel, err := build(alt, d, pk)
+				panel, err := build(alt, d, b)
 				if err != nil {
 					return nil, err
 				}
@@ -205,19 +240,20 @@ func build(d *difftree.Node, parent *difftree.Node, pk picker) (*layout.Node, er
 			}
 			return tabs, nil
 		}
-		cands := sortedCandidates(dom, widgets.Tabs) // leaf tabs excluded; they exist for nesting
-		if len(cands) == 0 {
+		t, ok := b.pick(pickWidget, d, func() []widgets.Type {
+			return sortedCandidates(dom, widgets.Tabs) // leaf tabs excluded; they exist for nesting
+		})
+		if !ok {
 			return nil, fmt.Errorf("%w: %d alternatives (scalar=%v)", ErrNoWidget, len(d.Children), dom.Scalar)
 		}
-		t := pk.pick(pickWidget, d, cands)
 		return layout.NewWidget(t, dom, d), nil
 
 	case difftree.Opt:
-		dom := DomainOf(d, parent)
-		cands := sortedCandidates(dom)
-		t := pk.pick(pickWidget, d, cands)
+		dom := b.domain(d, parent)
+		// A toggle domain always admits Toggle and Checkbox.
+		t, _ := b.pick(pickWidget, d, func() []widgets.Type { return sortedCandidates(dom) })
 		toggle := layout.NewWidget(t, dom, d)
-		inner, err := build(d.Children[0], d, pk)
+		inner, err := build(d.Children[0], d, b)
 		if err != nil {
 			return nil, err
 		}
@@ -226,12 +262,12 @@ func build(d *difftree.Node, parent *difftree.Node, pk picker) (*layout.Node, er
 		}
 		// The toggle and its dependent widgets are grouped, as in the
 		// paper's Figure 2(b) (toggle + dropdown share a bounding box).
-		return box(d, []*layout.Node{toggle, inner}, pk), nil
+		return box(d, []*layout.Node{toggle, inner}, b), nil
 
 	case difftree.Multi:
-		dom := DomainOf(d, parent)
+		dom := b.domain(d, parent)
 		adder := &layout.Node{Type: widgets.Adder, Domain: dom, Title: dom.Title, Choice: d}
-		inner, err := build(d.Children[0], d, pk)
+		inner, err := build(d.Children[0], d, b)
 		if err != nil {
 			return nil, err
 		}
@@ -245,14 +281,14 @@ func build(d *difftree.Node, parent *difftree.Node, pk picker) (*layout.Node, er
 
 // box wraps children in a layout container with a direction decision; single
 // children pass through unwrapped.
-func box(owner *difftree.Node, kids []*layout.Node, pk picker) *layout.Node {
+func box(owner *difftree.Node, kids []*layout.Node, b *builder) *layout.Node {
 	switch len(kids) {
 	case 0:
 		return nil
 	case 1:
 		return kids[0]
 	default:
-		dir := pk.pick(pickDir, owner, boxDirs)
+		dir, _ := b.pick(pickDir, owner, func() []widgets.Type { return boxDirs })
 		return layout.NewBox(dir, kids...)
 	}
 }
@@ -284,18 +320,40 @@ func sortedCandidates(dom widgets.Domain, exclude ...widgets.Type) []widgets.Typ
 
 // DomainOf computes the widget domain a choice node exposes. The parent
 // difftree node provides context (e.g. BETWEEN bounds are range-slider
-// friendly).
+// friendly). It is the reference for the domains a Plan computes once and
+// shares across its widget trees.
 func DomainOf(d *difftree.Node, parent *difftree.Node) widgets.Domain {
+	dom := domainShape(d, parent)
+	if dom.Kind == widgets.ChoiceDomain {
+		dom.Options = difftree.OptionLabels(d)
+	}
+	return dom
+}
+
+// unlabeled backs the placeholder options of domain shapes. It is never
+// written: a shape's options are replaced wholesale once labels render.
+var unlabeled [64]string
+
+// domainShape is DomainOf without rendering option labels: a choice
+// domain's Options holds one empty placeholder per alternative, which is
+// all that widget applicability and appropriateness read of them.
+func domainShape(d *difftree.Node, parent *difftree.Node) widgets.Domain {
 	switch d.Kind {
 	case difftree.Opt:
 		return widgets.Domain{Kind: widgets.ToggleDomain, Title: difftree.NodeTitle(d)}
 	case difftree.Multi:
 		return widgets.Domain{Kind: widgets.RepeatDomain, Title: difftree.NodeTitle(d)}
 	}
+	var opts []string
+	if n := len(d.Children); n <= len(unlabeled) {
+		opts = unlabeled[:n:n]
+	} else {
+		opts = make([]string, n)
+	}
 	dom := widgets.Domain{
 		Kind:    widgets.ChoiceDomain,
 		Title:   difftree.NodeTitle(d),
-		Options: difftree.OptionLabels(d),
+		Options: opts,
 		Scalar:  true,
 		Numeric: true,
 	}

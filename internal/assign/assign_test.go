@@ -29,6 +29,9 @@ func figure4Tree() *difftree.Node {
 	return difftree.NewAll(ast.KindSelect, "", project, from, where)
 }
 
+// Figure4Tree hands figure4Tree to the package's external tests.
+var Figure4Tree = figure4Tree
+
 func TestBuildPlanFigure4(t *testing.T) {
 	d := figure4Tree()
 	p, err := BuildPlan(d)
@@ -176,6 +179,47 @@ func TestTooManyNestedAlternativesFails(t *testing.T) {
 	_, err := BuildPlan(d)
 	if !errors.Is(err, ErrNoWidget) {
 		t.Fatalf("want ErrNoWidget, got %v", err)
+	}
+}
+
+// TestInfeasiblePlanRendersNoLabel puts the infeasible nested choice of
+// TestTooManyNestedAlternativesFails after a feasible choice between long
+// predicates, whose option labels would take more allocations to render the
+// longer they get. Planning fails without rendering any label, so its
+// allocation count does not grow with the predicates' length.
+func TestInfeasiblePlanRendersNoLabel(t *testing.T) {
+	tree := func(terms int) *difftree.Node {
+		pred := func(col string) *difftree.Node {
+			var conj []*difftree.Node
+			for i := 0; i < terms; i++ {
+				conj = append(conj, difftree.NewAll(ast.KindBiExpr, "=",
+					difftree.NewAll(ast.KindColExpr, col), difftree.NewAll(ast.KindNumExpr, "1")))
+			}
+			return difftree.NewAll(ast.KindAnd, "", conj...)
+		}
+		var nested []*difftree.Node
+		for i := 0; i < 8; i++ {
+			nested = append(nested, difftree.NewAll(ast.KindWhere, "",
+				difftree.NewAny(
+					difftree.NewAll(ast.KindNumExpr, "1"),
+					difftree.NewAll(ast.KindNumExpr, "2"))))
+		}
+		return difftree.NewAll(ast.KindSelect, "",
+			difftree.NewAll(ast.KindWhere, "", difftree.NewAny(pred("u"), pred("g"))),
+			difftree.NewAny(nested...))
+	}
+	allocs := func(terms int) float64 {
+		d := tree(terms)
+		if _, err := BuildPlan(d); !errors.Is(err, ErrNoWidget) {
+			t.Fatalf("%d terms: want ErrNoWidget, got %v", terms, err)
+		}
+		return testing.AllocsPerRun(20, func() { _, _ = BuildPlan(d) })
+	}
+	bound := allocs(1)
+	for _, terms := range []int{4, 64} {
+		if got := allocs(terms); got > bound {
+			t.Errorf("BuildPlan of an infeasible tree with %d-term alternatives: %.0f allocations, %.0f with 1 term", terms, got, bound)
+		}
 	}
 }
 

@@ -423,10 +423,6 @@ func (d *domain) Neighbors(s mcts.State) []mcts.State {
 	return out
 }
 
-// spinePool recycles copy-on-write spine arenas for rollout candidates,
-// almost all of which fail the legality probe and are discarded.
-var spinePool = sync.Pool{New: func() any { return new(difftree.SpineArena) }}
-
 // RandomNeighbor implements mcts.Sampler: it draws random (rule, node)
 // candidates — restricted to node kinds the rule's rules.KindMask admits —
 // and returns the first legal rewrite, falling back to one uniform draw from
@@ -451,18 +447,14 @@ var spinePool = sync.Pool{New: func() any { return new(difftree.SpineArena) }}
 // draw sequence never consults the memoization state, so the sampled walk
 // is a pure function of (state, rng stream): cached and uncached runs take
 // identical trajectories, the cache only answers the legality probes
-// faster. Candidates are built on a pooled spine arena; the accepted one is
-// rebuilt on the heap (consuming no rng draws), since arena trees must not
-// become retained search states.
+// faster. A probe applies the rule once (rules.Rewrite) and hands the
+// rewritten subtree to LegalMove, which builds no tree for a widening rule;
+// the accepted subtree is spliced into the kept state with
+// difftree.ReplaceAt, consuming no rng draws.
 func (d *domain) RandomNeighbor(s mcts.State, rng *rand.Rand) (mcts.State, bool) {
 	st := s.(state)
 	cur := st.d
 	counts := cur.KindCounts()
-	arena := spinePool.Get().(*difftree.SpineArena)
-	defer func() {
-		arena.Reset()
-		spinePool.Put(arena)
-	}()
 	var buf [32]int
 	const tries = 48
 	for i := 0; i < tries; i++ {
@@ -489,18 +481,11 @@ func (d *domain) RandomNeighbor(s mcts.State, rng *rand.Rand) (mcts.State, bool)
 			idx -= counts[k]
 		}
 		p := difftree.NthOfKind(cur, k, idx, buf[:0])
-		arena.Reset()
-		next, ok := rules.CandidateArena(cur, p, r, arena)
-		if !ok {
+		sub, ok := rules.Rewrite(cur, p, r)
+		if !ok || !d.eng.LegalMove(cur, p, sub, ri) {
 			continue
 		}
-		if !d.eng.LegalMove(next, p, ri) {
-			continue
-		}
-		kept, ok := rules.Candidate(cur, p, r)
-		if !ok {
-			continue
-		}
+		kept := difftree.ReplaceAt(cur, p, sub)
 		return state{d: kept, h: difftree.Hash(kept)}, true
 	}
 	// Fallback: draw uniformly among the legal moves and apply only that

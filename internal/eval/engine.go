@@ -212,8 +212,8 @@ func (e *Engine) fullLegal(d *difftree.Node) bool {
 	return (e.cfg.SizeCap <= 0 || d.Size() <= e.cfg.SizeCap) && rules.LegalState(d, e.cfg.Log)
 }
 
-// arenaPool recycles the copy-on-write spine arenas Moves builds its
-// candidates on.
+// arenaPool recycles the copy-on-write spine arenas Moves and LegalMove
+// build candidates on.
 var arenaPool = sync.Pool{New: func() any { return new(difftree.SpineArena) }}
 
 // Moves enumerates d's legal moves — rule pattern matches, the rewrite is
@@ -221,16 +221,19 @@ var arenaPool = sync.Pool{New: func() any { return new(difftree.SpineArena) }}
 // order (pre-order paths, rule order), memoized per state. The returned
 // slice is shared with the cache; callers must not modify it. A rule is
 // tried only on the node kinds its rules.KindMask admits, read from masks
-// computed once per engine. Candidate trees are spine-allocated from a
-// pooled arena: only the (rule, path) pair survives the legality check,
-// never the tree.
+// computed once per engine. Only the (rule, path) pair survives the
+// legality check, never a candidate tree.
 //
 // When d is itself legal (one memoized LegalState per miss), a candidate of
-// a widening rule (rules.Widens) is judged by the size cap and
-// difftree.ValidEdit alone: the rewrite keeps every derivation d had, so
-// every query stays expressible. Every other candidate, and every candidate
-// of a d that is not legal, goes through the full re-match. Verdicts equal
-// the full re-match oracle's (rules.Moves and rules.LegalState remain the
+// a widening rule (rules.Widens) is judged from the rewritten subtree alone,
+// without building the candidate tree: the rewrite keeps every derivation d
+// had, so every query stays expressible; its size is d's minus the replaced
+// subtree's plus the replacement's; and its structure is valid iff the
+// replacement is, unless the replacement's nullability differs from the
+// replaced subtree's (difftree.SpineArena.ValidReplace). Every other
+// candidate, and every candidate of a d that is not legal, is built on a
+// pooled spine arena and goes through the full re-match. Verdicts equal the
+// full re-match oracle's (rules.Moves and rules.LegalState remain the
 // reference) as long as no re-match of a widened tree would exhaust the
 // matcher's backtracking budget. Only the move list is memoized, not the
 // verdict of each candidate.
@@ -253,13 +256,17 @@ func (e *Engine) Moves(d *difftree.Node) []rules.Move {
 			if e.masks[i]&(1<<n.Kind) == 0 {
 				continue
 			}
-			arena.Reset()
-			next, ok := rules.CandidateArena(d, p, r, arena)
+			sub, ok := rules.Rewrite(d, p, r)
 			if !ok {
 				continue
 			}
-			widened := legal && e.widens[i]
-			if widened && e.legalWidened(next, p) || !widened && e.fullLegal(next) {
+			arena.Reset()
+			if legal && e.widens[i] {
+				ok = e.legalWidened(d, p, n, sub, arena)
+			} else {
+				ok = e.fullLegal(arena.ReplaceAt(d, p, sub))
+			}
+			if ok {
 				out = append(out, rules.Move{Rule: r.Name(), Path: p.Clone()})
 			}
 		}
@@ -273,24 +280,32 @@ func (e *Engine) Moves(d *difftree.Node) []rules.Move {
 	return out
 }
 
-// LegalMove is the rollout's legality probe: LegalState(next) for next
-// built from a legal state by applying Config.Rules[ruleIndex] at path p.
-// The caller must guarantee that the source state is legal; the verdict is
-// unspecified otherwise. A widening rule's candidate is judged by the size
-// cap and difftree.ValidEdit, without hashing it or touching the cache (see
-// Moves); any other candidate goes through the memoized LegalState.
-func (e *Engine) LegalMove(next *difftree.Node, p difftree.Path, ruleIndex int) bool {
+// LegalMove is the rollout's legality probe: LegalState of the tree built
+// from src by replacing its subtree at p with sub, the result of applying
+// Config.Rules[ruleIndex] there (rules.Rewrite). The caller must guarantee
+// that src is legal; the verdict is unspecified otherwise. A widening rule's
+// candidate is judged from sub alone, without building the candidate tree,
+// hashing it or touching the cache (see Moves); any other candidate is built
+// on a pooled spine arena and goes through the memoized LegalState. The
+// caller that keeps the candidate builds it with difftree.ReplaceAt.
+func (e *Engine) LegalMove(src *difftree.Node, p difftree.Path, sub *difftree.Node, ruleIndex int) bool {
+	arena := arenaPool.Get().(*difftree.SpineArena)
+	defer func() {
+		arena.Reset()
+		arenaPool.Put(arena)
+	}()
 	if e.widens[ruleIndex] {
-		return e.legalWidened(next, p)
+		return e.legalWidened(src, p, difftree.At(src, p), sub, arena)
 	}
-	return e.LegalState(next)
+	return e.LegalState(arena.ReplaceAt(src, p, sub))
 }
 
-// legalWidened is fullLegal for next built from a legal state by a widening
-// rewrite of the subtree at p: the size gate and the structural checks the
-// edit can break.
-func (e *Engine) legalWidened(next *difftree.Node, p difftree.Path) bool {
-	return (e.cfg.SizeCap <= 0 || next.Size() <= e.cfg.SizeCap) && difftree.ValidEdit(next, p)
+// legalWidened is fullLegal for the tree a widening rule builds from the
+// legal state src by rewriting its subtree n at p into sub: the size gate
+// and the structural checks the edit can break, read from src, n and sub.
+// The arena holds a spine only when ValidReplace needs one.
+func (e *Engine) legalWidened(src *difftree.Node, p difftree.Path, n, sub *difftree.Node, arena *difftree.SpineArena) bool {
+	return (e.cfg.SizeCap <= 0 || src.Size()-n.Size()+sub.Size() <= e.cfg.SizeCap) && arena.ValidReplace(src, p, n, sub)
 }
 
 // PathPools returns d's node paths grouped by node kind, each group in

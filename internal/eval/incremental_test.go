@@ -41,18 +41,35 @@ func sameMoves(a, b []rules.Move) bool {
 
 // checkLegalMoves asserts, for a state d that is legal for eng, that the
 // rollout probe Engine.LegalMove agrees with the full re-match oracle on
-// every (node, rule) candidate of d.
+// every (node, rule) candidate of d, and that the spine-free widening
+// verdict agrees with the size cap plus difftree.ValidEdit on the built
+// candidate.
 func checkLegalMoves(t testing.TB, eng *Engine, d *difftree.Node, log []*ast.Node, what string) {
 	t.Helper()
-	difftree.WalkPath(d, func(_ *difftree.Node, p difftree.Path) bool {
+	var arena difftree.SpineArena
+	difftree.WalkPath(d, func(n *difftree.Node, p difftree.Path) bool {
 		for i, r := range eng.cfg.Rules {
-			next, ok := rules.Candidate(d, p, r)
+			sub, ok := rules.Rewrite(d, p, r)
 			if !ok {
 				continue
 			}
-			want := (eng.SizeCap() <= 0 || next.Size() <= eng.SizeCap()) && rules.LegalState(next, log)
-			if got := eng.LegalMove(next, p, i); got != want {
+			next, ok := rules.Candidate(d, p, r)
+			if !ok {
+				t.Fatalf("%s: %s@%s rewrites but builds no candidate", what, r.Name(), p)
+			}
+			fits := eng.SizeCap() <= 0 || next.Size() <= eng.SizeCap()
+			want := fits && rules.LegalState(next, log)
+			if got := eng.LegalMove(d, p, sub, i); got != want {
 				t.Fatalf("%s: LegalMove(%s@%s) = %v, oracle %v\nstate %s", what, r.Name(), p, got, want, d)
+			}
+			if !eng.widens[i] {
+				continue
+			}
+			arena.Reset()
+			want = fits && difftree.ValidEdit(next, p)
+			if got := eng.legalWidened(d, p, n, sub, &arena); got != want {
+				t.Fatalf("%s: widening verdict for %s@%s = %v, size and ValidEdit on the candidate %v\nstate %s",
+					what, r.Name(), p, got, want, d)
 			}
 		}
 		return true
@@ -156,4 +173,53 @@ func FuzzIncrementalLegality(f *testing.F) {
 		log := workload.RandomJoinLog(rand.New(rand.NewSource(seed)), 1+int(n%6))
 		checkIncrementalWalk(t, log, log, seed, int(steps%12))
 	})
+}
+
+// TestWideningNullabilityFlip pins the one case where a widening rewrite's
+// verdict needs the spine: MultiMerge on the Seq of ALL[MULTI[SEQ[a, b]]]
+// yields SEQ[MULTI[ANY[a, b]]], which is nullable where the Seq was not, so
+// the MULTI above it breaks its invariant although the replacement itself
+// is valid. Both Moves and the rollout probe must reject it, as the full
+// re-match oracle does.
+func TestWideningNullabilityFlip(t *testing.T) {
+	table := func(v string) *difftree.Node { return difftree.NewAll(ast.KindTable, v) }
+	d := difftree.NewAll(ast.KindFrom, "",
+		difftree.NewMulti(difftree.NewAll(ast.KindSeq, "", table("a"), table("b"))))
+	log := []*ast.Node{ast.New(ast.KindFrom, "", ast.Leaf(ast.KindTable, "a"), ast.Leaf(ast.KindTable, "b"))}
+	p := difftree.Path{0, 0}
+	ri := -1
+	for i, r := range rules.All() {
+		if r.Name() == "MultiMerge" {
+			ri = i
+		}
+	}
+	r := rules.All()[ri]
+	if !rules.Widens(r) {
+		t.Fatal("MultiMerge no longer widens; the case does not reach the widening verdict")
+	}
+	sub, ok := rules.Rewrite(d, p, r)
+	if !ok {
+		t.Fatalf("MultiMerge does not apply at %s of %s", p, d)
+	}
+	if n := difftree.At(d, p); difftree.Nullable(n) || !difftree.Nullable(sub) || difftree.Validate(sub) != nil {
+		t.Fatalf("want a valid nullable replacement of a non-nullable node, got %s -> %s", n, sub)
+	}
+	next, _ := rules.Candidate(d, p, r)
+	if rules.LegalState(next, log) {
+		t.Fatalf("oracle accepts %s", next)
+	}
+	for _, cache := range []*Cache{NewCache(0), nil} {
+		eng := New(Config{Log: log, Rules: rules.All()}, cache)
+		if !eng.LegalState(d) {
+			t.Fatalf("source state %s is not legal", d)
+		}
+		for _, m := range eng.Moves(d) {
+			if m.Rule == "MultiMerge" && m.Path.String() == p.String() {
+				t.Errorf("cached %v: Moves lists %s, whose result is invalid", eng.Enabled(), m)
+			}
+		}
+		if eng.LegalMove(d, p, sub, ri) {
+			t.Errorf("cached %v: LegalMove accepts MultiMerge@%s, whose result is invalid", eng.Enabled(), p)
+		}
+	}
 }

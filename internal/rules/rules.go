@@ -162,7 +162,7 @@ func LegalState(next *difftree.Node, queries []*ast.Node) bool {
 // returning the rewritten tree. Callers must check LegalState (directly or
 // through a cache) before treating the result as a search state.
 func Candidate(root *difftree.Node, p difftree.Path, r Rule) (*difftree.Node, bool) {
-	sub, ok := rewrite(root, p, r)
+	sub, ok := Rewrite(root, p, r)
 	if !ok {
 		return nil, false
 	}
@@ -175,7 +175,7 @@ func Candidate(root *difftree.Node, p difftree.Path, r Rule) (*difftree.Node, bo
 // is valid only until a.Reset and must not be retained as a search state —
 // callers that keep a candidate rebuild it with Candidate.
 func CandidateArena(root *difftree.Node, p difftree.Path, r Rule, a *difftree.SpineArena) (*difftree.Node, bool) {
-	sub, ok := rewrite(root, p, r)
+	sub, ok := Rewrite(root, p, r)
 	if !ok {
 		return nil, false
 	}
@@ -183,10 +183,12 @@ func CandidateArena(root *difftree.Node, p difftree.Path, r Rule, a *difftree.Sp
 	return next, next != nil
 }
 
-// rewrite is the candidate builders' shared prologue: it applies r to the
+// Rewrite is the candidate builders' shared prologue: it applies r to the
 // node at p, honouring a parent-aware rule's veto, and returns the
-// replacement subtree.
-func rewrite(root *difftree.Node, p difftree.Path, r Rule) (*difftree.Node, bool) {
+// replacement subtree, without building the rewritten tree. Callers that
+// can judge a candidate from the replacement alone (eval.Engine's widening
+// verdicts) build the tree only when they keep it, with difftree.ReplaceAt.
+func Rewrite(root *difftree.Node, p difftree.Path, r Rule) (*difftree.Node, bool) {
 	n := difftree.At(root, p)
 	if n == nil {
 		return nil, false
@@ -246,23 +248,21 @@ func ApplyMove(root *difftree.Node, m Move) (*difftree.Node, error) {
 	return next, nil
 }
 
-// dedupNodes removes structural duplicates preserving order.
+// dedupNodes removes structural duplicates preserving order: a node is
+// dropped when an earlier kept one is Equal to it. Node lists here are
+// alternatives of one choice, a handful long, so a scan of the kept nodes,
+// filtered by their memoized hashes, beats building a hash index per call.
 func dedupNodes(ns []*difftree.Node) []*difftree.Node {
-	seen := make(map[uint64][]*difftree.Node, len(ns))
 	var out []*difftree.Node
+next:
 	for _, n := range ns {
 		h := difftree.Hash(n)
-		dup := false
-		for _, prev := range seen[h] {
-			if difftree.Equal(prev, n) {
-				dup = true
-				break
+		for _, prev := range out {
+			if difftree.Hash(prev) == h && difftree.Equal(prev, n) {
+				continue next
 			}
 		}
-		if !dup {
-			seen[h] = append(seen[h], n)
-			out = append(out, n)
-		}
+		out = append(out, n)
 	}
 	return out
 }

@@ -503,3 +503,54 @@ type unlistedRule struct{}
 
 func (unlistedRule) Name() string                                { return "Unlisted" }
 func (unlistedRule) Apply(*difftree.Node) (*difftree.Node, bool) { return nil, false }
+
+// TestDedupNodes pins dedupNodes' contract: a node is dropped exactly when
+// an earlier kept node is structurally Equal to it, and kept nodes stay in
+// input order as the same pointers. Random lists drawn from a few small
+// trees mix duplicates (distinct pointers, equal structure) with
+// non-duplicates, and are compared against a reference that tests each
+// node with Equal against every node kept before it.
+func TestDedupNodes(t *testing.T) {
+	a := func() *difftree.Node { return difftree.NewAll(ast.KindColExpr, "a") }
+	b := func() *difftree.Node { return difftree.NewAll(ast.KindColExpr, "b") }
+	x1, x2, y, x3 := a(), a(), b(), a()
+	got := dedupNodes([]*difftree.Node{x1, y, x2, y, x3})
+	if len(got) != 2 || got[0] != x1 || got[1] != y {
+		t.Fatalf("dedupNodes([a b a b a]) = %v, want the first a and b", got)
+	}
+	if got := dedupNodes(nil); len(got) != 0 {
+		t.Fatalf("dedupNodes(nil) = %v", got)
+	}
+
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 300; trial++ {
+		shapes := make([]int64, 1+rng.Intn(4))
+		for i := range shapes {
+			shapes[i] = rng.Int63()
+		}
+		ns := make([]*difftree.Node, rng.Intn(9))
+		for i := range ns {
+			// A fresh tree per element: duplicates never share pointers.
+			ns[i] = randomTree(rand.New(rand.NewSource(shapes[rng.Intn(len(shapes))])), 2)
+		}
+		var want []*difftree.Node
+		for _, n := range ns {
+			dup := false
+			for _, k := range want {
+				dup = dup || difftree.Equal(n, k)
+			}
+			if !dup {
+				want = append(want, n)
+			}
+		}
+		got := dedupNodes(ns)
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: dedupNodes kept %d of %d nodes, want %d", trial, len(got), len(ns), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d: kept node %d is %s, want %s", trial, i, got[i], want[i])
+			}
+		}
+	}
+}

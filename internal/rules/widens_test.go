@@ -34,19 +34,40 @@ func lostQuery(d *difftree.Node, p difftree.Path, r Rule, qs []*ast.Node) (lost 
 	return nil, false
 }
 
-// checkWidening asserts the Widens contract at every node of d: a widening
-// rule's rewrite, when it is a valid tree, keeps every query d expresses. It
-// returns the number of (node, widening rule) rewrites checked.
+// checkWidening asserts the Widens contract at every node of a valid d: a
+// widening rule's rewrite, when it is a valid tree, keeps every query d
+// expresses. It also holds the spine-free verdict eval.Engine reads from the
+// rewritten subtree alone (size arithmetic and
+// difftree.SpineArena.ValidReplace) to the size and ValidEdit of the built
+// candidate. It returns the number of (node, widening rule) rewrites checked.
 func checkWidening(t testing.TB, what string, d *difftree.Node) int {
 	t.Helper()
 	qs := difftree.EnumerateQueries(d, widenQueryLimit, widenMaxMulti)
 	checked := 0
-	difftree.WalkPath(d, func(_ *difftree.Node, p difftree.Path) bool {
+	var arena difftree.SpineArena
+	difftree.WalkPath(d, func(n *difftree.Node, p difftree.Path) bool {
 		for _, r := range All() {
 			if !Widens(r) {
 				continue
 			}
-			if next, applied := Candidate(d, p, r); applied && difftree.Validate(next) == nil {
+			next, applied := Candidate(d, p, r)
+			if !applied {
+				continue
+			}
+			sub, _ := Rewrite(d, p, r)
+			if got, want := d.Size()-n.Size()+sub.Size(), next.Size(); got != want {
+				t.Fatalf("%s: %s at %s: size from the subtree %d, candidate size %d", what, r.Name(), p, got, want)
+			}
+			arena.Reset()
+			valid := difftree.ValidEdit(next, p)
+			if got := arena.ValidReplace(d, p, n, sub); got != valid {
+				t.Fatalf("%s: %s at %s: ValidReplace = %v, ValidEdit on the candidate %v\nstate %s",
+					what, r.Name(), p, got, valid, d)
+			}
+			if valid != (difftree.Validate(next) == nil) {
+				t.Fatalf("%s: %s at %s: ValidEdit = %v disagrees with Validate", what, r.Name(), p, valid)
+			}
+			if valid {
 				checked++
 			}
 			if q, lost := lostQuery(d, p, r, qs); lost {
