@@ -1,12 +1,12 @@
 GO ?= go
 
-.PHONY: verify build vet repobench-vet fmt test test-fast bench bench-allocs bench-json bench-serving bench-serving-fleet fleet load-smoke race-tree golden fuzz-smoke serve join-scenarios staticcheck mctsvet lint govulncheck
+.PHONY: verify build vet repobench-vet repobench-test fmt test test-fast bench bench-allocs bench-json bench-serving bench-serving-fleet fleet load-smoke race-tree golden fuzz-smoke serve join-scenarios staticcheck mctsvet lint govulncheck
 
 # verify is the tier-1 gate: build, formatting, static analysis (go vet +
 # the custom mctsvet suite, plus go vet over the nested repobench module),
-# and the full test suite. Everything in verify works offline; lint adds the
-# network-fetched checkers on top.
-verify: build fmt mctsvet repobench-vet test
+# the full test suite, and the repobench module's own tests. Everything in
+# verify works offline; lint adds the network-fetched checkers on top.
+verify: build fmt mctsvet repobench-vet test repobench-test
 
 build:
 	$(GO) build ./...
@@ -19,6 +19,11 @@ vet:
 # what catches a change that removes an API the benchmark calls.
 repobench-vet:
 	cd repobench && $(GO) vet ./...
+
+# repobench-test runs the benchmark module's tests (about 20 s), which
+# `go test ./...` from the root never reaches either.
+repobench-test:
+	cd repobench && $(GO) test ./...
 
 fmt:
 	@out=$$(gofmt -l .); \

@@ -18,9 +18,9 @@ import (
 // What travels: state costs, legality verdicts and legal move sets, keyed
 // by the mixed configuration-fingerprint key, plus the fingerprint
 // inventory (which configurations the warm set covers): every aspect the
-// cache holds. What doesn't: the process-local cost term memo and per-node
-// hash and kind-count memos, rebuilt on first visit. Snapshots written
-// before move sets travelled still load.
+// cache holds. What doesn't: the per-node hash and kind-count memos,
+// rebuilt on first visit. Snapshots written before move sets travelled
+// still load.
 //
 // The format is versioned and self-checking: a checksum trailer plus an
 // embedded grammar-numbering table mean a truncated, corrupt, or

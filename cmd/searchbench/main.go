@@ -95,8 +95,8 @@ type treeSection struct {
 // snapshotSection reports the restart-from-snapshot story: the warm cache
 // left by the cached runs is exported to a byte buffer, and each "restored"
 // repetition imports it into a fresh cache before searching — a faithful
-// model of a daemon restart (cost, legality and move-set entries warm, the
-// process-local term memo cold, codec round trip included). Speedup is restored/cold iters-per-sec and is
+// model of a daemon restart (cost, legality and move-set entries warm,
+// codec round trip included). Speedup is restored/cold iters-per-sec and is
 // gated unconditionally: the measurement is single-threaded, so it holds on
 // a 1-CPU container as well as a big box. EqualBestCost re-checks the
 // portability contract end to end — a snapshot can change only speed.
@@ -365,8 +365,8 @@ func benchWorkload(name string, log []*ast.Node, strategy core.Strategy, strateg
 
 	// Restart-from-snapshot: export the warm cache through the codec, then
 	// time searches that import it into a fresh cache first — the cost,
-	// legality and move-set entries arrive warm, the term memo rebuilds,
-	// exactly what a restarted daemon pays.
+	// legality and move-set entries arrive warm, exactly what a restarted
+	// daemon pays.
 	var snapBuf bytes.Buffer
 	snapEntries, err := sharedOpt.Cache.Snapshot(&snapBuf)
 	if err != nil {

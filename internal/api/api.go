@@ -114,7 +114,10 @@ type SearchStats struct {
 	Strategy string `json:"strategy"`
 	// Iterations is the number of completed search iterations.
 	Iterations int `json:"iterations"`
-	// Evals is the number of state evaluations the search performed.
+	// Evals is the number of state evaluations the search performed: the
+	// unique states this search scored, counted once each however often it
+	// revisited them and whatever the shared cache already held (with
+	// memoization off, as under the library's WithoutCache, every call).
 	Evals int `json:"evals"`
 	// Workers is the root-parallel worker count the search ran with.
 	Workers int `json:"workers"`
@@ -360,7 +363,8 @@ type ProgressEvent struct {
 	Iterations int `json:"iterations"`
 	// States is the number of distinct states expanded so far.
 	States int `json:"states"`
-	// Evals is the number of evaluations performed so far.
+	// Evals is the number of evaluations performed so far, counted as
+	// SearchStats.Evals is: unique states of this search when memoized.
 	Evals int `json:"evals"`
 	// BestCost is the best valid interface cost seen (-1 before the first).
 	BestCost float64 `json:"best_cost"`

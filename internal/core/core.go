@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 	"time"
 
 	"repro/internal/assign"
@@ -139,11 +138,17 @@ type Result struct {
 
 // Stats summarizes the search.
 type Stats struct {
-	Strategy       string // strategy that produced the result
-	Iterations     int    // MCTS iterations; objective evaluations otherwise
-	Expanded       int    // expanded nodes (states visited for non-MCTS)
-	Rollouts       int    // random walks (MCTS only)
-	Evals          int    // cost evaluations
+	Strategy   string // strategy that produced the result
+	Iterations int    // MCTS iterations; objective evaluations otherwise
+	Expanded   int    // expanded nodes (states visited for non-MCTS)
+	Rollouts   int    // random walks (MCTS only)
+	// Evals counts cost evaluations. With memoization on it is the number
+	// of unique states this run scored, each counted once however often
+	// the search revisits it and whatever a shared Options.Cache already
+	// holds, so a warm search reports the Evals, and the Trajectory evals
+	// and costs, of a cold one. With DisableMemo every call counts.
+	// GenerateParallel sums its workers' counts.
+	Evals          int
 	BestReward     float64
 	InitialFan     int  // fanout (legal moves) of the initial state
 	EnumComplete   bool // final widget-tree enumeration was exhaustive
@@ -332,78 +337,28 @@ type state struct {
 func (s state) Hash() uint64 { return s.h }
 
 // domain adapts the difftree space to mcts.Domain + mcts.Sampler, backed by
-// the shared evaluation engine. Beyond the engine's transposition cache it
-// keeps one run-local layer: the reward memo, which dedupes the onCost
-// bookkeeping. Neighbor *states* are deliberately not memoized: the engine
-// caches the move sets (the expensive part), and rebuilding the successor
-// trees on demand is cheap — a previous per-run neighbor-state memo retained
-// tens of thousands of materialized trees, and the GC mark cost of that
-// pointer-dense heap was a large share of the cold-cache slowdown.
-//
-// With concurrent set (tree-parallel MCTS), the run-local map is guarded
-// by mu; the engine underneath is already concurrency-safe. The sequential
-// path never touches the lock.
+// the shared evaluation engine. Rewards read costs through the problem's
+// run-local memo (problem.cost). Neighbor *states* are deliberately not
+// memoized: the engine caches the move sets (the expensive part), and
+// rebuilding the successor trees on demand is cheap — a previous per-run
+// neighbor-state memo retained tens of thousands of materialized trees, and
+// the GC mark cost of that pointer-dense heap was a large share of the
+// cold-cache slowdown.
 type domain struct {
-	eng        *eval.Engine
-	ruleSet    []rules.Rule
-	masks      []uint8 // masks[i] is rules.KindMask(ruleSet[i])
-	scale      float64 // reward normalization: the initial state's cost
-	concurrent bool    // guard the run-local memo for tree-parallel workers
-	mu         sync.RWMutex
-	rewards    map[uint64]float64 // run-local reward memo (nil when memoization is off)
-	onCost     func(float64)      // observes each newly computed state cost
+	p       *problem
+	ruleSet []rules.Rule
+	masks   []uint8 // masks[i] is rules.KindMask(ruleSet[i])
+	scale   float64 // reward normalization: the initial state's cost
 }
 
-// cachedReward reads the run-local reward memo.
-func (d *domain) cachedReward(h uint64) (float64, bool) {
-	if d.rewards == nil {
-		return 0, false
-	}
-	if d.concurrent {
-		d.mu.RLock()
-		defer d.mu.RUnlock()
-	}
-	r, ok := d.rewards[h]
-	return r, ok
-}
-
-// storeReward writes the run-local reward memo and reports whether this
-// call was the state's first (it always is with the memo disabled — every
-// visit then recomputes and counts). Concurrent tree workers can race past
-// cachedReward and both compute the same state; the insert-under-lock
-// verdict decides which one gets to report the evaluation, keeping the
-// onCost bookkeeping at one call per unique state.
-func (d *domain) storeReward(h uint64, r float64) bool {
-	if d.rewards == nil {
-		return true
-	}
-	if d.concurrent {
-		d.mu.Lock()
-		defer d.mu.Unlock()
-	}
-	if _, ok := d.rewards[h]; ok {
-		return false
-	}
-	d.rewards[h] = r
-	return true
-}
-
-func newDomain(log []*ast.Node, opt Options, eng *eval.Engine) *domain {
-	d := &domain{eng: eng, ruleSet: opt.Rules, masks: make([]uint8, len(opt.Rules))}
-	for i, r := range opt.Rules {
+func newDomain(p *problem) *domain {
+	d := &domain{p: p, ruleSet: p.opt.Rules, masks: make([]uint8, len(p.opt.Rules))}
+	for i, r := range p.opt.Rules {
 		d.masks[i] = rules.KindMask(r)
 	}
-	if eng.Enabled() {
-		d.rewards = make(map[uint64]float64)
-	}
-	init, err := difftree.Initial(log)
-	if err == nil {
-		c := eng.StateCost(init)
-		if !math.IsInf(c, 1) && c > 0 {
-			d.scale = c
-		}
-	}
-	if d.scale <= 0 {
+	if c := p.eng.StateCost(p.init); !math.IsInf(c, 1) && c > 0 {
+		d.scale = c
+	} else {
 		d.scale = 10
 	}
 	return d
@@ -415,7 +370,7 @@ func newDomain(log []*ast.Node, opt Options, eng *eval.Engine) *domain {
 // them trades a little rebuild work for a much smaller retained heap.
 func (d *domain) Neighbors(s mcts.State) []mcts.State {
 	st := s.(state)
-	ts := d.eng.Neighbors(st.d)
+	ts := d.p.eng.Neighbors(st.d)
 	out := make([]mcts.State, 0, len(ts))
 	for _, t := range ts {
 		out = append(out, state{d: t, h: difftree.Hash(t)})
@@ -482,7 +437,7 @@ func (d *domain) RandomNeighbor(s mcts.State, rng *rand.Rand) (mcts.State, bool)
 		}
 		p := difftree.NthOfKind(cur, k, idx, buf[:0])
 		sub, ok := rules.Rewrite(cur, p, r)
-		if !ok || !d.eng.LegalMove(cur, p, sub, ri) {
+		if !ok || !d.p.eng.LegalMove(cur, p, sub, ri) {
 			continue
 		}
 		kept := difftree.ReplaceAt(cur, p, sub)
@@ -491,7 +446,7 @@ func (d *domain) RandomNeighbor(s mcts.State, rng *rand.Rand) (mcts.State, bool)
 	// Fallback: draw uniformly among the legal moves and apply only that
 	// one. eval.Engine.Neighbors applies every move, in Moves order, so the
 	// draw picks the same successor Neighbors would.
-	ms := d.eng.Moves(cur)
+	ms := d.p.eng.Moves(cur)
 	if len(ms) == 0 {
 		return nil, false
 	}
@@ -504,22 +459,15 @@ func (d *domain) RandomNeighbor(s mcts.State, rng *rand.Rand) (mcts.State, bool)
 
 // Reward implements mcts.Domain: 1/(1 + cost/scale), so the initial state
 // scores 0.5 and better interfaces approach 1. Costs come from the engine
-// (deterministic per state); the run-local memo only dedupes the onCost
-// bookkeeping and skips the cache round trip for hot states.
+// (deterministic per state) through the problem's run-local memo, which
+// records each state's first evaluation of the run.
 func (d *domain) Reward(s mcts.State) float64 {
 	st := s.(state)
-	if r, ok := d.cachedReward(st.h); ok {
-		return r
+	c := d.p.cost(st.d, st.h, d.p.noteCost)
+	if math.IsInf(c, 1) {
+		return 0
 	}
-	c := d.eng.StateCost(st.d)
-	r := 0.0
-	if !math.IsInf(c, 1) {
-		r = 1.0 / (1.0 + c/d.scale)
-	}
-	if d.storeReward(st.h, r) && d.onCost != nil {
-		d.onCost(c)
-	}
-	return r
+	return 1.0 / (1.0 + c/d.scale)
 }
 
 // Fanout counts the legal moves of a difftree (the paper reports fanouts up
@@ -538,7 +486,7 @@ func RandomWalk(log []*ast.Node, steps int, seed int64) (*difftree.Node, error) 
 	}
 	opt := Options{}.withDefaults()
 	model := cost.Model{NavUnit: opt.NavUnit, Screen: opt.Screen}
-	d := newDomain(log, opt, newEngine(log, init, model, opt))
+	d := newDomain(newProblem(log, init, model, opt, newEngine(log, init, model, opt), 0))
 	rng := rand.New(rand.NewSource(seed))
 	cur := state{d: init, h: difftree.Hash(init)}
 	for i := 0; i < steps; i++ {

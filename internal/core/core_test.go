@@ -224,7 +224,7 @@ func TestRewardMonotoneInCost(t *testing.T) {
 	model := cost.Default(layout.Wide)
 	opt := Options{}.withDefaults()
 	init, _ := difftree.Initial(log)
-	d := newDomain(log, opt, newEngine(log, init, model, opt))
+	d := newDomain(newProblem(log, init, model, opt, newEngine(log, init, model, opt), 0))
 	s := state{d: init, h: difftree.Hash(init)}
 	r1 := d.Reward(s)
 	if r1 <= 0 || r1 > 1 {

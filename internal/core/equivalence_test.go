@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/difftree"
@@ -109,16 +110,14 @@ func TestCachedUncachedEquivalence(t *testing.T) {
 	}
 }
 
-// TestReRootedDeltaEvalEquivalence extends the equivalence gate over the two
-// incremental-search features: delta cost evaluation (enabled whenever a
-// cache is present — the engine then shares widget M/U terms across states)
-// and MCTS tree re-rooting (Options.SearchTree). A warm-started, re-rooted
-// regeneration with memoization on must be bit-identical — best cost and
-// best difftree — to the same regeneration with memoization off, whose
-// engine recomputes everything from scratch. A reused tree is mutated by the
-// search that consumes it, so each follow-up gets its own tree, produced by
+// TestReRootedEquivalence extends the equivalence gate over MCTS tree
+// re-rooting (Options.SearchTree): a warm-started, re-rooted regeneration
+// with memoization on must be bit-identical — best cost and best difftree —
+// to the same regeneration with memoization off, whose engine recomputes
+// everything from scratch. A reused tree is mutated by the search that
+// consumes it, so each follow-up gets its own tree, produced by
 // deterministic (and themselves equivalent) previous runs.
-func TestReRootedDeltaEvalEquivalence(t *testing.T) {
+func TestReRootedEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("search test")
 	}
@@ -159,15 +158,57 @@ func TestReRootedDeltaEvalEquivalence(t *testing.T) {
 			cached.Stats.ReRooted, uncached.Stats.ReRooted)
 	}
 	if got, want := cached.Cost.Total(), uncached.Cost.Total(); got != want {
-		t.Errorf("delta-evaluated re-rooted cost %v != full-recompute cost %v", got, want)
+		t.Errorf("memoized re-rooted cost %v != full-recompute cost %v", got, want)
 	}
 	if difftree.Hash(cached.DiffTree) != difftree.Hash(uncached.DiffTree) {
 		t.Errorf("re-rooted best difftree diverged:\n got %s\nwant %s",
 			cached.DiffTree, uncached.DiffTree)
 	}
 	// Note: Stats.Evals is not compared — the memoized run counts unique
-	// cost evaluations (the run-local reward memo dedupes the counter),
-	// the uncached reference counts every Reward call.
+	// states (the run-local cost memo dedupes the counter), the uncached
+	// reference counts every Reward call.
+}
+
+// TestEvalsRunLocal pins the Stats.Evals contract: with memoization on,
+// Evals counts the unique states one run scored, whatever a shared cache
+// already holds. The same search on a fresh shared cache and again on that
+// now-warm cache must report equal Evals and the same trajectory of
+// (evals, cost) improvements.
+func TestEvalsRunLocal(t *testing.T) {
+	if testing.Short() {
+		t.Skip("search test")
+	}
+	log := workload.PaperFigure1Log()
+	for name, strat := range map[string]Strategy{"mcts": StrategyMCTS(), "beam": StrategyBeam(3)} {
+		t.Run(name, func(t *testing.T) {
+			opt := Options{Iterations: 8, RolloutDepth: 6, Seed: 7, Strategy: strat, Cache: eval.NewCache(0)}
+			cold, err := Generate(context.Background(), log, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			warm, err := Generate(context.Background(), log, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if warm.Stats.CacheHits <= cold.Stats.CacheHits {
+				t.Fatalf("second run did not hit the shared cache: hits %d then %d",
+					cold.Stats.CacheHits, warm.Stats.CacheHits)
+			}
+			if cold.Stats.Evals == 0 || warm.Stats.Evals != cold.Stats.Evals {
+				t.Errorf("Evals cold %d, warm %d: want equal and nonzero", cold.Stats.Evals, warm.Stats.Evals)
+			}
+			points := func(r *Result) [][2]float64 {
+				var out [][2]float64
+				for _, tp := range r.Stats.Trajectory {
+					out = append(out, [2]float64{float64(tp.Evals), tp.Cost})
+				}
+				return out
+			}
+			if c, w := points(cold), points(warm); len(c) == 0 || !reflect.DeepEqual(c, w) {
+				t.Errorf("trajectory (evals, cost) cold %v, warm %v: want equal and nonempty", c, w)
+			}
+		})
+	}
 }
 
 // TestParallelSharedCacheDeterministic: 8 root-parallel workers hammer one

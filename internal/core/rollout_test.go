@@ -19,7 +19,7 @@ import (
 // per-kind path pools and probed with the full LegalState: the reference
 // RandomNeighbor must reproduce draw for draw.
 func poolNeighbor(d *domain, cur *difftree.Node, rng *rand.Rand) (*difftree.Node, bool) {
-	byKind := d.eng.PathPools(cur)
+	byKind := d.p.eng.PathPools(cur)
 	for i := 0; i < 48; i++ {
 		r := d.ruleSet[rng.Intn(len(d.ruleSet))]
 		kinds := rules.MatchKinds[r.Name()]
@@ -45,12 +45,12 @@ func poolNeighbor(d *domain, cur *difftree.Node, rng *rand.Rand) (*difftree.Node
 			idx -= len(byKind[k])
 		}
 		next, ok := rules.Candidate(cur, p, r)
-		if !ok || !d.eng.LegalState(next) {
+		if !ok || !d.p.eng.LegalState(next) {
 			continue
 		}
 		return next, true
 	}
-	ms := d.eng.Moves(cur)
+	ms := d.p.eng.Moves(cur)
 	if len(ms) == 0 {
 		return nil, false
 	}
@@ -67,7 +67,7 @@ func testDomain(t testing.TB, log []*ast.Node, opt Options) (*domain, *difftree.
 		t.Fatal(err)
 	}
 	model := cost.Model{NavUnit: opt.NavUnit, Screen: opt.Screen}
-	return newDomain(log, opt, newEngine(log, init, model, opt)), init
+	return newDomain(newProblem(log, init, model, opt, newEngine(log, init, model, opt), 0)), init
 }
 
 // TestRandomNeighborMatchesPoolDraw replays RandomNeighbor beside a twin
@@ -99,7 +99,7 @@ func TestRandomNeighborMatchesPoolDraw(t *testing.T) {
 				rngNew := rand.New(rand.NewSource(seed))
 				cur := init
 				for step := 0; step < 40; step++ {
-					if !oracle.eng.LegalState(cur) {
+					if !oracle.p.eng.LegalState(cur) {
 						t.Fatalf("%s memo=%v seed %d step %d: rollout state is not legal", c.name, memo, seed, step)
 					}
 					want, wok := poolNeighbor(twin, cur, rngOld)
@@ -139,7 +139,7 @@ type legalChecked struct {
 
 func (c *legalChecked) check(s mcts.State, via string) {
 	c.t.Helper()
-	if d := s.(state).d; !c.oracle.eng.LegalState(d) {
+	if d := s.(state).d; !c.oracle.p.eng.LegalState(d) {
 		c.t.Fatalf("%s got a state that is not legal under the current log: %s", via, d)
 	}
 	c.checked++
@@ -192,7 +192,7 @@ func TestSearchStatesStayLegal(t *testing.T) {
 		d, _ := testDomain(t, log, opt)
 		oracle, _ := testDomain(t, log, Options{DisableMemo: true})
 		c := &legalChecked{domain: d, t: t, oracle: oracle}
-		if !oracle.eng.LegalState(root) {
+		if !oracle.p.eng.LegalState(root) {
 			t.Fatalf("search root is not legal: %s", root)
 		}
 		res := mcts.Search(context.Background(), c, state{d: root, h: difftree.Hash(root)}, mcts.Config{
@@ -228,7 +228,7 @@ func TestSearchStatesStayLegal(t *testing.T) {
 		t.Fatal(err)
 	}
 	oracle, _ := testDomain(t, log, Options{DisableMemo: true})
-	warm, q, ok := appendedQuery(log, oracle.eng.Neighbors(init), oracle.eng)
+	warm, q, ok := appendedQuery(log, oracle.p.eng.Neighbors(init), oracle.p.eng)
 	if !ok {
 		t.Fatal("no successor of the initial state has a stale move under an appended query; the re-root case is vacuous")
 	}

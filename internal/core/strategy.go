@@ -66,8 +66,10 @@ type TrajectoryPoint struct {
 const progressStride = 25
 
 // problem carries everything a Strategy needs: the parsed log, the initial
-// state, the cost model, resolved options, and the progress/trajectory
-// plumbing. One problem serves exactly one strategy run on one goroutine.
+// state, the cost model, resolved options, the run-local cost memo, and the
+// progress/trajectory plumbing. One problem serves exactly one strategy run;
+// only tree-parallel MCTS calls it from several goroutines, and mu
+// serializes those calls.
 type problem struct {
 	log    []*ast.Node
 	init   *difftree.Node
@@ -78,6 +80,14 @@ type problem struct {
 	worker int
 	start  time.Time
 
+	// mu guards costs and every counter below.
+	mu sync.Mutex
+	// costs memoizes state costs by structural hash for this run, so that
+	// Stats.Evals counts each state once however often the search revisits
+	// it, even on a warm shared cache. Nil with memoization off: every call
+	// then recomputes and counts.
+	costs map[uint64]float64
+
 	iterations int
 	states     int
 	evals      int
@@ -86,12 +96,43 @@ type problem struct {
 }
 
 func newProblem(log []*ast.Node, init *difftree.Node, model cost.Model, opt Options, eng *eval.Engine, worker int) *problem {
-	return &problem{
+	p := &problem{
 		log: log, init: init, root: init, model: model, opt: opt, eng: eng, worker: worker,
 		//mctsvet:allow wallclock -- start anchors Elapsed observability in Stats/Progress; it never influences the search result
 		start:    time.Now(),
 		bestCost: math.Inf(1),
 	}
+	if eng.Enabled() {
+		p.costs = make(map[uint64]float64)
+	}
+	return p
+}
+
+// cost returns the cost of d, whose structural hash is h. The first call
+// for a state in this run scores it through the engine and hands the cost
+// to note, under mu; later calls read the memo and note nothing.
+// Concurrent callers can both miss the memo and score the same state; the
+// one whose insert lands first notes it.
+func (p *problem) cost(d *difftree.Node, h uint64, note func(float64)) float64 {
+	if p.costs != nil {
+		p.mu.Lock()
+		c, ok := p.costs[h]
+		p.mu.Unlock()
+		if ok {
+			return c
+		}
+	}
+	c := p.eng.StateCost(d)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.costs != nil {
+		if _, ok := p.costs[h]; ok {
+			return c
+		}
+		p.costs[h] = c
+	}
+	note(c)
+	return c
 }
 
 // noteCost records one cost evaluation; improvements extend the trajectory
@@ -124,33 +165,21 @@ func (p *problem) emit() {
 }
 
 // objective adapts the evaluation engine into a counted search.Objective
-// wired into the progress plumbing; shared by every non-MCTS strategy. The
-// run-local memo dedupes the counter bookkeeping (and, with memoization
-// off, disappears so every visit re-scores — the reference baseline).
+// wired into the progress plumbing; shared by every non-MCTS strategy.
 func (p *problem) objective() search.Objective {
-	var memo map[uint64]float64
-	if p.eng.Enabled() {
-		memo = make(map[uint64]float64)
-	}
 	return func(d *difftree.Node) float64 {
-		var h uint64
-		if memo != nil {
-			h = difftree.Hash(d)
-			if c, ok := memo[h]; ok {
-				return c
-			}
-		}
-		c := p.eng.StateCost(d)
-		if memo != nil {
-			memo[h] = c
-		}
-		p.states++
-		p.iterations = p.evals + 1 // noteCost emits; keep Iterations == Evals
-		p.noteCost(c)
-		if p.evals%progressStride == 0 {
-			p.emit()
-		}
-		return c
+		return p.cost(d, difftree.Hash(d), p.noteObjective)
+	}
+}
+
+// noteObjective records one objective evaluation: for the non-MCTS
+// strategies every evaluation is also a visited state and an iteration.
+func (p *problem) noteObjective(c float64) {
+	p.states++
+	p.iterations = p.evals + 1 // noteCost emits; keep Iterations == Evals
+	p.noteCost(c)
+	if p.evals%progressStride == 0 {
+		p.emit()
 	}
 }
 
@@ -206,9 +235,13 @@ func StrategyMCTS() Strategy { return mctsStrategy{} }
 func (mctsStrategy) Name() string { return "mcts" }
 
 func (mctsStrategy) search(ctx context.Context, p *problem) searchOutcome {
-	dom := newDomain(p.log, p.opt, p.eng)
-	dom.onCost = p.noteCost
+	dom := newDomain(p)
+	// Tree-parallel workers report progress concurrently; p.mu serializes
+	// it with the cost bookkeeping. (The evaluation engine underneath is
+	// concurrency-safe.)
 	progress := func(r mcts.Result) {
+		p.mu.Lock()
+		defer p.mu.Unlock()
 		p.iterations = r.Iterations
 		p.states = r.Expanded
 		p.emit()
@@ -216,26 +249,6 @@ func (mctsStrategy) search(ctx context.Context, p *problem) searchOutcome {
 	tw := p.opt.TreeWorkers
 	if tw < 1 {
 		tw = 1
-	}
-	if tw > 1 {
-		// Tree-parallel workers call the domain — and through it the
-		// problem's trajectory bookkeeping — concurrently: switch the domain
-		// memos into their guarded mode and serialize every touch of the
-		// problem's mutable state behind one mutex. (The evaluation engine
-		// underneath is already concurrency-safe.)
-		dom.concurrent = true
-		var mu sync.Mutex
-		dom.onCost = func(c float64) {
-			mu.Lock()
-			defer mu.Unlock()
-			p.noteCost(c)
-		}
-		inner := progress
-		progress = func(r mcts.Result) {
-			mu.Lock()
-			defer mu.Unlock()
-			inner(r)
-		}
 	}
 	var reuse *mcts.Tree
 	if tw == 1 {

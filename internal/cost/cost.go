@@ -14,7 +14,6 @@ import (
 	"encoding/binary"
 	"math"
 	"sort"
-	"sync"
 
 	"repro/internal/ast"
 	"repro/internal/difftree"
@@ -67,15 +66,12 @@ func (m Model) Evaluate(root *difftree.Node, ui *layout.Node, log []*ast.Node) B
 // shared across every candidate widget tree, which is exactly the access
 // pattern of the search's best-of-k reward and the final enumeration.
 //
-// Beyond the shared assignments, the evaluator memoizes the per-widget cost
-// terms across candidate widget trees: widget appropriateness M(w) and
-// interaction cost are keyed by (choice node, widget type) — for a fixed
-// difftree, that pair determines the widget's domain — and consecutive log
-// queries whose transitions touch the same changed choice-node set collapse
-// into one transition class whose U term is computed once per widget tree
-// and multiplied by its multiplicity. On logs with recurring deltas (e.g.
-// SDSS, where most steps flip the same TOP/table widgets) this rescores only
-// the distinct changed paths instead of the whole log.
+// Consecutive log queries whose transitions touch the same changed
+// choice-node set collapse into one transition class whose U term is
+// computed once per widget tree and multiplied by its multiplicity. On logs
+// with recurring deltas (e.g. SDSS, where most steps flip the same
+// TOP/table widgets) this rescores only the distinct changed paths instead
+// of the whole log.
 type Evaluator struct {
 	model     Model
 	root      *difftree.Node
@@ -85,13 +81,13 @@ type Evaluator struct {
 	expressOK bool
 	parent    map[*difftree.Node]*difftree.Node
 
-	mMemo map[widgetKey]float64 // Appropriateness per (choice node, widget type)
-	uMemo map[widgetKey]float64 // InteractionCost per (choice node, widget type)
-
-	// shared, when non-nil, is the cross-state delta-evaluation memo: terms
-	// for placements whose (node, context) pair was already scored in any
-	// previous state are reused instead of recomputed. See TermMemo.
-	shared *TermMemo
+	// mMemo and uMemo hold the per-widget terms, M(w) and the interaction
+	// cost, per placement. core.BestInterface scores up to 20 000 widget
+	// trees against one evaluator, and most placements recur across them;
+	// each term walks the choice node's subtrees (structuralShare), so
+	// recomputing it per widget tree would dominate the enumeration.
+	mMemo map[widgetKey]float64
+	uMemo map[widgetKey]float64
 }
 
 // widgetKey identifies a widget template placement: for one difftree, the
@@ -102,105 +98,12 @@ type widgetKey struct {
 	t    widgets.Type
 }
 
-// termKey identifies a widget placement *across* search states. Copy-on-write
-// move application shares every untouched subtree between neighboring states,
-// so the same choice-node pointer recurs in thousands of states — but its
-// cost terms also depend on context the pointer does not pin down: the widget
-// domain reads the immediate parent's kind and label (assign.DomainOf special-
-// cases Between bounds, join partners, and union branches), and the
-// structural surcharge reads whether the nearest enclosing All ancestor is a
-// multi-table rule. Those four fields plus the node pointer and widget type
-// determine M(w) and the interaction cost exactly, which is what makes a
-// cross-state memo hit bit-identical to a recompute.
-type termKey struct {
-	node          *difftree.Node
-	t             widgets.Type
-	parentKind    difftree.Kind
-	parentLabel   ast.Kind
-	hasParent     bool
-	ancStructural bool
-}
-
-type termVal struct {
-	m, u       float64
-	hasM, hasU bool
-}
-
-// termMemoCap bounds the shared memo; node-pointer keys retain difftree
-// nodes, so an unbounded memo would pin every state the search ever visited.
-// At the cap the map is dropped wholesale — the memo is pure acceleration, so
-// a flush only costs recomputes.
-const termMemoCap = 1 << 16
-
-// TermMemo caches per-placement widget cost terms across search states: the
-// delta-evaluation backing store. One TermMemo serves every Evaluator built
-// through NewEvaluatorShared for the same (model, log) configuration; after a
-// rule application only the placements on the rewritten spine (fresh node
-// pointers, or old pointers under a changed context) miss, so the per-widget
-// term work per state is O(change) instead of O(tree). Concurrency-safe.
-type TermMemo struct {
-	mu sync.RWMutex
-	m  map[termKey]termVal
-}
-
-// NewTermMemo returns an empty shared term memo.
-func NewTermMemo() *TermMemo { return &TermMemo{m: make(map[termKey]termVal)} }
-
-func (tm *TermMemo) get(k termKey) (termVal, bool) {
-	tm.mu.RLock()
-	v, ok := tm.m[k]
-	tm.mu.RUnlock()
-	return v, ok
-}
-
-func (tm *TermMemo) putM(k termKey, m float64) {
-	tm.mu.Lock()
-	if len(tm.m) >= termMemoCap {
-		tm.m = make(map[termKey]termVal)
-	}
-	v := tm.m[k]
-	v.m, v.hasM = m, true
-	tm.m[k] = v
-	tm.mu.Unlock()
-}
-
-func (tm *TermMemo) putU(k termKey, u float64) {
-	tm.mu.Lock()
-	if len(tm.m) >= termMemoCap {
-		tm.m = make(map[termKey]termVal)
-	}
-	v := tm.m[k]
-	v.u, v.hasU = u, true
-	tm.m[k] = v
-	tm.mu.Unlock()
-}
-
-// Len reports the resident term count (for tests and stats).
-func (tm *TermMemo) Len() int {
-	tm.mu.RLock()
-	defer tm.mu.RUnlock()
-	return len(tm.m)
-}
-
 // transClass is one equivalence class of consecutive-query transitions: all
 // pairs whose changed choice-node sets are identical. count is the class
 // multiplicity in the log.
 type transClass struct {
 	changed []*difftree.Node // sorted by pre-order position in the difftree
 	count   int
-}
-
-// NewEvaluatorShared is NewEvaluator with a cross-state term memo attached:
-// per-widget M and interaction terms hit memo entries recorded by evaluators
-// of *other* states whenever the placement's node pointer and context are
-// unchanged (the copy-on-write common case), making the per-widget term work
-// O(change) per state. Results are bit-identical to NewEvaluator — the memo
-// key pins every input of both terms. The per-query assignments and the
-// transition classes are still computed per state.
-func (m Model) NewEvaluatorShared(root *difftree.Node, log []*ast.Node, memo *TermMemo) *Evaluator {
-	e := m.NewEvaluator(root, log)
-	e.shared = memo
-	return e
 }
 
 // NewEvaluator expresses every log query against the difftree up front.
@@ -321,74 +224,30 @@ func containsStructural(d *difftree.Node) bool {
 	return false
 }
 
-// termKey builds the cross-state memo key for a placement: node pointer and
-// widget type plus the context fields (immediate parent kind/label, nearest
-// All-ancestor structural bit) that the domain and the structural surcharge
-// read — everything the two cost terms depend on.
-func (e *Evaluator) termKey(w *layout.Node) termKey {
-	d := w.Choice
-	k := termKey{node: d, t: w.Type}
-	if p := e.parent[d]; p != nil {
-		k.hasParent = true
-		k.parentKind = p.Kind
-		k.parentLabel = p.Label
-	}
-	for p := e.parent[d]; p != nil; p = e.parent[p] {
-		if p.Kind == difftree.All {
-			k.ancStructural = structuralKinds[p.Label]
-			break
-		}
-	}
-	return k
-}
-
 // appropriateness memoizes widgets.Appropriateness plus the structural M
-// surcharge per placement — within this evaluator and, when a shared memo is
-// attached, across every state that ever scored the same placement.
+// surcharge per placement.
 func (e *Evaluator) appropriateness(w *layout.Node) float64 {
 	k := widgetKey{node: w.Choice, t: w.Type}
 	if c, ok := e.mMemo[k]; ok {
 		return c
-	}
-	var sk termKey
-	if e.shared != nil {
-		sk = e.termKey(w)
-		if v, ok := e.shared.get(sk); ok && v.hasM {
-			e.mMemo[k] = v.m
-			return v.m
-		}
 	}
 	c := widgets.Appropriateness(w.Type, w.Domain)
 	if !widgets.IsInf(c) {
 		c += StructuralM * e.structuralShare(w.Choice)
 	}
 	e.mMemo[k] = c
-	if e.shared != nil {
-		e.shared.putM(sk, c)
-	}
 	return c
 }
 
 // interaction memoizes widgets.InteractionCost plus the structural U
-// surcharge per placement, with the same sharing as appropriateness.
+// surcharge per placement.
 func (e *Evaluator) interaction(w *layout.Node) float64 {
 	k := widgetKey{node: w.Choice, t: w.Type}
 	if c, ok := e.uMemo[k]; ok {
 		return c
 	}
-	var sk termKey
-	if e.shared != nil {
-		sk = e.termKey(w)
-		if v, ok := e.shared.get(sk); ok && v.hasU {
-			e.uMemo[k] = v.u
-			return v.u
-		}
-	}
 	c := widgets.InteractionCost(w.Type, w.Domain) + StructuralU*e.structuralShare(w.Choice)
 	e.uMemo[k] = c
-	if e.shared != nil {
-		e.shared.putU(sk, c)
-	}
 	return c
 }
 

@@ -1,11 +1,12 @@
 package eval
 
 import (
+	"errors"
 	"math"
-	"math/rand"
 	"sync"
 	"testing"
 
+	"repro/internal/assign"
 	"repro/internal/cost"
 	"repro/internal/difftree"
 	"repro/internal/layout"
@@ -198,17 +199,55 @@ func TestEngineDeterministicAndShared(t *testing.T) {
 // TestEngineFingerprintIsolation: engines with different configs sharing
 // one cache must not serve each other's entries.
 // TestSampledCost: the reward primitive scores the initial state finitely
-// and, under one rng seed, deterministically.
+// and, under one seed, deterministically.
 func TestSampledCost(t *testing.T) {
 	log := workload.PaperFigure1Log()
 	init, _ := difftree.Initial(log)
 	model := cost.Default(layout.Wide)
-	c := SampledCost(init, log, model, 3, rand.New(rand.NewSource(1)))
+	c := SampledCost(init, log, model, 3, 1)
 	if math.IsInf(c, 1) || c <= 0 {
 		t.Errorf("initial state cost = %f", c)
 	}
-	if c2 := SampledCost(init, log, model, 3, rand.New(rand.NewSource(1))); c != c2 {
-		t.Error("SampledCost not deterministic under fixed rng")
+	if c2 := SampledCost(init, log, model, 3, 1); c != c2 {
+		t.Error("SampledCost not deterministic under a fixed seed")
+	}
+}
+
+// TestStateCostUnplannedAllocs: a state without a widget plan (most states
+// a search scores) draws no assignment, so an uncached StateCost of it must
+// allocate no more than the assign.BuildPlan and difftree.Hash it runs — in
+// particular, it must not seed a sampling generator.
+func TestStateCostUnplannedAllocs(t *testing.T) {
+	eng := figure1Engine(t, nil)
+	init, err := difftree.Initial(eng.cfg.Log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var d *difftree.Node
+	frontier := []*difftree.Node{init}
+	for len(frontier) > 0 && d == nil {
+		var next []*difftree.Node
+		for _, s := range frontier {
+			if _, err := assign.BuildPlan(s); errors.Is(err, assign.ErrNoWidget) {
+				d = s
+				break
+			}
+			next = append(next, eng.Neighbors(s)...)
+		}
+		frontier = next
+	}
+	if d == nil {
+		t.Fatal("no state without a widget plan within reach")
+	}
+	if c := eng.StateCost(d); !math.IsInf(c, 1) {
+		t.Fatalf("unplanned state cost %v, want +Inf", c)
+	}
+	want := testing.AllocsPerRun(20, func() {
+		_, _ = assign.BuildPlan(d)
+		difftree.Hash(d)
+	})
+	if got := testing.AllocsPerRun(20, func() { eng.StateCost(d) }); got > want {
+		t.Errorf("StateCost of an unplanned state: %v allocs, BuildPlan+Hash alone %v", got, want)
 	}
 }
 

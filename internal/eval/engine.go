@@ -31,17 +31,12 @@ type Config struct {
 // Engine evaluates difftree states for one Config, memoizing through an
 // optional shared Cache. A nil cache disables memoization entirely — every
 // call recomputes — which is the reference baseline the bench harness
-// compares against. The Engine itself is stateless beyond the cache and
-// the delta-evaluation term memo, and safe for concurrent use.
+// compares against. The Engine itself holds no state beyond the cache, and
+// is safe for concurrent use.
 type Engine struct {
 	cfg   Config
 	cache *Cache
 	fp    uint64 // configuration fingerprint, mixed into every cache key
-
-	// terms is the cross-state widget term memo behind delta cost
-	// evaluation; nil when memoization is off, so the uncached engine stays
-	// the pure recompute-everything reference.
-	terms *cost.TermMemo
 
 	// masks[i] is rules.KindMask(cfg.Rules[i]); widens[i] is
 	// rules.Widens(cfg.Rules[i]).
@@ -59,7 +54,6 @@ func New(cfg Config, cache *Cache) *Engine {
 		e.widens[i] = rules.Widens(r)
 	}
 	if cache != nil {
-		e.terms = cost.NewTermMemo()
 		cache.noteFingerprint(e.fp)
 	}
 	return e
@@ -128,12 +122,10 @@ func (e *Engine) SizeCap() int { return e.cfg.SizeCap }
 
 // StateCost is the paper's reward primitive: the best cost among the
 // cost-greedy first widget assignment plus k random ones. It is a pure
-// function of (config, state): the sampling RNG is seeded from the state's
-// structural hash mixed with the base seed, never from a shared stream — so
-// every worker, cached or not, computes bit-identical values, and a cache
-// hit is indistinguishable from a recompute. With memoization on, widget
-// cost terms additionally flow through the cross-state delta memo — also
-// bit-identical by construction (see cost.TermMemo).
+// function of (config, state): SampledCost's generator is seeded from the
+// state's structural hash mixed with the base seed, never from a shared
+// stream — so every worker, cached or not, computes bit-identical values,
+// and a cache hit is indistinguishable from a recompute.
 func (e *Engine) StateCost(d *difftree.Node) float64 {
 	h := difftree.Hash(d)
 	var k uint64
@@ -145,8 +137,7 @@ func (e *Engine) StateCost(d *difftree.Node) float64 {
 		}
 		e.cache.Count(false)
 	}
-	rng := rand.New(rand.NewSource(int64(mix64(h ^ uint64(e.cfg.Seed)))))
-	c := sampledCost(d, e.cfg.Log, e.cfg.Model, e.cfg.Samples, rng, e.terms)
+	c := SampledCost(d, e.cfg.Log, e.cfg.Model, e.cfg.Samples, int64(mix64(h^uint64(e.cfg.Seed))))
 	if e.cache != nil {
 		e.cache.SetCost(k, c)
 	}
@@ -154,27 +145,22 @@ func (e *Engine) StateCost(d *difftree.Node) float64 {
 }
 
 // SampledCost scores a difftree with the cost-greedy first assignment plus
-// k random widget assignments drawn from rng; +Inf when no widget tree
-// expresses the log on the screen.
-func SampledCost(d *difftree.Node, log []*ast.Node, model cost.Model, k int, rng *rand.Rand) float64 {
-	return sampledCost(d, log, model, k, rng, nil)
-}
-
-func sampledCost(d *difftree.Node, log []*ast.Node, model cost.Model, k int, rng *rand.Rand, memo *cost.TermMemo) float64 {
+// k random widget assignments, drawn from a generator seeded with seed;
+// +Inf when no widget tree expresses the log on the screen. The generator
+// is seeded only for a difftree with a widget plan and a choice to draw:
+// seeding math/rand is costly, and most states a search scores have no
+// plan.
+func SampledCost(d *difftree.Node, log []*ast.Node, model cost.Model, k int, seed int64) float64 {
 	plan, err := assign.BuildPlan(d)
 	if err != nil {
 		return math.Inf(1)
 	}
-	var ev *cost.Evaluator
-	if memo != nil {
-		ev = model.NewEvaluatorShared(d, log, memo)
-	} else {
-		ev = model.NewEvaluator(d, log)
-	}
+	ev := model.NewEvaluator(d, log)
 	if !d.HasChoice() {
 		return ev.Evaluate(nil).Total()
 	}
 	best := ev.Evaluate(plan.First()).Total()
+	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < k; i++ {
 		if c := ev.Evaluate(plan.Random(rng)).Total(); c < best {
 			best = c

@@ -3,7 +3,6 @@ package search_test
 import (
 	"context"
 	"math"
-	"math/rand"
 	"testing"
 
 	"repro/internal/ast"
@@ -29,9 +28,8 @@ func TestGreedyImproves(t *testing.T) {
 		t.Fatal(err)
 	}
 	model := cost.Default(layout.Wide)
-	rng := rand.New(rand.NewSource(1))
 	obj := func(d *difftree.Node) float64 {
-		return eval.SampledCost(d, log, model, 3, rng)
+		return eval.SampledCost(d, log, model, 3, 1)
 	}
 	res := search.Greedy(context.Background(), init, engineFor(init, log), obj, 30)
 	if res.BestCost > obj(init) {
@@ -49,9 +47,8 @@ func TestRandomFindsSomething(t *testing.T) {
 	log := workload.PaperFigure1Log()
 	init, _ := difftree.Initial(log)
 	model := cost.Default(layout.Wide)
-	rng := rand.New(rand.NewSource(2))
 	obj := func(d *difftree.Node) float64 {
-		return eval.SampledCost(d, log, model, 2, rng)
+		return eval.SampledCost(d, log, model, 2, 2)
 	}
 	res := search.Random(context.Background(), init, engineFor(init, log), obj, 4, 6, 7)
 	if math.IsInf(res.BestCost, 1) {
@@ -68,9 +65,8 @@ func TestBeamAtLeastGreedy(t *testing.T) {
 	model := cost.Default(layout.Wide)
 	// Deterministic objective (k=0: first assignment only) so beam ⊇ greedy
 	// comparisons are meaningful.
-	rng := rand.New(rand.NewSource(3))
 	obj := func(d *difftree.Node) float64 {
-		return eval.SampledCost(d, log, model, 0, rng)
+		return eval.SampledCost(d, log, model, 0, 3)
 	}
 	g := search.Greedy(context.Background(), init, engineFor(init, log), obj, 10)
 	b := search.Beam(context.Background(), init, engineFor(init, log), obj, 3, 10)
@@ -84,9 +80,8 @@ func TestExhaustiveTinySpace(t *testing.T) {
 	log := workload.PaperFigure1Log()[:2]
 	init, _ := difftree.Initial(log)
 	model := cost.Default(layout.Wide)
-	rng := rand.New(rand.NewSource(4))
 	obj := func(d *difftree.Node) float64 {
-		return eval.SampledCost(d, log, model, 0, rng)
+		return eval.SampledCost(d, log, model, 0, 4)
 	}
 	res, complete := search.Exhaustive(context.Background(), init, engineFor(init, log), obj, 3000)
 	if !complete {
