@@ -105,10 +105,12 @@ load-smoke:
 	$(GO) run ./cmd/mctsload -out - -duration-ms 3000 -warmup-ms 1000 \
 		-rate-scale 0.5 -max-p99-ms 0 -min-goodput 0
 
-# race-tree runs the tree-parallel race suite CI gates on: shared-tree
-# stress, virtual-loss accounting invariants, TreeWorkers=1 bit-identity.
+# race-tree runs the tree-parallel race suite CI gates on: every test of
+# internal/mcts (each search runs the shared-tree code, whatever its worker
+# count), plus the TreeWorkers tests of core and the root package.
 race-tree:
-	$(GO) test -race -count=2 -run 'TreeParallel|TreeWorkers|VirtualLoss' ./internal/mcts ./internal/core .
+	$(GO) test -race -count=2 ./internal/mcts
+	$(GO) test -race -count=2 -run 'TreeParallel|TreeWorkers|VirtualLoss' ./internal/core .
 
 # golden regenerates the end-to-end fixtures under testdata/golden/ (run it
 # after an intentional change to search or cost semantics, then review the

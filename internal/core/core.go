@@ -55,12 +55,6 @@ type Options struct {
 	EnumLimit int
 	// Seed makes generation deterministic (default 1).
 	Seed int64
-	// EvalSeed seeds per-state reward sampling in the evaluation engine
-	// (default: Seed). State costs are pure functions of (state, EvalSeed),
-	// so GenerateParallel keeps EvalSeed at the base seed across workers —
-	// letting them share one transposition cache — while perturbing Seed to
-	// diversify their search policies.
-	EvalSeed int64
 	// Cache is the shared transposition cache backing the memoized
 	// evaluation engine. Nil means a private cache per Generate call
 	// (GenerateParallel shares one across its workers). Pass the same cache
@@ -84,8 +78,9 @@ type Options struct {
 	// the reused tree, the search re-roots there and keeps the subtree's
 	// visit statistics instead of rebuilding the tree from scratch
 	// (Stats.ReRooted reports it; reconciliation semantics in mcts.Config).
-	// Only the sequential MCTS strategy consults it — tree-parallel and
-	// non-MCTS strategies ignore it and persist nothing.
+	// Only a sequential (TreeWorkers <= 1) MCTS search consults it, so a
+	// re-rooted session append stays reproducible per seed; multi-worker
+	// and non-MCTS searches ignore it and persist nothing.
 	SearchTree *mcts.Tree
 	// SkipInitialRef leaves Result.Initial zero and Stats.InitialFan
 	// unset, skipping the extraction pass and move enumeration that exist
@@ -99,25 +94,28 @@ type Options struct {
 	// visit. Results are identical for a fixed seed — only slower; the
 	// bench harness uses this as its reference baseline.
 	DisableMemo bool
-	// NavUnit is the Steiner-edge navigation cost (default 0.3).
-	NavUnit float64
-	// Rules is the transformation rule set (default rules.All()).
-	Rules []rules.Rule
 	// Strategy selects the search procedure (default StrategyMCTS()).
 	Strategy Strategy
-	// TreeWorkers > 1 runs the MCTS search tree-parallel: that many
-	// goroutines share one search tree, diversified by virtual loss, all
-	// draining their leaf evaluations through the shared transposition
-	// cache. <= 1 (the default) keeps the sequential search, bit-identical
-	// per seed; > 1 trades that reproducibility for iterations/sec (only
-	// the quality envelope is pinned). Orthogonal to GenerateParallel's
-	// root parallelization: each root worker runs TreeWorkers goroutines.
+	// TreeWorkers is the number of goroutines sharing the MCTS search tree
+	// (mcts.Config.TreeWorkers): workers diversify by virtual loss and
+	// drain their leaf evaluations through the shared transposition cache.
+	// <= 1 (the default) runs one worker, bit-identical per seed; > 1
+	// trades that reproducibility for iterations/sec (only the quality
+	// envelope is pinned). Orthogonal to GenerateParallel's root
+	// parallelization: each root worker runs TreeWorkers goroutines.
 	// Non-MCTS strategies ignore it.
 	TreeWorkers int
 	// Progress, when non-nil, receives anytime snapshots while the search
 	// runs. Under GenerateParallel the callback is serialized across
 	// workers; each snapshot carries its worker index.
 	Progress func(Progress)
+
+	// evalSeed seeds per-state reward sampling in the evaluation engine
+	// (withDefaults sets it to Seed). State costs are pure functions of
+	// (state, evalSeed), so GenerateParallel pins it at the base seed across
+	// workers — letting them share one transposition cache — while
+	// perturbing Seed to diversify their search policies.
+	evalSeed int64
 }
 
 // Result is a generated interface plus search diagnostics.
@@ -129,10 +127,10 @@ type Result struct {
 	Stats    Stats          // search statistics
 	Log      []*ast.Node    // the input log (parsed)
 	// SearchTree is the MCTS tree this search built (sequential MCTS only,
-	// nil otherwise). Feed it back through Options.SearchTree on the next
-	// warm-started call over the same session to re-root instead of
-	// rebuilding. It retains every state the search materialized; keep only
-	// the latest.
+	// nil for TreeWorkers > 1 and other strategies). Feed it back through
+	// Options.SearchTree on the next warm-started call over the same
+	// session to re-root instead of rebuilding. It retains every state the
+	// search materialized; keep only the latest.
 	SearchTree *mcts.Tree
 }
 
@@ -197,7 +195,7 @@ func generate(ctx context.Context, log []*ast.Node, opt Options, worker int) (*R
 		return nil, err
 	}
 
-	model := cost.Model{NavUnit: opt.NavUnit, Screen: opt.Screen}
+	model := cost.Model{NavUnit: DefaultNavUnit, Screen: opt.Screen}
 	eng := newEngine(log, init, model, opt)
 	p := newProblem(log, init, model, opt, eng, worker)
 	if opt.WarmStart != nil && eng.LegalState(opt.WarmStart) {
@@ -305,7 +303,7 @@ func BestInterface(d *difftree.Node, log []*ast.Node, model cost.Model, enumLimi
 // newEngine builds the evaluation engine for one generate call: the
 // memoized (or, with DisableMemo, recomputing) source of state costs,
 // legality verdicts, and move sets that every strategy shares. Costs are
-// seeded per state from EvalSeed, so two engines with equal configs agree
+// seeded per state from evalSeed, so two engines with equal configs agree
 // on every value — the basis for sharing Options.Cache across workers and
 // successive calls. The size cap derives from the initial state, not the
 // search root, so a warm start cannot inflate the reachable space.
@@ -321,9 +319,9 @@ func newEngine(log []*ast.Node, init *difftree.Node, model cost.Model, opt Optio
 		Log:     log,
 		Model:   model,
 		Samples: opt.RewardSamples,
-		Rules:   opt.Rules,
+		Rules:   rules.All(),
 		SizeCap: search.SizeCap(init),
-		Seed:    opt.EvalSeed,
+		Seed:    opt.evalSeed,
 	}, cache)
 }
 
@@ -352,8 +350,9 @@ type domain struct {
 }
 
 func newDomain(p *problem) *domain {
-	d := &domain{p: p, ruleSet: p.opt.Rules, masks: make([]uint8, len(p.opt.Rules))}
-	for i, r := range p.opt.Rules {
+	d := &domain{p: p, ruleSet: rules.All()}
+	d.masks = make([]uint8, len(d.ruleSet))
+	for i, r := range d.ruleSet {
 		d.masks[i] = rules.KindMask(r)
 	}
 	if c := p.eng.StateCost(p.init); !math.IsInf(c, 1) && c > 0 {
@@ -485,7 +484,7 @@ func RandomWalk(log []*ast.Node, steps int, seed int64) (*difftree.Node, error) 
 		return nil, err
 	}
 	opt := Options{}.withDefaults()
-	model := cost.Model{NavUnit: opt.NavUnit, Screen: opt.Screen}
+	model := cost.Model{NavUnit: DefaultNavUnit, Screen: opt.Screen}
 	d := newDomain(newProblem(log, init, model, opt, newEngine(log, init, model, opt), 0))
 	rng := rand.New(rand.NewSource(seed))
 	cur := state{d: init, h: difftree.Hash(init)}

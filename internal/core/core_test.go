@@ -99,7 +99,7 @@ func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
 	if o.Screen != layout.Wide || o.RolloutDepth != 16 || o.RewardSamples != 5 ||
 		o.ExplorationC != math.Sqrt2 || o.EnumLimit != 20000 || o.Seed != 1 ||
-		o.NavUnit != 0.3 || len(o.Rules) == 0 || o.Iterations != 60 {
+		o.evalSeed != 1 || o.Iterations != 60 {
 		t.Errorf("defaults wrong: %+v", o)
 	}
 	// Explicit values survive.

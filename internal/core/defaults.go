@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"repro/internal/layout"
-	"repro/internal/rules"
 )
 
 // Single source of truth for every search default. The public mctsui
@@ -26,7 +25,8 @@ const (
 	DefaultSeed = 1
 	// DefaultEnumLimit caps the final widget-tree enumeration.
 	DefaultEnumLimit = 20000
-	// DefaultNavUnit is the Steiner-edge navigation cost.
+	// DefaultNavUnit is the Steiner-edge navigation cost every generation's
+	// cost model uses; no option overrides it.
 	DefaultNavUnit = 0.3
 	// DefaultBeamWidth is the frontier width of StrategyBeam.
 	DefaultBeamWidth = 8
@@ -61,14 +61,8 @@ func (o Options) withDefaults() Options {
 	if o.Seed == 0 {
 		o.Seed = DefaultSeed
 	}
-	if o.EvalSeed == 0 {
-		o.EvalSeed = o.Seed
-	}
-	if o.NavUnit == 0 {
-		o.NavUnit = DefaultNavUnit
-	}
-	if o.Rules == nil {
-		o.Rules = rules.All()
+	if o.evalSeed == 0 {
+		o.evalSeed = o.Seed
 	}
 	if o.Strategy == nil {
 		o.Strategy = StrategyMCTS()

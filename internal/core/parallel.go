@@ -28,7 +28,7 @@ func GenerateParallel(ctx context.Context, log []*ast.Node, opt Options, workers
 	}
 	opt = opt.withDefaults()
 	// One transposition cache serves every worker: state costs are pure
-	// functions of (state, EvalSeed) — withDefaults pinned EvalSeed to the
+	// functions of (state, evalSeed) — withDefaults pinned evalSeed to the
 	// base seed above, and only the policy seed is perturbed per worker —
 	// so a state scored by one worker is a guaranteed-identical cache hit
 	// for all the others.

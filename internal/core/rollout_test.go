@@ -66,7 +66,7 @@ func testDomain(t testing.TB, log []*ast.Node, opt Options) (*domain, *difftree.
 	if err != nil {
 		t.Fatal(err)
 	}
-	model := cost.Model{NavUnit: opt.NavUnit, Screen: opt.Screen}
+	model := cost.Model{NavUnit: DefaultNavUnit, Screen: opt.Screen}
 	return newDomain(newProblem(log, init, model, opt, newEngine(log, init, model, opt), 0)), init
 }
 

@@ -68,7 +68,7 @@ const progressStride = 25
 // problem carries everything a Strategy needs: the parsed log, the initial
 // state, the cost model, resolved options, the run-local cost memo, and the
 // progress/trajectory plumbing. One problem serves exactly one strategy run;
-// only tree-parallel MCTS calls it from several goroutines, and mu
+// an MCTS run with TreeWorkers > 1 calls it from each of its workers, and mu
 // serializes those calls.
 type problem struct {
 	log    []*ast.Node
@@ -236,9 +236,9 @@ func (mctsStrategy) Name() string { return "mcts" }
 
 func (mctsStrategy) search(ctx context.Context, p *problem) searchOutcome {
 	dom := newDomain(p)
-	// Tree-parallel workers report progress concurrently; p.mu serializes
-	// it with the cost bookkeeping. (The evaluation engine underneath is
-	// concurrency-safe.)
+	// Workers sharing the tree report progress concurrently; p.mu
+	// serializes it with the cost bookkeeping. (The evaluation engine
+	// underneath is concurrency-safe.)
 	progress := func(r mcts.Result) {
 		p.mu.Lock()
 		defer p.mu.Unlock()
@@ -246,13 +246,12 @@ func (mctsStrategy) search(ctx context.Context, p *problem) searchOutcome {
 		p.states = r.Expanded
 		p.emit()
 	}
-	tw := p.opt.TreeWorkers
-	if tw < 1 {
-		tw = 1
-	}
+	tw := max(p.opt.TreeWorkers, 1)
+	// Trees persist across sequential searches only: a session append
+	// re-rooted on a reused tree must stay reproducible per seed.
 	var reuse *mcts.Tree
 	if tw == 1 {
-		reuse = p.opt.SearchTree // re-rooting is a sequential-search feature
+		reuse = p.opt.SearchTree
 	}
 	res := mcts.Search(ctx, dom, state{d: p.root, h: difftree.Hash(p.root)}, mcts.Config{
 		C:                p.opt.ExplorationC,
@@ -265,6 +264,9 @@ func (mctsStrategy) search(ctx context.Context, p *problem) searchOutcome {
 		Reuse:            reuse,
 		Progress:         progress,
 	})
+	if tw > 1 {
+		res.Tree = nil
+	}
 	return searchOutcome{
 		best: res.Best.(state).d,
 		tree: res.Tree,

@@ -13,16 +13,27 @@
 // cancelled or its deadline passes, in addition to the iteration and
 // wall-clock budgets in Config.
 //
-// Config.TreeWorkers > 1 switches to the tree-parallel search in
-// parallel.go: the workers share one tree, diversified by virtual loss.
-// TreeWorkers <= 1 keeps the sequential search below, bit-identical per
-// seed.
+// One searcher serves every worker count: max(Config.TreeWorkers, 1)
+// workers share one tree and one iteration budget. While a worker is inside
+// an iteration, every node on its selection path carries a virtual loss (an
+// extra visit that contributes zero reward), so concurrent workers see
+// in-flight paths as less attractive and diversify instead of piling onto
+// the same leaf. Expansion is guarded per node by a mutex and published by
+// an atomic epoch, node statistics are atomics, and each new child is
+// claimed for its one random walk exactly once. With one worker nothing is
+// contended and the search is bit-identical per seed. With more, the
+// scheduler decides which states get visited, so results are not
+// reproducible across runs, but the accounting is: after the workers join
+// no virtual loss remains, and the root has absorbed exactly one
+// backpropagation per random walk or terminal evaluation.
 package mcts
 
 import (
 	"context"
 	"math"
 	"math/rand"
+	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -55,43 +66,41 @@ type Config struct {
 	// MaxRolloutDepth bounds random walks (paper: up to 200 steps).
 	MaxRolloutDepth int
 	// Iterations bounds the number of MCTS iterations (0 = unbounded; then
-	// TimeBudget must be set). With TreeWorkers > 1 the budget is shared
-	// across workers, not multiplied by them.
+	// TimeBudget must be set). The budget is shared by the workers, not
+	// multiplied by them.
 	Iterations int
 	// TimeBudget bounds wall-clock time (0 = unbounded).
 	TimeBudget time.Duration
-	// Seed makes the search deterministic.
+	// Seed makes the search deterministic. Worker 0 draws its random walks
+	// from rand.NewSource(Seed); further workers from derived seeds.
 	Seed int64
-	// TreeWorkers > 1 runs the search tree-parallel: that many goroutines
-	// share one tree, selection applies a virtual-loss penalty to in-flight
-	// paths so workers diversify, and expansion is guarded per node. The
-	// Domain must then be safe for concurrent use. Values <= 1 run the
-	// sequential search, which is bit-identical for a fixed seed;
-	// tree-parallel results are *not* reproducible across runs (worker
-	// interleaving decides which states are visited), only the quality
-	// envelope is pinned.
+	// TreeWorkers is the number of goroutines sharing the search tree
+	// (values < 1 mean one). One worker runs on the calling goroutine and
+	// is bit-identical for a fixed seed. With more, the Domain must be safe
+	// for concurrent use, and results are *not* reproducible across runs
+	// (worker interleaving decides which states are visited); only the
+	// quality envelope is pinned.
 	TreeWorkers int
 	// EvaluateChildren also scores each expanded child directly, so good
 	// intermediate states are never missed; costs one Reward call per child.
 	EvaluateChildren bool
 	// Reuse, when non-nil, seeds the search with a tree persisted by a
-	// previous sequential Search (Result.Tree). If the new root state occurs
-	// anywhere in the reused tree, that subtree — visit counts, totals, and
-	// children included — becomes the new search tree (Result.ReRooted
-	// reports it); otherwise the search starts fresh. Reused nodes carry an
-	// older epoch: selection treats them as unexpanded, and expansion
-	// re-derives their neighbor set under the *current* domain, merging by
-	// state hash so surviving children keep their statistics while vanished
-	// states drop and new ones appear. Children that kept visits skip their
-	// simulation pass, which is where a warm-started session append saves
-	// evaluations. Ignored when TreeWorkers > 1 (the tree-parallel searcher
-	// builds its own tree and persists none).
+	// previous Search (Result.Tree). If the new root state occurs anywhere
+	// in the reused tree, that subtree — visit counts, totals, and children
+	// included — becomes the new search tree (Result.ReRooted reports it);
+	// otherwise the search starts fresh. Reused nodes carry an older epoch:
+	// selection stops at them, and expansion re-derives their neighbor set
+	// under the *current* domain, merging by state hash so surviving
+	// children keep their statistics while vanished states drop and new
+	// ones appear. Children that kept visits skip their simulation pass,
+	// which is where a warm-started session append saves evaluations. The
+	// search mutates the reused tree; hand each follow-up its own.
 	Reuse *Tree
 	// Progress, when non-nil, is invoked after every iteration with the
-	// running result (anytime observability). It runs on the search
-	// goroutine and must be fast. With TreeWorkers > 1 it may be invoked
-	// concurrently from several workers; callers needing serialization
-	// wrap the callback in their own mutex.
+	// running result (anytime observability). It runs on the worker that
+	// completed the iteration and must be fast. With TreeWorkers > 1 it may
+	// be invoked concurrently; callers needing serialization wrap the
+	// callback in their own mutex.
 	Progress func(Result)
 }
 
@@ -116,14 +125,14 @@ type Result struct {
 	Rollouts    int     // total random walks
 	Evals       int     // total Reward calls
 	Interrupted bool    // the context ended the search before its budget
-	Tree        *Tree   // the search tree, reusable via Config.Reuse (nil when tree-parallel)
+	Tree        *Tree   // the search tree, reusable via Config.Reuse
 	ReRooted    bool    // the search started from a subtree of Config.Reuse
 }
 
-// Tree is an opaque persisted search tree, handed back by a sequential
-// Search and accepted by Config.Reuse. It retains every state the search
-// materialized, so holders should replace it with each newer Result.Tree
-// rather than accumulate generations.
+// Tree is an opaque persisted search tree, handed back by Search and
+// accepted by Config.Reuse. It retains every state the search materialized,
+// so holders should replace it with each newer Result.Tree rather than
+// accumulate generations.
 type Tree struct {
 	root  *node
 	epoch uint32
@@ -163,32 +172,64 @@ func (t *Tree) find(h uint64) *node {
 }
 
 type node struct {
-	state    State
-	parent   *node
+	state  State
+	parent *node
+
+	// epoch stamps the Search run that last expanded this node: 0 means
+	// never expanded, the running search's epoch means children is final
+	// for the rest of the run, and an older epoch marks a node reused
+	// through Config.Reuse, reconciled against the current domain before
+	// anyone descends through it. mu serializes that expansion; the epoch
+	// store publishes children to workers that load it.
+	epoch    atomic.Uint32
+	mu       sync.Mutex
 	children []*node
-	visits   int
-	total    float64
-	expanded bool
-	// epoch stamps which Search run last expanded this node. A reused node
-	// from an older run fails the selection-time epoch check and is
-	// reconciled against the current domain before being descended through.
-	epoch uint32
+
+	visits    atomic.Int64  // completed backpropagations through this node
+	totalBits atomic.Uint64 // math.Float64bits of the summed reward
+	vloss     atomic.Int64  // in-flight selection paths through this node
+	claimed   atomic.Bool   // taken for its one expansion-time random walk
 }
 
-// uct computes the node's UCT score given its parent's visit count.
+func (n *node) total() float64 { return math.Float64frombits(n.totalBits.Load()) }
+
+// add records one backpropagation of reward r.
+func (n *node) add(r float64) {
+	n.visits.Add(1)
+	for {
+		old := n.totalBits.Load()
+		if n.totalBits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+r)) {
+			return
+		}
+	}
+}
+
+// backprop adds the reward to every state along the path to the root.
+func backprop(n *node, r float64) {
+	for ; n != nil; n = n.parent {
+		n.add(r)
+	}
+}
+
+// uct computes the node's UCT score. Each in-flight path through n counts
+// as a visit with zero reward, lowering both terms for nodes other workers
+// are inside. N is the parent's completed visits only: the parent always
+// carries the ranking worker's own virtual loss, which must not change the
+// ranking.
 func uct(n *node, c float64) float64 {
-	if n.visits == 0 {
+	eff := n.visits.Load() + n.vloss.Load()
+	if eff == 0 {
 		return math.Inf(1)
 	}
-	exploit := n.total / float64(n.visits)
+	exploit := n.total() / float64(eff)
 	if n.parent == nil {
 		return exploit
 	}
-	N := n.parent.visits
+	N := n.parent.visits.Load()
 	if N < 1 {
 		N = 1
 	}
-	return exploit + c*math.Sqrt(math.Log(float64(N))/float64(n.visits))
+	return exploit + c*math.Sqrt(math.Log(float64(N))/float64(eff))
 }
 
 // Search runs MCTS from root and returns the best state found. A nil ctx is
@@ -207,100 +248,141 @@ func Search(ctx context.Context, d Domain, root State, cfg Config) Result {
 	if cfg.Iterations <= 0 && cfg.TimeBudget <= 0 {
 		cfg.Iterations = 100
 	}
-	deadline := time.Time{}
+	s := &searcher{d: d, cfg: cfg, ctx: ctx, tree: &Tree{root: &node{state: root}, epoch: 1}}
 	if cfg.TimeBudget > 0 {
 		//mctsvet:allow wallclock -- anytime TimeBudget deadline: decides when to stop iterating, never feeds a reward or move choice
-		deadline = time.Now().Add(cfg.TimeBudget)
+		s.deadline = time.Now().Add(cfg.TimeBudget)
 	}
-	if cfg.TreeWorkers > 1 {
-		res, _ := searchParallel(ctx, d, root, cfg, deadline)
-		return res
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-
-	s := &searcher{d: d, cfg: cfg, rng: rng, ctx: ctx, deadline: deadline, epoch: 1}
-	rootNode := &node{state: root}
 	if cfg.Reuse != nil {
-		s.epoch = cfg.Reuse.epoch + 1
+		s.tree.epoch = cfg.Reuse.epoch + 1
 		if n := cfg.Reuse.find(root.Hash()); n != nil {
 			// Re-root: the reused subtree keeps its statistics; its parent
 			// link is severed so backprop stops here and the abandoned
 			// ancestors become garbage.
 			n.parent = nil
-			rootNode = n
-			s.res.ReRooted = true
+			s.tree.root = n
+			s.reRooted = true
 		}
 	}
-	s.res.Tree = &Tree{root: rootNode, epoch: s.epoch}
-	s.res.Best = root
-	s.res.BestReward = s.eval(root)
+	s.best, s.bestReward = root, math.Inf(-1)
+	s.eval(root)
 
+	var wg sync.WaitGroup
+	for w := 1; w < cfg.TreeWorkers; w++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			s.worker(rand.New(rand.NewSource(seed)))
+		}(cfg.Seed + int64(w)*0x9e3779b9)
+	}
+	s.worker(rand.New(rand.NewSource(cfg.Seed)))
+	wg.Wait()
+	s.primeBest()
+	return s.result()
+}
+
+type searcher struct {
+	d        Domain
+	cfg      Config
+	ctx      context.Context
+	deadline time.Time
+	tree     *Tree
+	reRooted bool
+
+	claimed     atomic.Int64 // iterations taken from the budget
+	iterations  atomic.Int64 // iterations that counted
+	expanded    atomic.Int64
+	rollouts    atomic.Int64
+	evals       atomic.Int64
+	interrupted atomic.Bool
+
+	mu         sync.Mutex // guards best and bestReward
+	best       State
+	bestReward float64
+}
+
+// result snapshots the running search.
+func (s *searcher) result() Result {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return Result{
+		Best:        s.best,
+		BestReward:  s.bestReward,
+		Iterations:  int(s.iterations.Load()),
+		Expanded:    int(s.expanded.Load()),
+		Rollouts:    int(s.rollouts.Load()),
+		Evals:       int(s.evals.Load()),
+		Interrupted: s.interrupted.Load(),
+		Tree:        s.tree,
+		ReRooted:    s.reRooted,
+	}
+}
+
+// worker runs iterations until the budget is spent or the search is
+// stopped. Only counted iterations consume the budget: a cycle that did
+// nothing countable hands its claim back, so another pass does the work.
+func (s *searcher) worker(rng *rand.Rand) {
 	for {
 		if s.cancelled() {
-			s.res.Interrupted = true
-			break
+			s.interrupted.Store(true)
+			return
 		}
-		if cfg.Iterations > 0 && s.res.Iterations >= cfg.Iterations {
-			break
+		if s.expired() || (s.cfg.Iterations > 0 && !s.claim()) {
+			return
 		}
-		if s.expired() {
-			break
+		if !s.iterate(rng) {
+			s.claimed.Add(-1)
+			continue
 		}
-		if s.iterate(rootNode) {
-			// Only fully completed iterations count: a cancelled or
-			// deadline-cut simulation pass must not inflate the counter (it
-			// would skew iters/sec in the bench harness).
-			s.res.Iterations++
-			if cfg.Progress != nil {
-				cfg.Progress(s.res)
-			}
+		s.iterations.Add(1)
+		if s.cfg.Progress != nil {
+			s.cfg.Progress(s.result())
 		}
 	}
-	s.primeBest()
-	return s.res
+}
+
+// claim takes one iteration from the shared budget, reporting false when
+// none is left. The count never overshoots the budget, so a claim handed
+// back after an uncounted cycle is always available to retry.
+func (s *searcher) claim() bool {
+	for {
+		c := s.claimed.Load()
+		if c >= int64(s.cfg.Iterations) {
+			return false
+		}
+		if s.claimed.CompareAndSwap(c, c+1) {
+			return true
+		}
+	}
 }
 
 // primeBest prepares the persisted tree for reuse. A warm-started follow-up
 // search re-roots at this search's best state, but the best state is almost
 // always an unexpanded frontier leaf — a subtree with no statistics to
 // reuse. Expanding it here gives that follow-up visited children to skip.
-// Only tree statistics change: the Result counters, the incumbent best, and
-// the search rng stream are untouched (child rewards are deterministic per
-// state and not counted in Evals), so the search outcome stays bit-identical
+// Each child's reward is recorded on the child and on the best node, the
+// follow-up's root, and not above it: the ancestors keep one visit per
+// random walk or terminal evaluation. The Result counters, the incumbent
+// best, and the rng streams are untouched (child rewards are deterministic
+// per state and not counted in Evals), so the search outcome is the same
 // with or without priming. Skipped when the search was cut short — the
 // budget is spent — and when the best state never became a tree node (e.g.
-// it was only ever a rollout endpoint).
+// it was only ever a rollout endpoint). Runs after the workers have joined.
 func (s *searcher) primeBest() {
-	if s.res.Interrupted || s.expired() {
+	if s.interrupted.Load() || s.expired() {
 		return
 	}
-	n := s.res.Tree.find(s.res.Best.Hash())
-	if n == nil || n.expanded {
+	n := s.tree.find(s.best.Hash())
+	if n == nil || n.epoch.Load() != 0 {
 		return
 	}
-	seen := map[uint64]bool{n.state.Hash(): true}
-	for _, st := range s.d.Neighbors(n.state) {
-		h := st.Hash()
-		if seen[h] {
-			continue
-		}
-		seen[h] = true
-		c := &node{state: st, parent: n}
-		backprop(c, s.d.Reward(st))
-		n.children = append(n.children, c)
+	n.children = s.neighbors(n)
+	for _, c := range n.children {
+		r := s.d.Reward(c.state)
+		c.add(r)
+		n.add(r)
 	}
-	n.expanded = true
-	n.epoch = s.epoch
-}
-
-type searcher struct {
-	d        Domain
-	cfg      Config
-	rng      *rand.Rand
-	ctx      context.Context
-	deadline time.Time
-	epoch    uint32
-	res      Result
+	n.epoch.Store(s.tree.epoch)
 }
 
 // cancelled polls the search context without blocking.
@@ -326,25 +408,32 @@ func (s *searcher) stopped() bool {
 	return s.cancelled() || s.expired()
 }
 
+// eval scores a state and folds it into the shared best.
 func (s *searcher) eval(st State) float64 {
-	s.res.Evals++
+	s.evals.Add(1)
 	r := s.d.Reward(st)
-	if r > s.res.BestReward {
-		s.res.BestReward = r
-		s.res.Best = st
+	s.mu.Lock()
+	if r > s.bestReward {
+		s.bestReward = r
+		s.best = st
 	}
+	s.mu.Unlock()
 	return r
 }
 
-// iterate runs one select-expand-simulate-backprop cycle; it reports whether
-// the cycle ran to completion (false when cancellation or the wall-clock
-// deadline cut the simulation pass short).
-func (s *searcher) iterate(root *node) bool {
-	// Selection: descend by UCT until an unexpanded node — or a node last
-	// expanded by a previous search run (stale epoch), which must be
-	// reconciled against the current domain before descending through it.
-	n := root
-	for n.expanded && n.epoch == s.epoch && len(n.children) > 0 {
+// iterate runs one select-expand-simulate-backprop cycle. It reports whether
+// the cycle counts: it expanded a node, simulated a child, or
+// backpropagated a terminal, and neither cancellation nor the wall-clock
+// deadline cut it short. A cycle that found every new child already claimed
+// by a concurrent worker does nothing countable; a lone worker never meets
+// one.
+func (s *searcher) iterate(rng *rand.Rand) bool {
+	// Selection: descend by UCT, marking the path in flight, until a node
+	// this run has not expanded — never expanded, or reused from an earlier
+	// run and due for reconciliation — or one without children.
+	n := s.tree.root
+	n.vloss.Add(1)
+	for n.epoch.Load() == s.tree.epoch && len(n.children) > 0 {
 		best := n.children[0]
 		bestScore := uct(best, s.cfg.C)
 		for _, c := range n.children[1:] {
@@ -353,41 +442,15 @@ func (s *searcher) iterate(root *node) bool {
 			}
 		}
 		n = best
+		n.vloss.Add(1)
 	}
-
-	// Expansion: materialize all immediate neighbors, dropping duplicates.
-	// For a reused stale node this is a reconciliation: the neighbor set is
-	// re-derived under the current domain and merged by state hash, so
-	// surviving children keep their visit statistics, states that are no
-	// longer reachable drop out, and newly legal states join fresh.
-	if !n.expanded || n.epoch != s.epoch {
-		var old map[uint64]*node
-		if n.expanded && len(n.children) > 0 {
-			old = make(map[uint64]*node, len(n.children))
-			for _, c := range n.children {
-				old[c.state.Hash()] = c
-			}
+	defer func() {
+		for m := n; m != nil; m = m.parent {
+			m.vloss.Add(-1)
 		}
-		n.expanded = true
-		n.epoch = s.epoch
-		s.res.Expanded++
-		seen := map[uint64]bool{n.state.Hash(): true}
-		var kids []*node
-		for _, st := range s.d.Neighbors(n.state) {
-			h := st.Hash()
-			if seen[h] {
-				continue
-			}
-			seen[h] = true
-			if oc := old[h]; oc != nil {
-				kids = append(kids, oc)
-			} else {
-				kids = append(kids, &node{state: st, parent: n})
-			}
-		}
-		n.children = kids
-	}
+	}()
 
+	worked := s.expand(n)
 	if len(n.children) == 0 {
 		// Terminal: reward the node itself.
 		backprop(n, s.eval(n.state))
@@ -395,40 +458,95 @@ func (s *searcher) iterate(root *node) bool {
 	}
 
 	// Simulation: one random walk from every new child (paper: "perform a
-	// random walk ... from all of its immediate neighbor states"). Large
-	// fanouts make this the long pole of an iteration, so both cancellation
-	// and the wall-clock deadline are re-checked between children.
+	// random walk ... from all of its immediate neighbor states"); the claim
+	// makes "new" race-free, and the walked child carries a virtual loss
+	// meanwhile. Large fanouts make this the long pole of an iteration, so
+	// both cancellation and the wall-clock deadline are re-checked between
+	// children.
 	for _, c := range n.children {
-		if c.visits > 0 {
+		if c.visits.Load() > 0 {
 			continue
 		}
 		if s.stopped() {
 			return false
 		}
+		if !c.claimed.CompareAndSwap(false, true) {
+			continue
+		}
+		c.vloss.Add(1)
 		if s.cfg.EvaluateChildren {
 			s.eval(c.state)
 		}
-		r := s.rollout(c.state)
-		backprop(c, r)
+		backprop(c, s.rollout(c.state, rng))
+		c.vloss.Add(-1)
+		worked = true
 	}
+	return worked
+}
+
+// expand materializes n's children unless this run already has, and
+// reports whether this call did it. Exactly one worker expands a node; late
+// arrivals wait on the mutex and find it done.
+func (s *searcher) expand(n *node) bool {
+	if n.epoch.Load() == s.tree.epoch {
+		return false
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.epoch.Load() == s.tree.epoch {
+		return false
+	}
+	n.children = s.neighbors(n)
+	s.expanded.Add(1)
+	n.epoch.Store(s.tree.epoch)
 	return true
 }
 
-// rollout performs a uniformly random walk from st and returns the final
-// state's reward.
-func (s *searcher) rollout(st State) float64 {
-	s.res.Rollouts++
+// neighbors builds n's child list: every immediate neighbor, duplicates
+// dropped. For a node reused from an earlier run this is a reconciliation:
+// the neighbor set is re-derived under the current domain and merged by
+// state hash, so surviving children keep their statistics, states that are
+// no longer reachable drop out, and newly legal states join fresh.
+func (s *searcher) neighbors(n *node) []*node {
+	var old map[uint64]*node
+	if len(n.children) > 0 {
+		old = make(map[uint64]*node, len(n.children))
+		for _, c := range n.children {
+			old[c.state.Hash()] = c
+		}
+	}
+	seen := map[uint64]bool{n.state.Hash(): true}
+	var kids []*node
+	for _, st := range s.d.Neighbors(n.state) {
+		h := st.Hash()
+		if seen[h] {
+			continue
+		}
+		seen[h] = true
+		if oc := old[h]; oc != nil {
+			kids = append(kids, oc)
+		} else {
+			kids = append(kids, &node{state: st, parent: n})
+		}
+	}
+	return kids
+}
+
+// rollout performs a uniformly random walk from st with the worker's rng and
+// returns the final state's reward.
+func (s *searcher) rollout(st State, rng *rand.Rand) float64 {
+	s.rollouts.Add(1)
 	cur := st
 	sampler, hasSampler := s.d.(Sampler)
 	for i := 0; i < s.cfg.MaxRolloutDepth; i++ {
 		var next State
 		ok := false
 		if hasSampler {
-			next, ok = sampler.RandomNeighbor(cur, s.rng)
+			next, ok = sampler.RandomNeighbor(cur, rng)
 		} else {
 			ns := s.d.Neighbors(cur)
 			if len(ns) > 0 {
-				next, ok = ns[s.rng.Intn(len(ns))], true
+				next, ok = ns[rng.Intn(len(ns))], true
 			}
 		}
 		if !ok {
@@ -437,12 +555,4 @@ func (s *searcher) rollout(st State) float64 {
 		cur = next
 	}
 	return s.eval(cur)
-}
-
-// backprop adds the reward to every state along the path to the root.
-func backprop(n *node, r float64) {
-	for ; n != nil; n = n.parent {
-		n.visits++
-		n.total += r
-	}
 }

@@ -273,9 +273,18 @@ func TestProgressCallback(t *testing.T) {
 	}
 }
 
+// testNode builds a node carrying the given completed visits and reward
+// total.
+func testNode(parent *node, visits int64, total float64) *node {
+	n := &node{parent: parent}
+	n.visits.Store(visits)
+	n.totalBits.Store(math.Float64bits(total))
+	return n
+}
+
 func TestUCTMath(t *testing.T) {
-	parent := &node{visits: 10}
-	child := &node{parent: parent, visits: 2, total: 1.0}
+	parent := testNode(nil, 10, 0)
+	child := testNode(parent, 2, 1.0)
 	got := uct(child, 1.0)
 	want := 0.5 + math.Sqrt(math.Log(10)/2)
 	if math.Abs(got-want) > 1e-12 {
@@ -284,9 +293,20 @@ func TestUCTMath(t *testing.T) {
 	if !math.IsInf(uct(&node{parent: parent}, 1.0), 1) {
 		t.Error("unvisited node must have infinite UCT")
 	}
-	root := &node{visits: 3, total: 1.5}
+	root := testNode(nil, 3, 1.5)
 	if uct(root, 1.0) != 0.5 {
 		t.Error("root UCT is pure exploitation")
+	}
+	// A worker's own virtual loss sits on the parent it ranks from and must
+	// not change N; a virtual loss on the child counts as a zero-reward
+	// visit.
+	parent.vloss.Store(1)
+	if got := uct(child, 1.0); got != want {
+		t.Errorf("parent virtual loss changed uct: %f, want %f", got, want)
+	}
+	child.vloss.Store(2)
+	if got, want := uct(child, 1.0), 0.25+math.Sqrt(math.Log(10)/4); math.Abs(got-want) > 1e-12 {
+		t.Errorf("uct with child virtual loss = %f, want %f", got, want)
 	}
 }
 
@@ -311,8 +331,8 @@ func TestBackprop(t *testing.T) {
 	leaf := &node{parent: mid}
 	backprop(leaf, 0.75)
 	for i, n := range []*node{root, mid, leaf} {
-		if n.visits != 1 || n.total != 0.75 {
-			t.Errorf("node %d: visits=%d total=%f", i, n.visits, n.total)
+		if n.visits.Load() != 1 || n.total() != 0.75 {
+			t.Errorf("node %d: visits=%d total=%f", i, n.visits.Load(), n.total())
 		}
 	}
 }

@@ -7,15 +7,24 @@ import (
 )
 
 // walkTree applies fn to every node reachable from root.
-func walkTree(root *pnode, fn func(*pnode)) {
+func walkTree(root *node, fn func(*node)) {
 	fn(root)
 	for _, c := range root.children {
 		walkTree(c, fn)
 	}
 }
 
+// TestTreeParallelFindsPeak checks that four workers sharing one tree find
+// the peak and count the full shared budget. The peak must be reachable by
+// the random walks from wherever the tree grows, so that finding it does not
+// hinge on which worker expands what: every 60-step walk on a 16-state line
+// has a fair chance to end on the peak, and 1500 iterations run far more
+// than a thousand walks. (On a 40-state line with the peak at 25, walks
+// starting near 0 rarely reach it; the search then missed it on a few
+// percent of runs, and the sequential search missed it at the same budget
+// on a few percent of seeds.)
 func TestTreeParallelFindsPeak(t *testing.T) {
-	d := lineDomain{n: 40, target: 25}
+	d := lineDomain{n: 16, target: 11}
 	res := Search(context.Background(), d, lineState(0), Config{
 		Iterations: 1500, MaxRolloutDepth: 60, Seed: 5, EvaluateChildren: true, TreeWorkers: 4,
 	})
@@ -55,9 +64,10 @@ func TestTreeParallelWorkersOneBitIdentical(t *testing.T) {
 func TestVirtualLossAccounting(t *testing.T) {
 	d := lineDomain{n: 30, target: 21}
 	cfg := Config{Iterations: 400, MaxRolloutDepth: 20, Seed: 3, TreeWorkers: 8, C: 1.4}
-	res, root := searchParallel(context.Background(), d, lineState(0), cfg, time.Time{})
+	res := Search(context.Background(), d, lineState(0), cfg)
+	root := res.Tree.root
 
-	walkTree(root, func(n *pnode) {
+	walkTree(root, func(n *node) {
 		if vl := n.vloss.Load(); vl != 0 {
 			t.Errorf("node %v: %d virtual losses left after join", n.state, vl)
 		}
@@ -89,11 +99,11 @@ func TestVirtualLossAccounting(t *testing.T) {
 func TestTreeParallelStressTinyTree(t *testing.T) {
 	d := lineDomain{n: 5, target: 4}
 	cfg := Config{Iterations: 2000, MaxRolloutDepth: 8, Seed: 9, TreeWorkers: 8, EvaluateChildren: true}
-	res, root := searchParallel(context.Background(), d, lineState(0), cfg, time.Time{})
+	res := Search(context.Background(), d, lineState(0), cfg)
 	if int(res.Best.(lineState)) != d.target {
 		t.Errorf("best = %v, want %d", res.Best, d.target)
 	}
-	walkTree(root, func(n *pnode) {
+	walkTree(res.Tree.root, func(n *node) {
 		if n.vloss.Load() != 0 {
 			t.Errorf("virtual loss left on %v", n.state)
 		}
@@ -130,5 +140,74 @@ func TestTreeParallelTimeBudget(t *testing.T) {
 	}
 	if res.Interrupted {
 		t.Error("an elapsed TimeBudget is a normal completion, not an interruption")
+	}
+}
+
+// TestTreeWorkersReuseReconcile is TestReuseReconcileDropsAndKeepsChildren
+// with four workers reconciling one reused tree at once (run under -race in
+// CI): states outside the shrunk domain drop out of every reconciled node,
+// surviving children stay the same nodes with at least their old visits,
+// and after the join no virtual loss remains and the root has absorbed one
+// visit per new random walk.
+func TestTreeWorkersReuseReconcile(t *testing.T) {
+	big := lineDomain{n: 40, target: 30}
+	cfg := Config{Iterations: 120, MaxRolloutDepth: 20, Seed: 9, EvaluateChildren: true, TreeWorkers: 4}
+	first := Search(context.Background(), big, lineState(0), cfg)
+
+	oldKids := map[*node][]*node{}
+	oldVisits := map[*node]int64{}
+	walkTree(first.Tree.root, func(n *node) {
+		oldKids[n] = n.children
+		oldVisits[n] = n.visits.Load()
+	})
+
+	shrunk := lineDomain{n: 20, target: 10}
+	cfg.Iterations = 400
+	cfg.Reuse = first.Tree
+	res := Search(context.Background(), shrunk, lineState(0), cfg)
+	if !res.ReRooted {
+		t.Fatal("root 0 is in the reused tree")
+	}
+	if got := int(res.Best.(lineState)); got != shrunk.target {
+		t.Errorf("best state = %d, want %d", got, shrunk.target)
+	}
+
+	root := res.Tree.root
+	if got, want := root.visits.Load()-oldVisits[root], int64(res.Rollouts); got != want {
+		t.Errorf("root gained %d visits, want one per random walk (%d)", got, want)
+	}
+	reconciled := 0
+	walkTree(root, func(n *node) {
+		if vl := n.vloss.Load(); vl != 0 {
+			t.Errorf("node %v: %d virtual losses left after join", n.state, vl)
+		}
+		if n.epoch.Load() != res.Tree.epoch {
+			return
+		}
+		kept := map[*node]bool{}
+		for _, c := range n.children {
+			if int(c.state.(lineState)) >= shrunk.n {
+				t.Errorf("reconciled node %v kept out-of-domain child %v", n.state, c.state)
+			}
+			kept[c] = true
+		}
+		old, reused := oldKids[n]
+		if !reused || len(old) == 0 {
+			return
+		}
+		reconciled++
+		for _, oc := range old {
+			if int(oc.state.(lineState)) >= shrunk.n {
+				continue
+			}
+			if !kept[oc] {
+				t.Errorf("reconciled node %v replaced surviving child %v", n.state, oc.state)
+			} else if v := oc.visits.Load(); v < oldVisits[oc] {
+				t.Errorf("surviving child %v lost visits: %d, had %d", oc.state, v, oldVisits[oc])
+			}
+		}
+	})
+	if reconciled == 0 {
+		t.Error("no reused node was reconciled")
 	}
 }

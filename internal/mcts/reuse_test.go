@@ -98,7 +98,7 @@ func TestReuseReconcileDropsAndKeepsChildren(t *testing.T) {
 	// domain once visited — reconciled nodes must have pruned them.
 	var audit func(n *node)
 	audit = func(n *node) {
-		if n.epoch == res.Tree.epoch {
+		if n.epoch.Load() == res.Tree.epoch {
 			for _, c := range n.children {
 				if int(c.state.(lineState)) >= shrunk.n {
 					t.Errorf("reconciled node %v kept out-of-domain child %v", n.state, c.state)

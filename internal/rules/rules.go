@@ -54,12 +54,6 @@ func All() []Rule {
 	}
 }
 
-// Forward returns only the factoring (forward) rules; useful for greedy
-// baselines that never want to expand a tree.
-func Forward() []Rule {
-	return []Rule{Any2All{}, Lift{}, MultiMerge{}, Optional{}, Unwrap{}, Flatten{}, DedupAny{}, GroupAny{}}
-}
-
 // MatchKinds maps each built-in rule to the difftree node kinds its pattern
 // can match. Move enumerators and rollout samplers read it through KindMask
 // to skip (rule, node) pairs that cannot possibly apply; rules absent from
