@@ -127,6 +127,7 @@ fuzz-smoke:
 	$(GO) test ./internal/eval -run '^$$' -fuzz FuzzLoadSnapshot -fuzztime 10s
 	$(GO) test ./internal/eval -run '^$$' -fuzz FuzzIncrementalLegality -fuzztime 10s
 	$(GO) test ./internal/rules -run '^$$' -fuzz FuzzWideningRules -fuzztime 10s
+	$(GO) test ./internal/rules -run '^$$' -fuzz FuzzRuleRewrite -fuzztime 10s
 	$(GO) test ./internal/difftree -run '^$$' -fuzz FuzzNthOfKind -fuzztime 10s
 
 # join-scenarios mirrors the CI acceptance step for the multi-table grammar:

@@ -397,14 +397,17 @@ func (d *domain) Neighbors(s mcts.State) []mcts.State {
 // in fixed Kind order (eval.Engine.PathPools, restricted to the mask). The
 // list is never materialized: the index picks a kind segment from the
 // state's memoized difftree.KindCounts, and difftree.NthOfKind descends
-// subtree counts to the node, writing its path into a stack buffer. The
+// subtree counts to the node, writing its path into a stack buffer and
+// returning the node with its parent. The
 // draw sequence never consults the memoization state, so the sampled walk
 // is a pure function of (state, rng stream): cached and uncached runs take
 // identical trajectories, the cache only answers the legality probes
-// faster. A probe applies the rule once (rules.Rewrite) and hands the
-// rewritten subtree to LegalMove, which builds no tree for a widening rule;
-// the accepted subtree is spliced into the kept state with
-// difftree.ReplaceAt, consuming no rng draws.
+// faster. A probe applies the rule once to the drawn node (rules.Rewrite,
+// which rejects a non-matching pattern without allocating) and hands the
+// node and its rewritten subtree to LegalMove, which builds no tree for a
+// widening rule; neither walks the path again. The accepted subtree is
+// spliced into the kept state with difftree.ReplaceAt, consuming no rng
+// draws.
 func (d *domain) RandomNeighbor(s mcts.State, rng *rand.Rand) (mcts.State, bool) {
 	st := s.(state)
 	cur := st.d
@@ -434,9 +437,9 @@ func (d *domain) RandomNeighbor(s mcts.State, rng *rand.Rand) (mcts.State, bool)
 			}
 			idx -= counts[k]
 		}
-		p := difftree.NthOfKind(cur, k, idx, buf[:0])
-		sub, ok := rules.Rewrite(cur, p, r)
-		if !ok || !d.p.eng.LegalMove(cur, p, sub, ri) {
+		p, n, parent := difftree.NthOfKind(cur, k, idx, buf[:0])
+		sub, ok := rules.Rewrite(n, parent, r)
+		if !ok || !d.p.eng.LegalMove(cur, p, n, sub, ri) {
 			continue
 		}
 		kept := difftree.ReplaceAt(cur, p, sub)

@@ -18,7 +18,8 @@ func walkByKind(root *Node) [4][]Path {
 }
 
 // checkNthOfKind asserts that root's kind counts and every NthOfKind path
-// match the walk.
+// match the walk, and that the node and parent NthOfKind returns are the
+// ones At finds at the path and at its prefix.
 func checkNthOfKind(t testing.TB, root *Node) {
 	t.Helper()
 	want := walkByKind(root)
@@ -29,8 +30,19 @@ func checkNthOfKind(t testing.TB, root *Node) {
 			t.Fatalf("KindCounts()[%v] = %d, walk found %d\ntree %s", k, counts[k], len(want[k]), root)
 		}
 		for j, w := range want[k] {
-			if got := NthOfKind(root, k, j, buf[:0]); got.String() != w.String() {
+			got, n, parent := NthOfKind(root, k, j, buf[:0])
+			if got.String() != w.String() {
 				t.Fatalf("NthOfKind(%v, %d) = %s, walk %s\ntree %s", k, j, got, w, root)
+			}
+			if n != At(root, got) {
+				t.Fatalf("NthOfKind(%v, %d) node %s is not At(root, %s)\ntree %s", k, j, n, got, root)
+			}
+			var wantParent *Node
+			if len(got) > 0 {
+				wantParent = At(root, got[:len(got)-1])
+			}
+			if parent != wantParent {
+				t.Fatalf("NthOfKind(%v, %d) at %s: parent %s, want %s\ntree %s", k, j, got, parent, wantParent, root)
 			}
 		}
 	}
@@ -103,7 +115,7 @@ func TestKindCountsConcurrent(t *testing.T) {
 					return
 				}
 				for j, p := range want[k] {
-					if got := NthOfKind(root, k, j, buf[:0]); got.String() != p.String() {
+					if got, _, _ := NthOfKind(root, k, j, buf[:0]); got.String() != p.String() {
 						t.Errorf("NthOfKind(%v, %d) = %s, walk %s", k, j, got, p)
 						return
 					}

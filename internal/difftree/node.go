@@ -337,30 +337,40 @@ func (n *Node) KindCounts() [4]int {
 	return c
 }
 
-// NthOfKind appends to buf the path of the j-th node (from 0) of kind k in
-// root's pre-order and returns the extended slice: the node a draw of index
-// j from the pre-order list of kind-k paths would pick, found by descending
-// the memoized KindCounts instead of materializing the list. Passing a
+// kindCount returns KindCounts()[k], read from the packed memo without
+// unpacking the other kinds.
+func (n *Node) kindCount(k Kind) int {
+	if v := n.kc.Load(); v != 0 {
+		return int(v >> (uint(k) * kindCountBits) & (1<<kindCountBits - 1))
+	}
+	return n.KindCounts()[k]
+}
+
+// NthOfKind finds the j-th node (from 0) of kind k in root's pre-order: the
+// node a draw of index j from the pre-order list of kind-k paths would pick,
+// found by descending the memoized per-kind subtree counts instead of
+// materializing the list. It appends the node's path to buf and returns the
+// extended slice, the node, and its parent (nil for the root), so a caller
+// that rewrites the node needs no second walk down the path. Passing a
 // reused buffer as buf[:0] makes the lookup allocation-free. It panics
 // unless 0 <= j < root.KindCounts()[k].
-func NthOfKind(root *Node, k Kind, j int, buf Path) Path {
-	p := buf
-	n := root
-	if j < 0 || j >= n.KindCounts()[k] {
+func NthOfKind(root *Node, k Kind, j int, buf Path) (p Path, n, parent *Node) {
+	p, n = buf, root
+	if j < 0 || j >= n.kindCount(k) {
 		panic(fmt.Sprintf("difftree: NthOfKind index %d out of range for %v", j, k))
 	}
 	for {
 		if n.Kind == k {
 			if j == 0 {
-				return p
+				return p, n, parent
 			}
 			j--
 		}
 		for i, c := range n.Children {
-			m := c.KindCounts()[k]
+			m := c.kindCount(k)
 			if j < m {
 				p = append(p, i)
-				n = c
+				parent, n = n, c
 				break
 			}
 			j -= m

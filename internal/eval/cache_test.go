@@ -11,6 +11,7 @@ import (
 	"repro/internal/difftree"
 	"repro/internal/layout"
 	"repro/internal/rules"
+	"repro/internal/testutil"
 	"repro/internal/workload"
 )
 
@@ -241,6 +242,9 @@ func TestStateCostUnplannedAllocs(t *testing.T) {
 	}
 	if c := eng.StateCost(d); !math.IsInf(c, 1) {
 		t.Fatalf("unplanned state cost %v, want +Inf", c)
+	}
+	if testutil.Race {
+		t.Skip("allocation counts vary under the race detector, which drops pooled items")
 	}
 	want := testing.AllocsPerRun(20, func() {
 		_, _ = assign.BuildPlan(d)

@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"repro/internal/assign"
@@ -207,8 +208,9 @@ var arenaPool = sync.Pool{New: func() any { return new(difftree.SpineArena) }}
 // order (pre-order paths, rule order), memoized per state. The returned
 // slice is shared with the cache; callers must not modify it. A rule is
 // tried only on the node kinds its rules.KindMask admits, read from masks
-// computed once per engine. Only the (rule, path) pair survives the
-// legality check, never a candidate tree.
+// computed once per engine, and on the node and parent the walk holds
+// (rules.Rewrite), so a try walks no path. Only the (rule, path) pair
+// survives the legality check, never a candidate tree.
 //
 // When d is itself legal (one memoized LegalState per miss), a candidate of
 // a widening rule (rules.Widens) is judged from the rewritten subtree alone,
@@ -237,12 +239,16 @@ func (e *Engine) Moves(d *difftree.Node) []rules.Move {
 	legal := e.LegalState(d)
 	arena := arenaPool.Get().(*difftree.SpineArena)
 	var out []rules.Move
-	difftree.WalkPath(d, func(n *difftree.Node, p difftree.Path) bool {
+	var ends, flat []int // the kept paths back to back, out[i]'s ending at ends[i]
+	var buf [16]int
+	p := difftree.Path(buf[:0])
+	var walk func(n, parent *difftree.Node)
+	walk = func(n, parent *difftree.Node) {
 		for i, r := range e.cfg.Rules {
 			if e.masks[i]&(1<<n.Kind) == 0 {
 				continue
 			}
-			sub, ok := rules.Rewrite(d, p, r)
+			sub, ok := rules.Rewrite(n, parent, r)
 			if !ok {
 				continue
 			}
@@ -253,13 +259,29 @@ func (e *Engine) Moves(d *difftree.Node) []rules.Move {
 				ok = e.fullLegal(arena.ReplaceAt(d, p, sub))
 			}
 			if ok {
-				out = append(out, rules.Move{Rule: r.Name(), Path: p.Clone()})
+				flat = append(flat, p...)
+				out = append(out, rules.Move{Rule: r.Name()})
+				ends = append(ends, len(flat))
 			}
 		}
-		return true
-	})
+		for i, c := range n.Children {
+			p = append(p, i)
+			walk(c, n)
+			p = p[:len(p)-1]
+		}
+	}
+	walk(d, nil)
 	arena.Reset()
 	arenaPool.Put(arena)
+	// The cache keeps the list: size it exactly, with every path in one
+	// exactly sized array.
+	out = slices.Clone(out)
+	flat = slices.Clone(flat)
+	start := 0
+	for i, end := range ends {
+		out[i].Path = flat[start:end:end]
+		start = end
+	}
 	if e.cache != nil {
 		e.cache.SetMoves(k, out)
 	}
@@ -267,21 +289,22 @@ func (e *Engine) Moves(d *difftree.Node) []rules.Move {
 }
 
 // LegalMove is the rollout's legality probe: LegalState of the tree built
-// from src by replacing its subtree at p with sub, the result of applying
-// Config.Rules[ruleIndex] there (rules.Rewrite). The caller must guarantee
-// that src is legal; the verdict is unspecified otherwise. A widening rule's
-// candidate is judged from sub alone, without building the candidate tree,
+// from src by replacing its subtree n at p with sub, the result of applying
+// Config.Rules[ruleIndex] to n (rules.Rewrite). The caller hands in the node
+// it drew, so the probe walks no path for it, and must guarantee that src is
+// legal; the verdict is unspecified otherwise. A widening rule's candidate
+// is judged from n and sub alone, without building the candidate tree,
 // hashing it or touching the cache (see Moves); any other candidate is built
 // on a pooled spine arena and goes through the memoized LegalState. The
 // caller that keeps the candidate builds it with difftree.ReplaceAt.
-func (e *Engine) LegalMove(src *difftree.Node, p difftree.Path, sub *difftree.Node, ruleIndex int) bool {
+func (e *Engine) LegalMove(src *difftree.Node, p difftree.Path, n, sub *difftree.Node, ruleIndex int) bool {
 	arena := arenaPool.Get().(*difftree.SpineArena)
 	defer func() {
 		arena.Reset()
 		arenaPool.Put(arena)
 	}()
 	if e.widens[ruleIndex] {
-		return e.legalWidened(src, p, difftree.At(src, p), sub, arena)
+		return e.legalWidened(src, p, n, sub, arena)
 	}
 	return e.LegalState(arena.ReplaceAt(src, p, sub))
 }
@@ -298,8 +321,8 @@ func (e *Engine) legalWidened(src *difftree.Node, p difftree.Path, n, sub *difft
 // pre-order. It is not memoized: core's rollout draws its node with
 // difftree.NthOfKind from memoized per-node kind counts, and PathPools, a
 // plain walk, is the reference oracle for that draw: pools[k][j] equals
-// difftree.NthOfKind(d, k, j, nil). All paths share one exactly-sized
-// backing array.
+// the path difftree.NthOfKind(d, k, j, nil) returns. All paths share one
+// exactly-sized backing array.
 func (e *Engine) PathPools(d *difftree.Node) [4][]difftree.Path {
 	var counts [4]int
 	total := 0

@@ -48,8 +48,12 @@ func checkLegalMoves(t testing.TB, eng *Engine, d *difftree.Node, log []*ast.Nod
 	t.Helper()
 	var arena difftree.SpineArena
 	difftree.WalkPath(d, func(n *difftree.Node, p difftree.Path) bool {
+		var parent *difftree.Node
+		if len(p) > 0 {
+			parent = difftree.At(d, p[:len(p)-1])
+		}
 		for i, r := range eng.cfg.Rules {
-			sub, ok := rules.Rewrite(d, p, r)
+			sub, ok := rules.Rewrite(n, parent, r)
 			if !ok {
 				continue
 			}
@@ -59,7 +63,7 @@ func checkLegalMoves(t testing.TB, eng *Engine, d *difftree.Node, log []*ast.Nod
 			}
 			fits := eng.SizeCap() <= 0 || next.Size() <= eng.SizeCap()
 			want := fits && rules.LegalState(next, log)
-			if got := eng.LegalMove(d, p, sub, i); got != want {
+			if got := eng.LegalMove(d, p, n, sub, i); got != want {
 				t.Fatalf("%s: LegalMove(%s@%s) = %v, oracle %v\nstate %s", what, r.Name(), p, got, want, d)
 			}
 			if !eng.widens[i] {
@@ -197,11 +201,12 @@ func TestWideningNullabilityFlip(t *testing.T) {
 	if !rules.Widens(r) {
 		t.Fatal("MultiMerge no longer widens; the case does not reach the widening verdict")
 	}
-	sub, ok := rules.Rewrite(d, p, r)
+	n := difftree.At(d, p)
+	sub, ok := rules.Rewrite(n, difftree.At(d, p[:len(p)-1]), r)
 	if !ok {
 		t.Fatalf("MultiMerge does not apply at %s of %s", p, d)
 	}
-	if n := difftree.At(d, p); difftree.Nullable(n) || !difftree.Nullable(sub) || difftree.Validate(sub) != nil {
+	if difftree.Nullable(n) || !difftree.Nullable(sub) || difftree.Validate(sub) != nil {
 		t.Fatalf("want a valid nullable replacement of a non-nullable node, got %s -> %s", n, sub)
 	}
 	next, _ := rules.Candidate(d, p, r)
@@ -218,7 +223,7 @@ func TestWideningNullabilityFlip(t *testing.T) {
 				t.Errorf("cached %v: Moves lists %s, whose result is invalid", eng.Enabled(), m)
 			}
 		}
-		if eng.LegalMove(d, p, sub, ri) {
+		if eng.LegalMove(d, p, n, sub, ri) {
 			t.Errorf("cached %v: LegalMove accepts MultiMerge@%s, whose result is invalid", eng.Enabled(), p)
 		}
 	}

@@ -26,7 +26,7 @@ func checkAgainstPools(t *testing.T, eng *Engine, d *difftree.Node, stride int, 
 			if j%stride != 0 && j != len(pools[k])-1 {
 				continue
 			}
-			if got := difftree.NthOfKind(d, k, j, buf[:0]); got.String() != want.String() {
+			if got, _, _ := difftree.NthOfKind(d, k, j, buf[:0]); got.String() != want.String() {
 				t.Fatalf("%s: NthOfKind(%v, %d) = %s, PathPools %s", what, k, j, got, want)
 			}
 		}

@@ -1,6 +1,8 @@
 package rules
 
 import (
+	"slices"
+
 	"repro/internal/ast"
 	"repro/internal/difftree"
 )
@@ -18,27 +20,14 @@ func (Any2All) Name() string { return "Any2All" }
 
 // alignKey identifies which grandchildren align across branches: plain All
 // children align by grammar label; choice children align only with
-// structurally identical choice nodes.
-func alignKey(c *difftree.Node) (string, bool) {
-	switch c.Kind {
-	case difftree.All:
-		if c.IsEmpty() || c.IsSeq() {
-			return "", false
-		}
-		return "L" + c.Label.String(), true
-	default:
-		return "C" + c.Kind.String() + hashKey(c), true
-	}
-}
-
-func hashKey(c *difftree.Node) string {
-	h := difftree.Hash(c)
-	buf := make([]byte, 16)
-	for i := 0; i < 16; i++ {
-		buf[i] = "0123456789abcdef"[h&0xf]
-		h >>= 4
-	}
-	return string(buf)
+// structurally identical choice nodes (same kind and hash). ord numbers the
+// repeats of one key within a branch, so four BETWEEN conjuncts align
+// positionally.
+type alignKey struct {
+	kind  difftree.Kind
+	label ast.Kind
+	hash  uint64
+	ord   int
 }
 
 // Apply implements Rule.
@@ -48,35 +37,45 @@ func (Any2All) Apply(n *difftree.Node) (*difftree.Node, bool) {
 		return nil, false
 	}
 
-	// Per branch: sequence of (key, node). Keys get an ordinal suffix per
-	// repeated label so four BETWEEN conjuncts align positionally.
+	// Every branch's (key, node) slots in one slice: branch bi's are
+	// slots[ends[bi-1]:ends[bi]].
 	type slot struct {
-		key  string
+		key  alignKey
 		node *difftree.Node
 	}
-	branches := make([][]slot, len(n.Children))
+	total := 0
+	for _, b := range n.Children {
+		total += len(b.Children)
+	}
+	slots := make([]slot, 0, total)
+	ends := make([]int, len(n.Children))
 	for bi, b := range n.Children {
-		counts := map[string]int{}
+		first := len(slots)
 		for _, c := range b.Children {
-			k, ok := alignKey(c)
-			if !ok {
+			k := alignKey{kind: c.Kind}
+			switch {
+			case c.Kind != difftree.All:
+				k.hash = difftree.Hash(c)
+			case c.IsEmpty() || c.IsSeq():
 				return nil, false // Seq children: not alignable
+			default:
+				k.label = c.Label
 			}
-			ord := counts[k]
-			counts[k]++
-			branches[bi] = append(branches[bi], slot{key: k + "#" + itoa(ord), node: c})
+			for _, s := range slots[first:] {
+				if s.key.kind == k.kind && s.key.label == k.label && s.key.hash == k.hash {
+					k.ord++
+				}
+			}
+			slots = append(slots, slot{key: k, node: c})
 		}
+		ends[bi] = len(slots)
 	}
 
 	// Position order: first appearance scanning branches in order.
-	var order []string
-	seen := map[string]bool{}
-	for _, br := range branches {
-		for _, s := range br {
-			if !seen[s.key] {
-				seen[s.key] = true
-				order = append(order, s.key)
-			}
+	var order []alignKey
+	for _, s := range slots {
+		if !slices.Contains(order, s.key) {
+			order = append(order, s.key)
 		}
 	}
 
@@ -84,32 +83,33 @@ func (Any2All) Apply(n *difftree.Node) (*difftree.Node, bool) {
 		return nil, false // all branches empty: nothing to factor
 	}
 
-	// Collect variants per position.
+	// Collect variants per position, after a slot reserved for the ∅
+	// alternative of a position missing from some branch.
 	newKids := make([]*difftree.Node, 0, len(order))
 	for _, key := range order {
-		var variants []*difftree.Node
+		alts := make([]*difftree.Node, 1, 1+len(n.Children))
 		missing := false
-		for _, br := range branches {
-			found := (*difftree.Node)(nil)
-			for _, s := range br {
+		first := 0
+		for _, end := range ends {
+			found := false
+			for _, s := range slots[first:end] {
 				if s.key == key {
-					found = s.node
+					alts = append(alts, s.node) // shared: one (branch, slot) each
+					found = true
 					break
 				}
 			}
-			if found == nil {
-				missing = true
-			} else {
-				variants = append(variants, found) // shared: one (branch, slot) each
-			}
+			missing = missing || !found
+			first = end
 		}
-		variants = dedupNodes(variants)
+		variants := dedup(alts[1:])
 		var kid *difftree.Node
 		switch {
 		case len(variants) == 1 && !missing:
 			kid = variants[0]
 		case missing:
-			kid = difftree.NewAny(append([]*difftree.Node{difftree.Emptyn()}, variants...)...)
+			alts[0] = difftree.Emptyn()
+			kid = difftree.NewAny(alts[:1+len(variants)]...)
 		default:
 			kid = difftree.NewAny(variants...)
 		}
@@ -122,20 +122,6 @@ func (Any2All) Apply(n *difftree.Node) (*difftree.Node, bool) {
 		return nil, false
 	}
 	return out, true
-}
-
-func itoa(i int) string {
-	if i == 0 {
-		return "0"
-	}
-	var b [8]byte
-	p := len(b)
-	for i > 0 {
-		p--
-		b[p] = byte('0' + i%10)
-		i /= 10
-	}
-	return string(b[p:])
 }
 
 // All2Any is the inverse direction: an ALL node whose direct ANY children
@@ -189,7 +175,7 @@ func (All2Any) Apply(n *difftree.Node) (*difftree.Node, bool) {
 		}
 		branches[i] = difftree.NewAll(n.Label, n.Value, kids...)
 	}
-	branches = dedupNodes(branches)
+	branches = dedup(branches)
 	if len(branches) == 1 {
 		return branches[0], true
 	}

@@ -1,6 +1,8 @@
 package rules
 
 import (
+	"slices"
+
 	"repro/internal/difftree"
 )
 
@@ -22,13 +24,16 @@ type GroupAny struct{}
 // Name implements Rule.
 func (GroupAny) Name() string { return "GroupAny" }
 
-// groupKey buckets an alternative by its factorable head; non-All children
-// (choices, Seq, ∅) are never grouped and bucket alone.
-func groupKey(c *difftree.Node) (string, bool) {
-	if c.Kind != difftree.All || c.IsEmpty() || c.IsSeq() {
-		return "", false
-	}
-	return c.Label.String() + "\x00" + c.Value, true
+// groupable reports whether c buckets with the other alternatives of its
+// (Label, Value) head; non-All children (choices, Seq, ∅) are never grouped
+// and bucket alone.
+func groupable(c *difftree.Node) bool {
+	return c.Kind == difftree.All && !c.IsEmpty() && !c.IsSeq()
+}
+
+// sameGroup reports whether alternatives a and b share a bucket.
+func sameGroup(a, b *difftree.Node) bool {
+	return groupable(a) && groupable(b) && a.Label == b.Label && a.Value == b.Value
 }
 
 // Apply implements Rule.
@@ -36,46 +41,41 @@ func (GroupAny) Apply(n *difftree.Node) (*difftree.Node, bool) {
 	if n.Kind != difftree.Any || len(n.Children) < 3 {
 		return nil, false
 	}
-	type group struct {
-		members []*difftree.Node
-	}
-	var order []string
-	groups := make(map[string]*group)
-	var singles int
-	for _, c := range n.Children {
-		k, ok := groupKey(c)
-		if !ok {
-			// Ungroupable alternative: its own bucket.
-			singles++
-			k = "\x01" + itoa(singles)
-		}
-		g, seen := groups[k]
-		if !seen {
-			g = &group{}
-			groups[k] = g
-			order = append(order, k)
-		}
-		g.members = append(g.members, c) // shared: each child lands once
-	}
+	kids := n.Children
 	// Grouping is only a move when it changes the shape: at least two
 	// buckets (a single head is Any2All/Lift territory already) and at
-	// least one bucket with two or more members.
-	if len(order) < 2 {
-		return nil, false
-	}
-	grouped := false
-	kids := make([]*difftree.Node, 0, len(order))
-	for _, k := range order {
-		g := groups[k]
-		if len(g.members) == 1 {
-			kids = append(kids, g.members[0])
-			continue
+	// least one bucket with two or more members. A scan of the pairs
+	// decides both before anything is allocated.
+	repeated, mixed := false, false
+	for i, c := range kids {
+		for _, prev := range kids[:i] {
+			if sameGroup(prev, c) {
+				repeated = true
+			} else {
+				mixed = true
+			}
 		}
-		grouped = true
-		kids = append(kids, difftree.NewAny(g.members...))
 	}
-	if !grouped {
+	if !repeated || !mixed {
 		return nil, false
 	}
-	return difftree.NewAny(kids...), true
+	// Buckets in order of first appearance; each child lands once.
+	out := make([]*difftree.Node, 0, len(kids))
+	for i, c := range kids {
+		if slices.ContainsFunc(kids[:i], func(o *difftree.Node) bool { return sameGroup(o, c) }) {
+			continue // c's bucket is already out
+		}
+		var g []*difftree.Node
+		for _, o := range kids[i:] {
+			if sameGroup(c, o) {
+				g = append(g, o) // shared: each child lands once
+			}
+		}
+		if len(g) < 2 {
+			out = append(out, c)
+		} else {
+			out = append(out, difftree.NewAny(g...))
+		}
+	}
+	return difftree.NewAny(out...), true
 }

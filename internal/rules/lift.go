@@ -28,7 +28,7 @@ func (Lift) Apply(n *difftree.Node) (*difftree.Node, bool) {
 	for _, b := range n.Children {
 		alts = append(alts, seqOf(b.Children))
 	}
-	alts = dedupNodes(alts)
+	alts = dedup(alts)
 	var inner *difftree.Node
 	if len(alts) == 1 {
 		inner = alts[0]
@@ -100,7 +100,7 @@ func (Unlift) Apply(n *difftree.Node) (*difftree.Node, bool) {
 		}
 		branches = append(branches, difftree.NewAll(n.Label, n.Value, kids...))
 	}
-	branches = dedupNodes(branches)
+	branches = dedup(branches)
 	if len(branches) == 1 {
 		return branches[0], true
 	}

@@ -16,43 +16,35 @@ type MultiMerge struct{}
 func (MultiMerge) Name() string { return "MultiMerge" }
 
 // elemLabel returns the grammar rule a sibling denotes, looking through ANY
-// alternatives; ok is false for nodes that cannot participate in a run
-// (Seq, Empty, Opt, Multi, or mixed-label Any).
-func elemLabel(c *difftree.Node) (ast.Kind, bool) {
+// alternatives, and the number of concrete alternatives it holds; ok is
+// false for nodes that cannot participate in a run (Seq, Empty, Opt, Multi,
+// or mixed-label Any).
+func elemLabel(c *difftree.Node) (label ast.Kind, alts int, ok bool) {
 	switch c.Kind {
 	case difftree.All:
-		if c.IsEmpty() || c.IsSeq() {
-			return 0, false
-		}
-		return c.Label, true
+		return c.Label, 1, !c.IsEmpty() && !c.IsSeq()
 	case difftree.Any:
-		var label ast.Kind
 		for i, alt := range c.Children {
-			l, ok := elemLabel(alt)
-			if !ok {
-				return 0, false
+			l, k, ok := elemLabel(alt)
+			if !ok || (i > 0 && l != label) {
+				return 0, 0, false
 			}
-			if i == 0 {
-				label = l
-			} else if l != label {
-				return 0, false
-			}
+			label, alts = l, alts+k
 		}
-		return label, len(c.Children) > 0
+		return label, alts, len(c.Children) > 0
 	}
-	return 0, false
+	return 0, 0, false
 }
 
-// alternativesOf flattens a run element into its concrete alternatives.
-func alternativesOf(c *difftree.Node) []*difftree.Node {
-	if c.Kind == difftree.Any {
-		var out []*difftree.Node
-		for _, alt := range c.Children {
-			out = append(out, alternativesOf(alt)...)
-		}
-		return out
+// appendAlternatives appends a run element's concrete alternatives to dst.
+func appendAlternatives(dst []*difftree.Node, c *difftree.Node) []*difftree.Node {
+	if c.Kind != difftree.Any {
+		return append(dst, c)
 	}
-	return []*difftree.Node{c}
+	for _, alt := range c.Children {
+		dst = appendAlternatives(dst, alt)
+	}
+	return dst
 }
 
 // Apply implements Rule. It merges the first maximal run of length >= 2
@@ -67,26 +59,27 @@ func (MultiMerge) Apply(n *difftree.Node) (*difftree.Node, bool) {
 	}
 	kids := n.Children
 	for start := 0; start < len(kids); start++ {
-		label, ok := elemLabel(kids[start])
+		label, size, ok := elemLabel(kids[start])
 		if !ok {
 			continue
 		}
 		end := start + 1
 		for end < len(kids) {
-			l, ok := elemLabel(kids[end])
+			l, k, ok := elemLabel(kids[end])
 			if !ok || l != label {
 				break
 			}
+			size += k
 			end++
 		}
 		if end-start < 2 {
 			continue
 		}
-		var alts []*difftree.Node
-		for i := start; i < end; i++ {
-			alts = append(alts, alternativesOf(kids[i])...)
+		alts := make([]*difftree.Node, 0, size)
+		for _, c := range kids[start:end] {
+			alts = appendAlternatives(alts, c)
 		}
-		alts = dedupNodes(alts)
+		alts = dedup(alts)
 		var child *difftree.Node
 		if len(alts) == 1 {
 			child = alts[0]
@@ -97,6 +90,7 @@ func (MultiMerge) Apply(n *difftree.Node) (*difftree.Node, bool) {
 			continue // would break the MULTI invariant
 		}
 		out := &difftree.Node{Kind: n.Kind, Label: n.Label, Value: n.Value}
+		out.Children = make([]*difftree.Node, 0, len(kids)-(end-start)+1)
 		out.Children = append(out.Children, kids[:start]...)
 		out.Children = append(out.Children, difftree.NewMulti(child))
 		out.Children = append(out.Children, kids[end:]...)

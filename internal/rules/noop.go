@@ -1,6 +1,10 @@
 package rules
 
-import "repro/internal/difftree"
+import (
+	"slices"
+
+	"repro/internal/difftree"
+)
 
 // Optional converts an ANY with an ∅ alternative into an OPT (paper:
 // ANY[∅, z] → OPT[z]); multiple non-empty alternatives nest an inner ANY.
@@ -14,20 +18,19 @@ func (Optional) Apply(n *difftree.Node) (*difftree.Node, bool) {
 	if n.Kind != difftree.Any {
 		return nil, false
 	}
-	var nonEmpty []*difftree.Node
 	empties := 0
 	for _, c := range n.Children {
 		if c.IsEmpty() {
 			empties++
-		} else {
-			nonEmpty = append(nonEmpty, c) // shared: used once (see share)
 		}
 	}
 	// Exactly one ∅ keeps the rule invertible (duplicate ∅ alternatives are
 	// DedupAny's job); Unoptional restores exactly one.
-	if empties != 1 || len(nonEmpty) == 0 {
+	if empties != 1 || len(n.Children) < 2 {
 		return nil, false
 	}
+	// shared: each alternative is used once (see share)
+	nonEmpty := slices.DeleteFunc(share(n.Children), (*difftree.Node).IsEmpty)
 	// A lone alternative passes through — unless it is itself an ANY, which
 	// Unoptional would flatten into the rebuilt ANY; nest it instead so
 	// Unoptional(Optional(x)) == x.
@@ -119,12 +122,12 @@ func (Flatten) Apply(n *difftree.Node) (*difftree.Node, bool) {
 	var kids []*difftree.Node
 	for _, c := range n.Children {
 		if c.Kind == difftree.Any {
-			kids = append(kids, share(c.Children)...)
+			kids = append(kids, c.Children...)
 		} else {
 			kids = append(kids, c)
 		}
 	}
-	return difftree.NewAny(dedupNodes(kids)...), true
+	return difftree.NewAny(dedup(kids)...), true
 }
 
 // DedupAny removes structurally duplicate alternatives from an ANY.
@@ -135,12 +138,18 @@ func (DedupAny) Name() string { return "DedupAny" }
 
 // Apply implements Rule.
 func (DedupAny) Apply(n *difftree.Node) (*difftree.Node, bool) {
-	if n.Kind != difftree.Any {
+	if n.Kind != difftree.Any || !hasDuplicate(n.Children) {
 		return nil, false
 	}
-	kids := dedupNodes(n.Children)
-	if len(kids) == len(n.Children) {
-		return nil, false
+	return difftree.NewAny(dedup(share(n.Children))...), true
+}
+
+// hasDuplicate reports whether two of ns are Equal.
+func hasDuplicate(ns []*difftree.Node) bool {
+	for i, n := range ns {
+		if containsEqual(ns[:i], n) {
+			return true
+		}
 	}
-	return difftree.NewAny(share(kids)...), true
+	return false
 }

@@ -156,7 +156,8 @@ func LegalState(next *difftree.Node, queries []*ast.Node) bool {
 // returning the rewritten tree. Callers must check LegalState (directly or
 // through a cache) before treating the result as a search state.
 func Candidate(root *difftree.Node, p difftree.Path, r Rule) (*difftree.Node, bool) {
-	sub, ok := Rewrite(root, p, r)
+	n, parent := lookup(root, p)
+	sub, ok := Rewrite(n, parent, r)
 	if !ok {
 		return nil, false
 	}
@@ -169,7 +170,8 @@ func Candidate(root *difftree.Node, p difftree.Path, r Rule) (*difftree.Node, bo
 // is valid only until a.Reset and must not be retained as a search state —
 // callers that keep a candidate rebuild it with Candidate.
 func CandidateArena(root *difftree.Node, p difftree.Path, r Rule, a *difftree.SpineArena) (*difftree.Node, bool) {
-	sub, ok := Rewrite(root, p, r)
+	n, parent := lookup(root, p)
+	sub, ok := Rewrite(n, parent, r)
 	if !ok {
 		return nil, false
 	}
@@ -177,26 +179,34 @@ func CandidateArena(root *difftree.Node, p difftree.Path, r Rule, a *difftree.Sp
 	return next, next != nil
 }
 
-// Rewrite is the candidate builders' shared prologue: it applies r to the
-// node at p, honouring a parent-aware rule's veto, and returns the
-// replacement subtree, without building the rewritten tree. Callers that
-// can judge a candidate from the replacement alone (eval.Engine's widening
-// verdicts) build the tree only when they keep it, with difftree.ReplaceAt.
-func Rewrite(root *difftree.Node, p difftree.Path, r Rule) (*difftree.Node, bool) {
-	n := difftree.At(root, p)
+// Rewrite applies r to the node n whose parent is parent (nil for the
+// root), honouring a parent-aware rule's veto, and returns the replacement
+// subtree without building the rewritten tree. Walkers hand in the node and
+// parent they hold, so a try walks no path, and a pattern that does not
+// match is rejected before anything is allocated. Callers that judge a
+// candidate from the replacement alone (eval.Engine's widening verdicts)
+// build the tree only when they keep it, with difftree.ReplaceAt.
+func Rewrite(n, parent *difftree.Node, r Rule) (*difftree.Node, bool) {
 	if n == nil {
 		return nil, false
 	}
-	if pa, ok := r.(parentAware); ok {
-		var parent *difftree.Node
-		if len(p) > 0 {
-			parent = difftree.At(root, p[:len(p)-1])
-		}
-		if !pa.AllowedUnder(parent) {
-			return nil, false
-		}
+	if pa, ok := r.(parentAware); ok && !pa.AllowedUnder(parent) {
+		return nil, false
 	}
 	return r.Apply(n)
+}
+
+// lookup returns the node at p and its parent (nil for the root); n is nil
+// when p leaves the tree.
+func lookup(root *difftree.Node, p difftree.Path) (n, parent *difftree.Node) {
+	n = root
+	for _, i := range p {
+		if n == nil || i < 0 || i >= len(n.Children) {
+			return nil, nil
+		}
+		parent, n = n, n.Children[i]
+	}
+	return n, parent
 }
 
 // Moves enumerates all legal moves on root using the given rule set: the
@@ -242,23 +252,32 @@ func ApplyMove(root *difftree.Node, m Move) (*difftree.Node, error) {
 	return next, nil
 }
 
-// dedupNodes removes structural duplicates preserving order: a node is
-// dropped when an earlier kept one is Equal to it. Node lists here are
-// alternatives of one choice, a handful long, so a scan of the kept nodes,
-// filtered by their memoized hashes, beats building a hash index per call.
-func dedupNodes(ns []*difftree.Node) []*difftree.Node {
-	var out []*difftree.Node
-next:
+// dedup removes structural duplicates from ns in place, preserving order: a
+// node is dropped when an earlier kept one is Equal to it. The caller must
+// own ns. Node lists here are alternatives of one choice, a handful long, so
+// a scan of the kept nodes, filtered by their memoized hashes, beats
+// building a hash index per call.
+func dedup(ns []*difftree.Node) []*difftree.Node {
+	//mctsvet:allow slicealias -- every caller passes a slice it just built and keeps only the result
+	out := ns[:0]
 	for _, n := range ns {
-		h := difftree.Hash(n)
-		for _, prev := range out {
-			if difftree.Hash(prev) == h && difftree.Equal(prev, n) {
-				continue next
-			}
+		if !containsEqual(out, n) {
+			out = append(out, n)
 		}
-		out = append(out, n)
 	}
+	clear(ns[len(out):])
 	return out
+}
+
+// containsEqual reports whether ns holds a node Equal to n.
+func containsEqual(ns []*difftree.Node, n *difftree.Node) bool {
+	h := difftree.Hash(n)
+	for _, prev := range ns {
+		if difftree.Hash(prev) == h && difftree.Equal(prev, n) {
+			return true
+		}
+	}
+	return false
 }
 
 // sameAllHead reports whether every child of n is a plain All node (not

@@ -493,9 +493,10 @@ type unlistedRule struct{}
 func (unlistedRule) Name() string                                { return "Unlisted" }
 func (unlistedRule) Apply(*difftree.Node) (*difftree.Node, bool) { return nil, false }
 
-// TestDedupNodes pins dedupNodes' contract: a node is dropped exactly when
-// an earlier kept node is structurally Equal to it, and kept nodes stay in
-// input order as the same pointers. Random lists drawn from a few small
+// TestDedupNodes pins dedup's contract: a node is dropped exactly when an
+// earlier kept node is structurally Equal to it, and kept nodes stay in
+// input order as the same pointers, compacted into the front of the
+// argument with the dropped tail cleared. Random lists drawn from a few small
 // trees mix duplicates (distinct pointers, equal structure) with
 // non-duplicates, and are compared against a reference that tests each
 // node with Equal against every node kept before it.
@@ -503,12 +504,16 @@ func TestDedupNodes(t *testing.T) {
 	a := func() *difftree.Node { return difftree.NewAll(ast.KindColExpr, "a") }
 	b := func() *difftree.Node { return difftree.NewAll(ast.KindColExpr, "b") }
 	x1, x2, y, x3 := a(), a(), b(), a()
-	got := dedupNodes([]*difftree.Node{x1, y, x2, y, x3})
+	in := []*difftree.Node{x1, y, x2, y, x3}
+	got := dedup(in)
 	if len(got) != 2 || got[0] != x1 || got[1] != y {
-		t.Fatalf("dedupNodes([a b a b a]) = %v, want the first a and b", got)
+		t.Fatalf("dedup([a b a b a]) = %v, want the first a and b", got)
 	}
-	if got := dedupNodes(nil); len(got) != 0 {
-		t.Fatalf("dedupNodes(nil) = %v", got)
+	if &got[0] != &in[0] || in[2] != nil || in[3] != nil || in[4] != nil {
+		t.Fatalf("dedup did not compact in place and clear the tail: %v", in)
+	}
+	if got := dedup(nil); len(got) != 0 {
+		t.Fatalf("dedup(nil) = %v", got)
 	}
 
 	rng := rand.New(rand.NewSource(1))
@@ -532,9 +537,9 @@ func TestDedupNodes(t *testing.T) {
 				want = append(want, n)
 			}
 		}
-		got := dedupNodes(ns)
+		got := dedup(share(ns))
 		if len(got) != len(want) {
-			t.Fatalf("trial %d: dedupNodes kept %d of %d nodes, want %d", trial, len(got), len(ns), len(want))
+			t.Fatalf("trial %d: dedup kept %d of %d nodes, want %d", trial, len(got), len(ns), len(want))
 		}
 		for i := range got {
 			if got[i] != want[i] {

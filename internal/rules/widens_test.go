@@ -54,7 +54,8 @@ func checkWidening(t testing.TB, what string, d *difftree.Node) int {
 			if !applied {
 				continue
 			}
-			sub, _ := Rewrite(d, p, r)
+			_, parent := lookup(d, p)
+			sub, _ := Rewrite(n, parent, r)
 			if got, want := d.Size()-n.Size()+sub.Size(), next.Size(); got != want {
 				t.Fatalf("%s: %s at %s: size from the subtree %d, candidate size %d", what, r.Name(), p, got, want)
 			}
