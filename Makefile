@@ -85,13 +85,13 @@ bench-serving:
 
 # bench-serving-fleet is the fleet variant of bench-serving: the same
 # open-loop smoke spec driven through an in-process mctsrouter over two
-# in-process replicas (affinity policy), so the router hop sits inside the
+# in-process replicas (affinity placement), so the router hop sits inside the
 # measured p99/goodput budgets. Same gates and >= 4 CPU enforcement guard.
 bench-serving-fleet:
-	$(GO) run ./cmd/mctsload -fleet 2 -fleet-policy affinity -out BENCH_serving_fleet.json $(if $(COMPARE),-compare $(COMPARE))
+	$(GO) run ./cmd/mctsload -fleet 2 -out BENCH_serving_fleet.json $(if $(COMPARE),-compare $(COMPARE))
 
 # fleet mirrors the CI fleet gate: the multi-replica router suite (ring
-# stability under churn, policy unit tests, session affinity over live
+# stability under churn, placement unit tests, session affinity over live
 # daemons, kill-a-replica failover, drain + warm-handoff byte-identity)
 # plus the daemon-side liveness/readiness split, race-enabled.
 fleet:

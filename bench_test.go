@@ -1,9 +1,9 @@
 package mctsui
 
-// One benchmark per experiment in DESIGN.md's index. Benchmarks report the
-// achieved interface cost via b.ReportMetric (metric "cost") next to the
-// usual time/allocation numbers, so `go test -bench` regenerates both the
-// performance and the quality numbers recorded in EXPERIMENTS.md.
+// One benchmark per experiment id of experiments.Named. Benchmarks report
+// the achieved interface cost via b.ReportMetric (metric "cost") next to
+// the usual time/allocation numbers, so `go test -bench` measures both the
+// performance and the quality of what cmd/experiments reports.
 
 import (
 	"context"

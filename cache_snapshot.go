@@ -20,7 +20,8 @@ import (
 // inventory (which configurations the warm set covers): every aspect the
 // cache holds. What doesn't: the per-node hash and kind-count memos,
 // rebuilt on first visit. Snapshots written before move sets travelled
-// still load.
+// (version 1) are rejected with ErrSnapshotFormat; the daemon starts cold
+// and its next persist rewrites them in the current format.
 //
 // The format is versioned and self-checking: a checksum trailer plus an
 // embedded grammar-numbering table mean a truncated, corrupt, or

@@ -1,6 +1,6 @@
-// Command experiments regenerates the paper's figures and claims (see the
-// experiment index in DESIGN.md) and prints plain-text reports, which
-// EXPERIMENTS.md records next to the paper's expectations.
+// Command experiments regenerates the paper's figures and claims (one
+// experiment id per experiments.Named entry) and prints plain-text reports
+// to compare against the paper's expectations.
 //
 // Usage:
 //
@@ -25,7 +25,7 @@ import (
 )
 
 func main() {
-	run := flag.String("run", "all", "experiment id (see DESIGN.md) or comma-separated list")
+	run := flag.String("run", "all", "experiment id (see experiments.Named) or comma-separated list")
 	iters := flag.Int("iters", 40, "search iterations per generated interface")
 	rollout := flag.Int("rollout", 12, "rollout depth during search")
 	seed := flag.Int64("seed", 1, "base seed")

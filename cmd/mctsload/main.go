@@ -6,8 +6,8 @@
 // By default it starts an in-process daemon on 127.0.0.1:0 (the CI mode —
 // no external process to manage); -addr points it at an already-running
 // daemon (or a running mctsrouter) instead, and -fleet N starts N in-process
-// replicas behind an in-process fleet router (policy per -fleet-policy) and
-// drives the traffic through the router — the fleet-serving benchmark mode.
+// replicas behind an in-process fleet router and drives the traffic through
+// the router — the fleet-serving benchmark mode.
 // Traffic comes from a workload spec (-spec file, or the built-in smoke
 // spec), expanded deterministically by seed into a trace — or from a
 // previously recorded trace (-trace), replayed byte-for-byte. -record
@@ -67,7 +67,6 @@ func main() {
 	maxConcurrent := flag.Int("max-concurrent", 0, "in-process daemon: concurrent search slots (0: GOMAXPROCS)")
 	maxWorkers := flag.Int("max-workers", 1, "in-process daemon: per-request worker cap (1 keeps replays deterministic)")
 	fleet := flag.Int("fleet", 0, "start this many in-process replicas behind an in-process fleet router and drive traffic through it (0: single daemon; ignored with -addr)")
-	fleetPolicy := flag.String("fleet-policy", "affinity", "routing policy for -fleet: affinity, round-robin, or least-loaded")
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -87,7 +86,7 @@ func main() {
 		}
 		var shutdown func()
 		if *fleet > 0 {
-			base, shutdown, err = startFleet(*fleet, *fleetPolicy, cfg)
+			base, shutdown, err = startFleet(*fleet, cfg)
 		} else {
 			base, shutdown, err = startDaemon(cfg)
 		}
@@ -251,9 +250,9 @@ func startDaemon(cfg server.Config) (string, func(), error) {
 // startFleet brings up n in-process replicas behind an in-process fleet
 // router and returns the router's base URL plus an ordered shutdown (drain
 // every replica, then close the router). The whole fleet lives in one
-// process — the CI-friendly way to measure routing overhead and policy
-// behavior without orchestrating N daemons.
-func startFleet(n int, policy string, cfg server.Config) (string, func(), error) {
+// process — the CI-friendly way to measure routing overhead without
+// orchestrating N daemons.
+func startFleet(n int, cfg server.Config) (string, func(), error) {
 	var shutdowns []func()
 	shutdownAll := func() {
 		for i := len(shutdowns) - 1; i >= 0; i-- {
@@ -272,7 +271,7 @@ func startFleet(n int, policy string, cfg server.Config) (string, func(), error)
 		urls[i] = base
 		shutdowns = append(shutdowns, shutdown)
 	}
-	rt, err := router.New(router.Config{Replicas: urls, Policy: policy})
+	rt, err := router.New(router.Config{Replicas: urls})
 	if err != nil {
 		shutdownAll()
 		return "", nil, err

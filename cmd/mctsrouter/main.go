@@ -1,13 +1,12 @@
 // Command mctsrouter is the fleet router: a thin HTTP layer in front of N
 // mctsuid replicas that makes the fleet look like one daemon — consistent-
-// hash session placement, pluggable routing policies, health/drain-aware
-// failover, and warm replica bring-up/handoff via the cache snapshot
-// endpoints (see internal/router).
+// hash placement with sticky sessions, health/drain-aware failover, and
+// warm replica bring-up/handoff via the cache snapshot endpoints (see
+// internal/router).
 //
 // Usage:
 //
 //	mctsrouter -replicas http://h1:8080,http://h2:8080 [-addr :8090]
-//	           [-policy affinity|round-robin|least-loaded]
 //	           [-probe-interval 2s] [-probe-timeout 1s] [-fail-after 2]
 //	           [-vnodes 64] [-max-sessions 4096]
 //
@@ -42,7 +41,6 @@ import (
 func main() {
 	addr := flag.String("addr", ":8090", "listen address")
 	replicas := flag.String("replicas", "", "comma-separated replica base URLs (e.g. http://h1:8080,http://h2:8080)")
-	policy := flag.String("policy", "affinity", "routing policy: affinity (consistent-hash, default), round-robin, or least-loaded")
 	probeInterval := flag.Duration("probe-interval", 2*time.Second, "replica health/stats probe period")
 	probeTimeout := flag.Duration("probe-timeout", time.Second, "per-probe round-trip bound")
 	failAfter := flag.Int("fail-after", 2, "consecutive probe failures that eject a replica from the ring")
@@ -63,7 +61,6 @@ func main() {
 
 	rt, err := router.New(router.Config{
 		Replicas:      urls,
-		Policy:        *policy,
 		ProbeInterval: *probeInterval,
 		ProbeTimeout:  *probeTimeout,
 		FailAfter:     *failAfter,
@@ -93,7 +90,7 @@ func main() {
 		_ = httpSrv.Shutdown(shutCtx)
 	}()
 
-	fmt.Fprintf(os.Stderr, "mctsrouter: %s policy over %d replicas, serving on %s\n", rt.Policy(), len(urls), *addr)
+	fmt.Fprintf(os.Stderr, "mctsrouter: affinity placement over %d replicas, serving on %s\n", len(urls), *addr)
 	err = httpSrv.ListenAndServe()
 	if err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fmt.Fprintln(os.Stderr, "mctsrouter:", err)

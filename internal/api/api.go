@@ -403,7 +403,7 @@ type FleetReplica struct {
 	// the warmth signal join priming uses to pick a donor.
 	CacheEntries int64 `json:"cache_entries"`
 	// Queued and Inflight are the replica's admission gauges at the last
-	// probe — the load signal the least-loaded policy routes on.
+	// probe.
 	Queued   int64 `json:"queued"`
 	Inflight int   `json:"inflight"`
 	// LastError is the most recent probe or forwarding failure ("" when
@@ -413,7 +413,7 @@ type FleetReplica struct {
 
 // FleetResponse is the router's GET /v1/fleet body.
 type FleetResponse struct {
-	// Policy is the active routing policy name.
+	// Policy is the placement policy name; always "affinity".
 	Policy string `json:"policy"`
 	// Replicas lists every fleet member, sorted by URL.
 	Replicas []FleetReplica `json:"replicas"`

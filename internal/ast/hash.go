@@ -26,33 +26,6 @@ func writeHash(n *Node, h byteWriter) {
 	h.Write([]byte{0x1e})
 }
 
-// ShapeHash hashes the subtree ignoring leaf values: two queries that differ
-// only in literals (the common case in a query log) share a shape hash. Node
-// kinds, child counts, and non-leaf values (operators, function names) are
-// still included so that e.g. `a = 1` and `a < 1` differ.
-func ShapeHash(n *Node) uint64 {
-	h := fnv.New64a()
-	writeShapeHash(n, h)
-	return h.Sum64()
-}
-
-func writeShapeHash(n *Node, h byteWriter) {
-	if n == nil {
-		h.Write([]byte{0xff})
-		return
-	}
-	h.Write([]byte{byte(n.Kind)})
-	if len(n.Children) > 0 {
-		// Interior values (operators, function names) are structural.
-		h.Write([]byte(n.Value))
-	}
-	h.Write([]byte{0x1f})
-	for _, c := range n.Children {
-		writeShapeHash(c, h)
-	}
-	h.Write([]byte{0x1e})
-}
-
 // Dedup returns the input trees with structural duplicates removed,
 // preserving first-occurrence order.
 func Dedup(ns []*Node) []*Node {

@@ -153,18 +153,6 @@ func TestHashChildBoundary(t *testing.T) {
 	}
 }
 
-func TestShapeHashIgnoresLeafValues(t *testing.T) {
-	a := New(KindBiExpr, "=", Leaf(KindColExpr, "cty"), Leaf(KindStrExpr, "USA"))
-	b := New(KindBiExpr, "=", Leaf(KindColExpr, "region"), Leaf(KindStrExpr, "EUR"))
-	if ShapeHash(a) != ShapeHash(b) {
-		t.Error("shape hash should ignore leaf values")
-	}
-	c := New(KindBiExpr, "<", Leaf(KindColExpr, "cty"), Leaf(KindStrExpr, "USA"))
-	if ShapeHash(a) == ShapeHash(c) {
-		t.Error("shape hash must keep interior values (operators)")
-	}
-}
-
 func TestDedup(t *testing.T) {
 	a, b := sampleTree(), sampleTree()
 	c := sampleTree()

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 
+	"repro/internal/cost"
 	"repro/internal/layout"
 )
 
@@ -15,8 +16,9 @@ const (
 	// wall clock resolves to roughly this many iterations on its logs).
 	DefaultIterations = 60
 	// DefaultRolloutDepth bounds random walks. The paper allows up to 200
-	// steps; 16 already saturates quality on the paper's logs (EXPERIMENTS
-	// A2) at a fraction of the cost.
+	// steps; 16 rests on an ablation at equal iterations on SDSS
+	// (experiments.AblationRollout). At equal wall-clock time depth 4
+	// measured ahead (see ROADMAP).
 	DefaultRolloutDepth = 16
 	// DefaultRewardSamples is k, the random widget assignments scored per
 	// state during search.
@@ -26,8 +28,8 @@ const (
 	// DefaultEnumLimit caps the final widget-tree enumeration.
 	DefaultEnumLimit = 20000
 	// DefaultNavUnit is the Steiner-edge navigation cost every generation's
-	// cost model uses; no option overrides it.
-	DefaultNavUnit = 0.3
+	// cost model (cost.Default) uses; no option overrides it.
+	DefaultNavUnit = cost.DefaultNavUnit
 	// DefaultBeamWidth is the frontier width of StrategyBeam.
 	DefaultBeamWidth = 8
 	// DefaultRandomWalks is the walk count of StrategyRandom.

@@ -30,9 +30,12 @@ type Model struct {
 	Screen layout.Screen
 }
 
+// DefaultNavUnit is the Steiner-edge navigation cost of the default model.
+const DefaultNavUnit = 0.3
+
 // Default returns the model used throughout the evaluation.
 func Default(screen layout.Screen) Model {
-	return Model{NavUnit: 0.3, Screen: screen}
+	return Model{NavUnit: DefaultNavUnit, Screen: screen}
 }
 
 // Breakdown reports the cost terms of one interface.

@@ -387,9 +387,15 @@ func TestCountChoiceAndPaths(t *testing.T) {
 	if got := d.CountChoice(); got != 3 {
 		t.Errorf("CountChoice = %d, want 3 (2 ANY + 1 OPT)", got)
 	}
-	ps := ChoicePaths(d)
+	var ps []Path
+	WalkPath(d, func(n *Node, p Path) bool {
+		if n.Kind.IsChoice() {
+			ps = append(ps, p.Clone())
+		}
+		return true
+	})
 	if len(ps) != 3 {
-		t.Fatalf("ChoicePaths = %d", len(ps))
+		t.Fatalf("choice paths = %d", len(ps))
 	}
 	for _, p := range ps {
 		if At(d, p) == nil || !At(d, p).Kind.IsChoice() {
@@ -440,8 +446,8 @@ func TestEnumerateQueries(t *testing.T) {
 			t.Errorf("enumerated query not expressible: %s", sqlparser.Render(q))
 		}
 	}
-	if got := CountQueries(d, 3, 2); got != 3 {
-		t.Errorf("CountQueries limit: got %d", got)
+	if got := len(EnumerateQueries(d, 3, 2)); got != 3 {
+		t.Errorf("EnumerateQueries limit: got %d", got)
 	}
 	if got := EnumerateQueries(d, 0, 2); got != nil {
 		t.Error("limit 0 should return nil")

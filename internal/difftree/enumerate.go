@@ -38,12 +38,6 @@ func EnumerateQueries(root *Node, limit, maxMulti int) []*ast.Node {
 	return out
 }
 
-// CountQueries returns the number of distinct expressible queries, counting
-// at most limit (so callers can detect "more than limit" cheaply).
-func CountQueries(root *Node, limit, maxMulti int) int {
-	return len(EnumerateQueries(root, limit, maxMulti))
-}
-
 type enumerator struct {
 	limit    int
 	maxMulti int

@@ -464,18 +464,6 @@ func WalkPath(root *Node, fn func(*Node, Path) bool) {
 	rec(root)
 }
 
-// ChoicePaths returns the paths of all choice nodes in pre-order.
-func ChoicePaths(root *Node) []Path {
-	var out []Path
-	WalkPath(root, func(n *Node, p Path) bool {
-		if n.Kind.IsChoice() {
-			out = append(out, p.Clone())
-		}
-		return true
-	})
-	return out
-}
-
 // String renders the difftree in the paper's notation, e.g.
 // ANY[ALL(Select)[...] ...]; for debugging and tests.
 func (n *Node) String() string {

@@ -27,7 +27,7 @@ import (
 // A move set is a list of (rule name, path) pairs, written against a
 // rule-name table.
 //
-// Binary format, version 2 (all integers little-endian):
+// Binary format (all integers little-endian):
 //
 //	magic   [8]byte "mcuisnp2"        version is part of the magic
 //	─ the region below is covered by the trailing checksum ─
@@ -41,9 +41,10 @@ import (
 //	─ end of checksummed region ─
 //	sum     u64 FNV-64a of the checksummed region
 //
-// Version 1 ("mcuisnp1") is version 2 without the rule table and without
-// move sets; LoadSnapshot still reads it. Every rule in the table must be
-// one this build knows (rules.ByName), or the snapshot is rejected with
+// Any other magic, including the retired version 1 ("mcuisnp1"), is
+// rejected with ErrSnapshotFormat: snapshots are a cache, so a daemon
+// starts cold and rewrites the file. Every rule in the table must be one
+// this build knows (rules.ByName), or the snapshot is rejected with
 // ErrSnapshotSchema: its move sets would name rewrites that do not exist.
 //
 // The kind table is the ast.Kind-numbering guard: LoadSnapshot verifies
@@ -52,20 +53,16 @@ import (
 // hashes they embed are unchanged); renumbering, renaming, or loading a
 // snapshot from a *newer* grammar is rejected with ErrSnapshotSchema
 // instead of importing entries whose keys silently mean something else.
-const (
-	snapMagic   = "mcuisnp2"
-	snapMagicV1 = "mcuisnp1"
-)
+const snapMagic = "mcuisnp2"
 
 // Entry flag bits. An exported entry always carries at least one aspect.
 const (
 	snapHasCost  = 1 << 0 // cost field present and valid
 	snapHasLegal = 1 << 1 // legality verdict known
 	snapLegal    = 1 << 2 // the verdict (meaningful only with snapHasLegal)
-	snapHasMoves = 1 << 3 // move set present (version 2)
+	snapHasMoves = 1 << 3 // move set present
 
-	snapFlagsMaskV1 = snapHasCost | snapHasLegal | snapLegal
-	snapFlagsMask   = snapFlagsMaskV1 | snapHasMoves
+	snapFlagsMask = snapHasCost | snapHasLegal | snapLegal | snapHasMoves
 )
 
 // Move-set encoding limits. A move set beyond them is not exported; it is
@@ -227,7 +224,7 @@ func (c *Cache) Snapshot(w io.Writer) (entries int64, err error) {
 	return entries, bw.Flush()
 }
 
-// encodableMoves reports whether ms fits the version 2 move encoding.
+// encodableMoves reports whether ms fits the move encoding.
 func encodableMoves(ms []rules.Move, ruleIndex map[string]int) bool {
 	if len(ms) > snapMaxMoves {
 		return false
@@ -304,8 +301,7 @@ func parseSnapshot(r io.Reader) ([]snapEntry, []uint64, error) {
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
 		return nil, nil, fmt.Errorf("%w: reading magic: %w", ErrSnapshotFormat, err)
 	}
-	v1 := string(magic[:]) == snapMagicV1
-	if !v1 && string(magic[:]) != snapMagic {
+	if string(magic[:]) != snapMagic {
 		return nil, nil, fmt.Errorf("%w: bad magic %q (want %q)", ErrSnapshotFormat, magic[:], snapMagic)
 	}
 
@@ -347,32 +343,28 @@ func parseSnapshot(r io.Reader) ([]snapEntry, []uint64, error) {
 		}
 	}
 
+	ruleCount, err := readU(2)
+	if err != nil {
+		return nil, nil, err
+	}
+	if ruleCount > snapMaxRules {
+		return nil, nil, fmt.Errorf("%w: implausible rule count %d", ErrSnapshotFormat, ruleCount)
+	}
 	var ruleNames []string
-	flagsMask := uint8(snapFlagsMaskV1)
-	if !v1 {
-		flagsMask = snapFlagsMask
-		ruleCount, err := readU(2)
+	for i := 0; i < int(ruleCount); i++ {
+		nameLen, err := readU(1)
 		if err != nil {
 			return nil, nil, err
 		}
-		if ruleCount > snapMaxRules {
-			return nil, nil, fmt.Errorf("%w: implausible rule count %d", ErrSnapshotFormat, ruleCount)
+		buf := make([]byte, nameLen)
+		if _, err := io.ReadFull(hr, buf); err != nil {
+			return nil, nil, fmt.Errorf("%w: truncated rule table: %w", ErrSnapshotFormat, err)
 		}
-		for i := 0; i < int(ruleCount); i++ {
-			nameLen, err := readU(1)
-			if err != nil {
-				return nil, nil, err
-			}
-			buf := make([]byte, nameLen)
-			if _, err := io.ReadFull(hr, buf); err != nil {
-				return nil, nil, fmt.Errorf("%w: truncated rule table: %w", ErrSnapshotFormat, err)
-			}
-			r, ok := rules.ByName(string(buf))
-			if !ok {
-				return nil, nil, fmt.Errorf("%w: rule %q is unknown to this build", ErrSnapshotSchema, buf)
-			}
-			ruleNames = append(ruleNames, r.Name())
+		r, ok := rules.ByName(string(buf))
+		if !ok {
+			return nil, nil, fmt.Errorf("%w: rule %q is unknown to this build", ErrSnapshotSchema, buf)
 		}
+		ruleNames = append(ruleNames, r.Name())
 	}
 
 	fpCount, err := readU(4)
@@ -412,7 +404,7 @@ func parseSnapshot(r io.Reader) ([]snapEntry, []uint64, error) {
 				return nil, nil, err
 			}
 			flags := uint8(fl)
-			if flags&^flagsMask != 0 {
+			if flags&^snapFlagsMask != 0 {
 				return nil, nil, fmt.Errorf("%w: unknown entry flags %#x", ErrSnapshotFormat, flags)
 			}
 			if flags&(snapHasCost|snapHasLegal|snapHasMoves) == 0 {

@@ -284,7 +284,8 @@ func TestSnapshotCarriesMoves(t *testing.T) {
 	}
 }
 
-// snapshotV1 encodes cost entries in the version 1 format.
+// snapshotV1 encodes cost entries in the retired version 1 format
+// ("mcuisnp1": the current layout without the rule table and move sets).
 func snapshotV1(costs map[uint64]float64) []byte {
 	var body bytes.Buffer
 	u := func(v uint64, n int) {
@@ -308,18 +309,20 @@ func snapshotV1(costs map[uint64]float64) []byte {
 	}
 	h := fnv.New64a()
 	h.Write(body.Bytes())
-	out := append([]byte(snapMagicV1), body.Bytes()...)
+	out := append([]byte("mcuisnp1"), body.Bytes()...)
 	return binary.LittleEndian.AppendUint64(out, h.Sum64())
 }
 
-func TestSnapshotLoadsVersion1(t *testing.T) {
+// TestSnapshotVersion1Rejected: a well-formed version 1 snapshot is a
+// format error that imports nothing, so a daemon holding one starts cold.
+func TestSnapshotVersion1Rejected(t *testing.T) {
 	dst := NewCache(0)
 	n, err := dst.LoadSnapshot(bytes.NewReader(snapshotV1(map[uint64]float64{5: 2.5})))
-	if err != nil || n != 1 {
-		t.Fatalf("version 1 import: %d entries, %v", n, err)
+	if !errors.Is(err, ErrSnapshotFormat) || n != 0 {
+		t.Fatalf("version 1 import: %d entries, %v; want 0, ErrSnapshotFormat", n, err)
 	}
-	if v, ok := dst.Cost(5); !ok || v != 2.5 {
-		t.Fatalf("version 1 cost = %v %v, want 2.5", v, ok)
+	if got := dst.Stats().Entries; got != 0 {
+		t.Fatalf("rejected version 1 import planted %d entries", got)
 	}
 }
 

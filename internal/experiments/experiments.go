@@ -1,7 +1,6 @@
 // Package experiments regenerates every figure and claim of the paper's
-// evaluation (see DESIGN.md's experiment index). Each experiment returns a
-// plain-text report; cmd/experiments prints them and EXPERIMENTS.md records
-// the outputs next to the paper's expectations.
+// evaluation (Named lists the experiment ids). Each experiment returns a
+// plain-text report; cmd/experiments prints them.
 package experiments
 
 import (
@@ -19,7 +18,6 @@ import (
 	"repro/internal/cost"
 	"repro/internal/difftree"
 	"repro/internal/layout"
-	"repro/internal/mcts"
 	"repro/internal/rules"
 	"repro/internal/widgets"
 	"repro/internal/workload"
@@ -32,7 +30,7 @@ type Config struct {
 	Seed         int64 // base seed
 }
 
-// Default returns the settings used for EXPERIMENTS.md.
+// Default returns cmd/experiments' default settings.
 func Default() Config { return Config{Iterations: 40, RolloutDepth: 12, Seed: 1} }
 
 func (c Config) opts(screen layout.Screen) core.Options {
@@ -402,7 +400,7 @@ func Scaling(ctx context.Context, cfg Config) string {
 	return b.String()
 }
 
-// All runs every experiment in DESIGN.md order.
+// All runs every experiment in the order cmd/experiments lists them.
 func All(ctx context.Context, cfg Config) string {
 	sections := []func(context.Context, Config) string{
 		Fig6a, Fig6b, Fig6c, Fig6d, Fig6e,
@@ -417,7 +415,7 @@ func All(ctx context.Context, cfg Config) string {
 	return b.String()
 }
 
-// Named returns the experiment runner for a DESIGN.md experiment id.
+// Named returns the experiment runner for an experiment id.
 func Named(name string) (func(context.Context, Config) string, bool) {
 	m := map[string]func(context.Context, Config) string{
 		"fig6a":            Fig6a,
@@ -437,7 +435,3 @@ func Named(name string) (func(context.Context, Config) string, bool) {
 	f, ok := m[name]
 	return f, ok
 }
-
-// mctsSanity references the mcts package so the experiments package can
-// host direct search ablations later without import churn.
-var _ = mcts.DefaultConfig

@@ -10,7 +10,7 @@ import (
 func tiny() Config { return Config{Iterations: 3, RolloutDepth: 4, Seed: 1} }
 
 func TestNamedCoversDesignIndex(t *testing.T) {
-	// Every experiment id in DESIGN.md's index must resolve.
+	// Every experiment id cmd/experiments documents must resolve.
 	ids := []string{
 		"fig6a", "fig6b", "fig6c", "fig6d", "fig6e",
 		"space", "budget", "baseline", "strategies",

@@ -118,6 +118,12 @@ func TestBoundsTabsAndAdder(t *testing.T) {
 	}
 }
 
+// fits reports whether the tree's bounding box fits the screen.
+func fits(n *Node, s Screen) bool {
+	b := n.Bounds()
+	return b.W <= s.W && b.H <= s.H
+}
+
 // TestNarrowScreenRejectsWideLayouts is the geometric driver of Figure 6(b):
 // a wide horizontal enumeration fits a wide screen but not a narrow one,
 // while the dropdown version fits both.
@@ -127,17 +133,17 @@ func TestNarrowScreenRejectsWideLayouts(t *testing.T) {
 		NewWidget(widgets.Buttons, dom(opts...), nil),
 		NewWidget(widgets.Buttons, dom(opts...), nil),
 	)
-	if !buttons.Fits(Wide) {
+	if !fits(buttons, Wide) {
 		t.Fatalf("buttons rows should fit the wide screen (%v)", buttons.Bounds())
 	}
-	if buttons.Fits(Narrow) {
+	if fits(buttons, Narrow) {
 		t.Fatalf("buttons rows must overflow the narrow screen (%v)", buttons.Bounds())
 	}
 	dropdowns := NewBox(widgets.VBox,
 		NewWidget(widgets.Dropdown, dom(opts...), nil),
 		NewWidget(widgets.Dropdown, dom(opts...), nil),
 	)
-	if !dropdowns.Fits(Narrow) {
+	if !fits(dropdowns, Narrow) {
 		t.Fatalf("dropdown column should fit the narrow screen (%v)", dropdowns.Bounds())
 	}
 }

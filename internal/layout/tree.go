@@ -167,9 +167,3 @@ func (n *Node) Bounds() widgets.Size {
 		return widgets.Measure(n.Type, n.Domain)
 	}
 }
-
-// Fits reports whether the tree's bounding box fits the screen.
-func (n *Node) Fits(s Screen) bool {
-	b := n.Bounds()
-	return b.W <= s.W && b.H <= s.H
-}

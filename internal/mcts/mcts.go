@@ -104,18 +104,6 @@ type Config struct {
 	Progress func(Result)
 }
 
-// DefaultConfig mirrors the paper's setup with a deterministic iteration
-// budget instead of the 1-minute wall clock.
-func DefaultConfig() Config {
-	return Config{
-		C:                math.Sqrt2,
-		MaxRolloutDepth:  200,
-		Iterations:       100,
-		Seed:             1,
-		EvaluateChildren: true,
-	}
-}
-
 // Result reports the search outcome.
 type Result struct {
 	Best        State   // highest-reward state seen anywhere in the search
@@ -136,22 +124,6 @@ type Result struct {
 type Tree struct {
 	root  *node
 	epoch uint32
-}
-
-// Nodes counts the tree's nodes (stats and tests).
-func (t *Tree) Nodes() int {
-	if t == nil || t.root == nil {
-		return 0
-	}
-	n := 0
-	stack := []*node{t.root}
-	for len(stack) > 0 {
-		c := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		n++
-		stack = append(stack, c.children...)
-	}
-	return n
 }
 
 // find returns the first node (pre-order) whose state hash is h, or nil.

@@ -310,15 +310,8 @@ func TestUCTMath(t *testing.T) {
 	}
 }
 
-func TestDefaultConfig(t *testing.T) {
-	cfg := DefaultConfig()
-	if cfg.MaxRolloutDepth != 200 {
-		t.Error("paper rollout depth is 200")
-	}
-	if cfg.C != math.Sqrt2 {
-		t.Error("default C")
-	}
-	// Zero-value config still runs (defaults kick in).
+// TestZeroConfigRuns: a zero-value Config still runs (defaults kick in).
+func TestZeroConfigRuns(t *testing.T) {
 	res := Search(context.Background(), lineDomain{n: 5, target: 4}, lineState(0), Config{Seed: 1})
 	if res.Iterations == 0 {
 		t.Error("zero config should default to a bounded run")

@@ -183,7 +183,7 @@ func (rt *Router) handleFleetLeave(w http.ResponseWriter, r *http.Request) {
 	// skips the handoff; removal proceeds either way.
 	if !req.Cold && resp.Drained {
 		rt.mu.Lock()
-		survivors := rt.readyViewLocked().Ready
+		survivors := rt.readyReplicasLocked()
 		rt.mu.Unlock()
 		for i, sv := range survivors {
 			entries, err := rt.shipCache(ctx, rep, sv)

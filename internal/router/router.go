@@ -2,11 +2,12 @@
 // in front of N mctsuid replicas that makes a fleet look like one daemon.
 //
 //   - Placement: requests are keyed ("s:<id>" for session traffic,
-//     "q:<hash>" for stateless generates) and placed by a pluggable Policy
-//     — consistent-hash affinity (default), round-robin, or least-loaded.
-//     Session placements are sticky at the router level regardless of
-//     policy: session state lives on one replica, so a session is re-placed
-//     only when its replica leaves the ready set.
+//     "q:<hash>" for stateless generates) and placed by consistent-hash
+//     affinity: a key lands on the ring owner among the ready replicas, so
+//     equal work revisits the replica holding its cache warmth. Session
+//     placements are also sticky in the router's own table: session state
+//     lives on one replica, so a session is re-placed only when its
+//     replica leaves the ready set.
 //   - Health: replicas are probed on an interval (one /v1/stats call
 //     carries readiness, drain state, and load gauges); a replica that
 //     fails FailAfter consecutive probes — or a single forwarded dial — is
@@ -36,7 +37,6 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/api"
@@ -47,8 +47,8 @@ import (
 type Config struct {
 	// Replicas are the initial fleet members' base URLs.
 	Replicas []string
-	// Policy selects the routing policy by name: "affinity" (default),
-	// "round-robin", or "least-loaded".
+	// Policy names the placement policy. Placement is always affinity, so
+	// the only accepted values are "" and "affinity".
 	Policy string
 	// ProbeInterval is the health/stats probe period (default 2s).
 	ProbeInterval time.Duration
@@ -67,8 +67,8 @@ type Config struct {
 	MaxSnapshotBytes int64
 	// MaxSessions bounds the sticky session-placement table; beyond it the
 	// least-recently-routed placements are forgotten (default 4096 — a
-	// forgotten placement re-places through the policy, which under
-	// affinity lands on the same replica anyway).
+	// forgotten placement re-places on the ring owner, which is the same
+	// replica while the ready set is unchanged).
 	MaxSessions int
 	// HTTPClient issues probes and forwards (a per-router default when nil).
 	HTTPClient *http.Client
@@ -103,15 +103,12 @@ func (c Config) withDefaults() Config {
 }
 
 // Replica is one fleet member as the router sees it. Probe-fed fields are
-// guarded by the Router's mutex; outstanding is the router's live count of
-// forwarded-and-unfinished requests (the least-loaded policy's freshness
-// signal between probes).
+// guarded by the Router's mutex.
 type Replica struct {
 	// URL is the replica's base URL — its identity in the fleet.
 	URL string
 
-	cl          *client.Client
-	outstanding atomic.Int64
+	cl *client.Client
 
 	// Everything below is guarded by Router.mu.
 	state        string // api.State*
@@ -124,12 +121,6 @@ type Replica struct {
 	fails        int // consecutive probe failures
 }
 
-// load is the least-loaded policy's metric: the replica's own admission
-// gauges at the last probe plus the router's live outstanding count.
-func (rep *Replica) load() int64 {
-	return rep.queued + int64(rep.inflight) + rep.outstanding.Load()
-}
-
 // stickyEntry records where a session lives and when it was last routed
 // (LRU bound on the table).
 type stickyEntry struct {
@@ -140,8 +131,7 @@ type stickyEntry struct {
 // Router is the fleet state. Construct with New, mount Handler, Close on
 // shutdown.
 type Router struct {
-	cfg    Config
-	policy Policy
+	cfg Config
 
 	mu       sync.Mutex
 	replicas map[string]*Replica
@@ -161,13 +151,11 @@ type Router struct {
 // probe loop. Close stops the loop.
 func New(cfg Config) (*Router, error) {
 	cfg = cfg.withDefaults()
-	policy, err := NewPolicy(cfg.Policy)
-	if err != nil {
-		return nil, err
+	if cfg.Policy != "" && cfg.Policy != "affinity" {
+		return nil, fmt.Errorf("unknown routing policy %q (placement is always affinity)", cfg.Policy)
 	}
 	rt := &Router{
 		cfg:      cfg,
-		policy:   policy,
 		replicas: make(map[string]*Replica),
 		sticky:   make(map[string]stickyEntry),
 		fleetMu:  make(chan struct{}, 1),
@@ -194,9 +182,6 @@ func (rt *Router) Close() {
 	rt.stopProbe()
 	rt.probeWG.Wait()
 }
-
-// Policy returns the active routing policy's name.
-func (rt *Router) Policy() string { return rt.policy.Name() }
 
 func (rt *Router) newReplica(u string) *Replica {
 	cl := client.New(u)
@@ -328,7 +313,7 @@ func (rt *Router) markDead(rep *Replica, err error) {
 }
 
 // dropPlacementsLocked forgets every sticky placement on url; those
-// sessions re-place through the policy on their next request.
+// sessions re-place on the ring owner on their next request.
 func (rt *Router) dropPlacementsLocked(url string) {
 	for id, e := range rt.sticky {
 		if e.url == url {
@@ -339,18 +324,12 @@ func (rt *Router) dropPlacementsLocked(url string) {
 
 // rebuildRingLocked rebuilds the consistent-hash ring over the ready set.
 func (rt *Router) rebuildRingLocked() {
-	rt.ring = buildRing(rt.readyURLsLocked(), rt.cfg.VNodes)
-}
-
-func (rt *Router) readyURLsLocked() []string {
-	urls := make([]string, 0, len(rt.replicas))
-	for u, rep := range rt.replicas {
-		if rep.state == api.StateReady {
-			urls = append(urls, u)
-		}
+	ready := rt.readyReplicasLocked()
+	urls := make([]string, len(ready))
+	for i, rep := range ready {
+		urls[i] = rep.URL
 	}
-	sort.Strings(urls)
-	return urls
+	rt.ring = buildRing(urls, rt.cfg.VNodes)
 }
 
 // members snapshots the fleet, sorted by URL.
@@ -369,15 +348,23 @@ func (rt *Router) membersLocked() []*Replica {
 	return reps
 }
 
-func (rt *Router) readyViewLocked() View {
+// readyLocked returns the member at url if it is ready, else nil.
+func (rt *Router) readyLocked(url string) *Replica {
+	if rep := rt.replicas[url]; rep != nil && rep.state == api.StateReady {
+		return rep
+	}
+	return nil
+}
+
+// readyReplicasLocked returns the ready members, sorted by URL.
+func (rt *Router) readyReplicasLocked() []*Replica {
 	ready := make([]*Replica, 0, len(rt.replicas))
-	for _, rep := range rt.replicas {
+	for _, rep := range rt.membersLocked() {
 		if rep.state == api.StateReady {
 			ready = append(ready, rep)
 		}
 	}
-	sort.Slice(ready, func(i, j int) bool { return ready[i].URL < ready[j].URL })
-	return View{Ready: ready, Ring: rt.ring}
+	return ready
 }
 
 // --- Placement --------------------------------------------------------------
@@ -385,28 +372,34 @@ func (rt *Router) readyViewLocked() View {
 var errNoReplicas = errors.New("no ready replicas in the fleet")
 
 // place picks the replica for a request. Session keys consult the sticky
-// table first — a live placement wins over any policy — and record their
-// placement; stateless keys go straight to the policy.
+// table first — a live placement wins over the ring — and record their
+// placement; stateless keys go straight to the ring owner.
 func (rt *Router) place(key, session string) (*Replica, error) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	v := rt.readyViewLocked()
-	if len(v.Ready) == 0 {
+	if session != "" {
+		if e, ok := rt.sticky[session]; ok {
+			if rep := rt.readyLocked(e.url); rep != nil {
+				rt.sticky[session] = stickyEntry{url: e.url, lastUsed: time.Now()}
+				return rep, nil
+			}
+			delete(rt.sticky, session) // placed on a replica that is gone: re-place below
+		}
+	}
+	// Consistent-hash affinity: a key keeps its replica for as long as that
+	// replica stays ready, so session state and the cache warmth a key builds
+	// up are revisited instead of re-derived; with one replica owning a key,
+	// fleet results match a single-daemon run exactly. The ring is rebuilt
+	// under mu whenever the ready set changes, so its owner is always ready
+	// and an empty ring means no replica is.
+	rep := rt.readyLocked(rt.ring.lookup(key))
+	if rep == nil {
 		return nil, errNoReplicas
 	}
-	if session == "" {
-		return rt.policy.Pick(key, v), nil
+	if session != "" {
+		rt.sticky[session] = stickyEntry{url: rep.URL, lastUsed: time.Now()}
+		rt.evictStickyLocked()
 	}
-	if e, ok := rt.sticky[session]; ok {
-		if rep := v.byURL(e.url); rep != nil {
-			rt.sticky[session] = stickyEntry{url: e.url, lastUsed: time.Now()}
-			return rep, nil
-		}
-		delete(rt.sticky, session) // placed on a replica that is gone: re-place below
-	}
-	rep := rt.policy.Pick(key, v)
-	rt.sticky[session] = stickyEntry{url: rep.URL, lastUsed: time.Now()}
-	rt.evictStickyLocked()
 	return rep, nil
 }
 
@@ -445,7 +438,7 @@ func (rt *Router) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Stateless generates key on content: identical request bodies revisit
-	// the replica that already holds their cache warmth (under affinity).
+	// the replica that already holds their cache warmth.
 	key := "q:" + strconv.FormatUint(hash64(string(body)), 16)
 	rt.forward(w, r, key, "", body)
 }
@@ -521,8 +514,6 @@ func dialFailure(err error) bool {
 // per chunk, so SSE frames pass through live). A non-nil return means
 // nothing was written to the client.
 func (rt *Router) tryForward(w http.ResponseWriter, r *http.Request, rep *Replica, body []byte) error {
-	rep.outstanding.Add(1)
-	defer rep.outstanding.Add(-1)
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
@@ -598,7 +589,7 @@ func (rt *Router) handleCacheImport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rt.mu.Lock()
-	ready := rt.readyViewLocked().Ready
+	ready := rt.readyReplicasLocked()
 	rt.mu.Unlock()
 	if len(ready) == 0 {
 		rt.fail(w, http.StatusServiceUnavailable, errNoReplicas)
@@ -735,7 +726,7 @@ func (rt *Router) handleFleet(w http.ResponseWriter, r *http.Request) {
 	stickyCount := len(rt.sticky)
 	rt.mu.Unlock()
 	rt.writeJSON(w, http.StatusOK, api.FleetResponse{
-		Policy:         rt.policy.Name(),
+		Policy:         "affinity",
 		Replicas:       fleet,
 		ReadyReplicas:  ready,
 		StickySessions: stickyCount,

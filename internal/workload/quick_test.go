@@ -64,7 +64,7 @@ func TestRandomLogShapes(t *testing.T) {
 	base := log[0]
 	shared := 0
 	for _, q := range log[1:] {
-		if ast.ShapeHash(q) == ast.ShapeHash(base) {
+		if sameShape(q, base) {
 			shared++
 		}
 	}
@@ -74,6 +74,23 @@ func TestRandomLogShapes(t *testing.T) {
 	if RandomLog(rng, 0) != nil {
 		t.Error("zero-length log")
 	}
+}
+
+// sameShape reports whether a and b differ at most in leaf values: kinds,
+// child counts and interior values (operators, function names) match.
+func sameShape(a, b *ast.Node) bool {
+	if a.Kind != b.Kind || len(a.Children) != len(b.Children) {
+		return false
+	}
+	if len(a.Children) > 0 && a.Value != b.Value {
+		return false
+	}
+	for i := range a.Children {
+		if !sameShape(a.Children[i], b.Children[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 func TestMutatePreservesParse(t *testing.T) {
