@@ -107,10 +107,13 @@ load-smoke:
 
 # race-tree runs the tree-parallel race suite CI gates on: every test of
 # internal/mcts (each search runs the shared-tree code, whatever its worker
-# count), plus the TreeWorkers tests of core and the root package.
+# count), the TreeWorkers tests of core and the root package, and the
+# shared-engine rollout test of internal/eval (tree workers share the
+# engine's rollout step and its pooled spine arenas).
 race-tree:
 	$(GO) test -race -count=2 ./internal/mcts
 	$(GO) test -race -count=2 -run 'TreeParallel|TreeWorkers|VirtualLoss' ./internal/core .
+	$(GO) test -race -count=2 -run 'TestRandomMoveSharedEngine' ./internal/eval
 
 # golden regenerates the end-to-end fixtures under testdata/golden/ (run it
 # after an intentional change to search or cost semantics, then review the

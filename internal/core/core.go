@@ -343,18 +343,12 @@ func (s state) Hash() uint64 { return s.h }
 // the GC mark cost of that pointer-dense heap was a large share of the
 // cold-cache slowdown.
 type domain struct {
-	p       *problem
-	ruleSet []rules.Rule
-	masks   []uint8 // masks[i] is rules.KindMask(ruleSet[i])
-	scale   float64 // reward normalization: the initial state's cost
+	p     *problem
+	scale float64 // reward normalization: the initial state's cost
 }
 
 func newDomain(p *problem) *domain {
-	d := &domain{p: p, ruleSet: rules.All()}
-	d.masks = make([]uint8, len(d.ruleSet))
-	for i, r := range d.ruleSet {
-		d.masks[i] = rules.KindMask(r)
-	}
+	d := &domain{p: p}
 	if c := p.eng.StateCost(p.init); !math.IsInf(c, 1) && c > 0 {
 		d.scale = c
 	} else {
@@ -377,83 +371,15 @@ func (d *domain) Neighbors(s mcts.State) []mcts.State {
 	return out
 }
 
-// RandomNeighbor implements mcts.Sampler: it draws random (rule, node)
-// candidates — restricted to node kinds the rule's rules.KindMask admits —
-// and returns the first legal rewrite, falling back to one uniform draw from
-// the full move set when unlucky (only the drawn move is applied). This
-// keeps rollouts cheap relative to full neighbor enumeration.
-//
-// The domain's invariant is that every state is legal: the search starts at
-// the initial state or a warm start that passed LegalState, every successor
-// is a legal move, and a search tree reused across a log append reconciles
-// each stale node's children under the current log before descending
-// through them. That is the precondition of eval.Engine.LegalMove, which
-// judges each probe: a widening rule's candidate (rules.Widens) by size and
-// structure alone, any other through the memoized LegalState. The domain's
-// rule set is the engine's, so a draw's rule index is the engine's.
-//
-// Each try makes two draws: the rule, then an index into the rule's
-// candidate nodes, which are the pre-order per-kind node lists concatenated
-// in fixed Kind order (eval.Engine.PathPools, restricted to the mask). The
-// list is never materialized: the index picks a kind segment from the
-// state's memoized difftree.KindCounts, and difftree.NthOfKind descends
-// subtree counts to the node, writing its path into a stack buffer and
-// returning the node with its parent. The
-// draw sequence never consults the memoization state, so the sampled walk
-// is a pure function of (state, rng stream): cached and uncached runs take
-// identical trajectories, the cache only answers the legality probes
-// faster. A probe applies the rule once to the drawn node (rules.Rewrite,
-// which rejects a non-matching pattern without allocating) and hands the
-// node and its rewritten subtree to LegalMove, which builds no tree for a
-// widening rule; neither walks the path again. The accepted subtree is
-// spliced into the kept state with difftree.ReplaceAt, consuming no rng
-// draws.
+// RandomNeighbor implements mcts.Sampler with the engine's rollout step,
+// eval.Engine.RandomMove. Its precondition, a legal state, is the domain's
+// invariant: the search starts at the initial state or a warm start that
+// passed LegalState, every successor is a legal move, and a search tree
+// reused across a log append reconciles each stale node's children under
+// the current log before descending through them.
 func (d *domain) RandomNeighbor(s mcts.State, rng *rand.Rand) (mcts.State, bool) {
-	st := s.(state)
-	cur := st.d
-	counts := cur.KindCounts()
-	var buf [32]int
-	const tries = 48
-	for i := 0; i < tries; i++ {
-		ri := rng.Intn(len(d.ruleSet))
-		r, mask := d.ruleSet[ri], d.masks[ri]
-		total := 0
-		for k, c := range counts {
-			if mask&(1<<k) != 0 {
-				total += c
-			}
-		}
-		if total == 0 {
-			continue
-		}
-		idx := rng.Intn(total)
-		var k difftree.Kind
-		for k = difftree.All; ; k++ {
-			if mask&(1<<k) == 0 {
-				continue
-			}
-			if idx < counts[k] {
-				break
-			}
-			idx -= counts[k]
-		}
-		p, n, parent := difftree.NthOfKind(cur, k, idx, buf[:0])
-		sub, ok := rules.Rewrite(n, parent, r)
-		if !ok || !d.p.eng.LegalMove(cur, p, n, sub, ri) {
-			continue
-		}
-		kept := difftree.ReplaceAt(cur, p, sub)
-		return state{d: kept, h: difftree.Hash(kept)}, true
-	}
-	// Fallback: draw uniformly among the legal moves and apply only that
-	// one. eval.Engine.Neighbors applies every move, in Moves order, so the
-	// draw picks the same successor Neighbors would.
-	ms := d.p.eng.Moves(cur)
-	if len(ms) == 0 {
-		return nil, false
-	}
-	next, err := rules.ApplyMove(cur, ms[rng.Intn(len(ms))])
-	if err != nil {
+	next, ok := d.p.eng.RandomMove(s.(state).d, rng)
+	if !ok {
 		return nil, false
 	}
 	return state{d: next, h: difftree.Hash(next)}, true
@@ -478,27 +404,27 @@ func Fanout(d *difftree.Node, log []*ast.Node, set []rules.Rule) int {
 	return len(rules.Moves(d, log, set))
 }
 
-// RandomWalk performs n random legal moves from the initial state and
-// returns the resulting difftree; used to produce the paper's Figure 6(d)
-// "low reward interface" without search.
+// RandomWalk performs n random legal moves from the initial state with the
+// rollout step (eval.Engine.RandomMove) and returns the resulting difftree;
+// used to produce the paper's Figure 6(d) "low reward interface" without
+// search.
 func RandomWalk(log []*ast.Node, steps int, seed int64) (*difftree.Node, error) {
 	init, err := difftree.Initial(log)
 	if err != nil {
 		return nil, err
 	}
 	opt := Options{}.withDefaults()
-	model := cost.Default(opt.Screen)
-	d := newDomain(newProblem(log, init, model, opt, newEngine(log, init, model, opt), 0))
+	eng := newEngine(log, init, cost.Default(opt.Screen), opt)
 	rng := rand.New(rand.NewSource(seed))
-	cur := state{d: init, h: difftree.Hash(init)}
+	cur := init
 	for i := 0; i < steps; i++ {
-		next, ok := d.RandomNeighbor(cur, rng)
+		next, ok := eng.RandomMove(cur, rng)
 		if !ok {
 			break
 		}
-		cur = next.(state)
+		cur = next
 	}
-	return cur.d, nil
+	return cur, nil
 }
 
 // Describe renders a one-line summary of a result for logs and examples.

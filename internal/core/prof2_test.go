@@ -14,7 +14,7 @@ import (
 // seed per op, so a profile averages over trajectories instead of repeating
 // one. Profile it with -cpuprofile to see the layers (move enumeration and
 // its legality checks in eval.Engine.Moves, rollout sampling and its probes
-// in domain.RandomNeighbor, cost sampling in eval.Engine.StateCost).
+// in eval.Engine.RandomMove, cost sampling in eval.Engine.StateCost).
 func BenchmarkProf2(b *testing.B) {
 	log := workload.SDSSLog()
 	for i := 0; i < b.N; i++ {

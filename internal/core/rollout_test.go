@@ -10,53 +10,9 @@ import (
 	"repro/internal/difftree"
 	"repro/internal/eval"
 	"repro/internal/mcts"
-	"repro/internal/rules"
 	"repro/internal/sqlparser"
 	"repro/internal/workload"
 )
-
-// poolNeighbor is the rollout step as it was drawn from materialized
-// per-kind path pools and probed with the full LegalState: the reference
-// RandomNeighbor must reproduce draw for draw.
-func poolNeighbor(d *domain, cur *difftree.Node, rng *rand.Rand) (*difftree.Node, bool) {
-	byKind := d.p.eng.PathPools(cur)
-	for i := 0; i < 48; i++ {
-		r := d.ruleSet[rng.Intn(len(d.ruleSet))]
-		kinds := rules.MatchKinds[r.Name()]
-		total := 0
-		for k := difftree.All; k <= difftree.Multi; k++ {
-			if kinds == nil || kinds[k] {
-				total += len(byKind[k])
-			}
-		}
-		if total == 0 {
-			continue
-		}
-		idx := rng.Intn(total)
-		var p difftree.Path
-		for k := difftree.All; k <= difftree.Multi; k++ {
-			if kinds != nil && !kinds[k] {
-				continue
-			}
-			if idx < len(byKind[k]) {
-				p = byKind[k][idx]
-				break
-			}
-			idx -= len(byKind[k])
-		}
-		next, ok := rules.Candidate(cur, p, r)
-		if !ok || !d.p.eng.LegalState(next) {
-			continue
-		}
-		return next, true
-	}
-	ms := d.p.eng.Moves(cur)
-	if len(ms) == 0 {
-		return nil, false
-	}
-	next, err := rules.ApplyMove(cur, ms[rng.Intn(len(ms))])
-	return next, err == nil
-}
 
 // testDomain builds the MCTS domain core would search log with.
 func testDomain(t testing.TB, log []*ast.Node, opt Options) (*domain, *difftree.Node) {
@@ -70,66 +26,9 @@ func testDomain(t testing.TB, log []*ast.Node, opt Options) (*domain, *difftree.
 	return newDomain(newProblem(log, init, model, opt, newEngine(log, init, model, opt), 0)), init
 }
 
-// TestRandomNeighborMatchesPoolDraw replays RandomNeighbor beside a twin
-// domain, on its own engine, that draws from materialized path pools and
-// probes every candidate with the full LegalState, on twin rng streams over
-// seeded rollouts, cached and uncached: every step must land on the same
-// state, and the streams must stay in lockstep. That pins both the
-// pool-free draw and the rollout probe (eval.Engine.LegalMove, which skips
-// the re-match for widening rules). Every state handed to RandomNeighbor is
-// checked against LegalMove's precondition: it is legal.
-func TestRandomNeighborMatchesPoolDraw(t *testing.T) {
-	logs := []struct {
-		name string
-		log  []*ast.Node
-	}{
-		{"figure1", workload.PaperFigure1Log()},
-		{"sdss", workload.SDSSLog()},
-		{"random-join-6", workload.RandomJoinLog(rand.New(rand.NewSource(5)), 6)},
-	}
-	for _, c := range logs {
-		for _, memo := range []bool{true, false} {
-			opt := Options{DisableMemo: !memo}
-			d, init := testDomain(t, c.log, opt)
-			twin, _ := testDomain(t, c.log, opt)
-			oracle, _ := testDomain(t, c.log, Options{DisableMemo: true})
-			steps := 0
-			for seed := int64(1); seed <= 12; seed++ {
-				rngOld := rand.New(rand.NewSource(seed))
-				rngNew := rand.New(rand.NewSource(seed))
-				cur := init
-				for step := 0; step < 40; step++ {
-					if !oracle.p.eng.LegalState(cur) {
-						t.Fatalf("%s memo=%v seed %d step %d: rollout state is not legal", c.name, memo, seed, step)
-					}
-					want, wok := poolNeighbor(twin, cur, rngOld)
-					got, gok := d.RandomNeighbor(state{d: cur, h: difftree.Hash(cur)}, rngNew)
-					if wok != gok {
-						t.Fatalf("%s memo=%v seed %d step %d: ok = %v, pool draw %v", c.name, memo, seed, step, gok, wok)
-					}
-					if !gok {
-						break
-					}
-					if h := got.Hash(); h != difftree.Hash(want) {
-						t.Fatalf("%s memo=%v seed %d step %d: state %x, pool draw %x", c.name, memo, seed, step, h, difftree.Hash(want))
-					}
-					if a, b := rngOld.Int63(), rngNew.Int63(); a != b {
-						t.Fatalf("%s memo=%v seed %d step %d: rng streams diverged", c.name, memo, seed, step)
-					}
-					cur = got.(state).d
-					steps++
-				}
-			}
-			if steps < 100 {
-				t.Fatalf("%s memo=%v: only %d steps compared", c.name, memo, steps)
-			}
-		}
-	}
-}
-
 // legalChecked wraps a domain and fails the test when MCTS hands a state
 // that is not legal under the domain's log to Neighbors (eval.Engine.Moves)
-// or RandomNeighbor (eval.Engine.LegalMove's precondition).
+// or RandomNeighbor (eval.Engine.RandomMove's precondition).
 type legalChecked struct {
 	*domain
 	t       testing.TB
@@ -178,7 +77,7 @@ func appendedQuery(log []*ast.Node, candidates []*difftree.Node, eng *eval.Engin
 	return nil, nil, false
 }
 
-// TestSearchStatesStayLegal checks the domain invariant LegalMove relies on:
+// TestSearchStatesStayLegal checks the domain invariant RandomMove relies on:
 // MCTS hands Moves and RandomNeighbor only legal states, on a cold search
 // and after a session append that re-roots the previous search tree. For
 // the append, the first search starts at a state whose language holds a

@@ -205,9 +205,9 @@ func searchCtx(ctx context.Context, opt Options) (context.Context, context.Cance
 // outcomeFromSearch converts a comparator-searcher result into the common
 // outcome shape. The counters come from the problem's objective wrapper —
 // unique (cache-miss) evaluations, the same numbers Progress snapshots and
-// Trajectory points report — not from search.Result, whose Evals also
-// counts cache-hit objective calls. Iterations mirrors Evals for these
-// strategies. caller is the context handed to the strategy *before*
+// Trajectory points report — not from search.Result, whose States also
+// counts objective calls the run-local memo answered. Iterations mirrors
+// Evals for these strategies. caller is the context handed to the strategy *before*
 // searchCtx layered the TimeBudget deadline on: stopping at one's own
 // wall-clock budget is a normal completion (matching MCTS, which checks
 // TimeBudget natively), so Interrupted is reported only when the caller's

@@ -9,6 +9,10 @@
 //     expressible), and
 //   - Moves, the legal move set.
 //
+// The Engine also owns the search step built on them: Neighbors applies
+// every legal move, UniformMove one drawn uniformly, and RandomMove is the
+// MCTS rollout step.
+//
 // Scoring a state is deterministic per state: the reward-sampling RNG is
 // seeded from the state's hash mixed with the engine's base seed, so a
 // cached value is bit-identical to what any worker would recompute. That is
@@ -201,49 +205,16 @@ func (c *Cache) lockFor(key uint64) (*shard, *entry) {
 	return s, &s.ring[i].e
 }
 
-// CachedState is a read-only snapshot of one state's full memo record — every
-// aspect the engine tracks, retrieved by a single keyed shard probe. The
-// Moves slice is shared with the cache: callers must not modify it.
-type CachedState struct {
-	Cost     float64
-	HasCost  bool
-	Legal    bool
-	HasLegal bool
-	Moves    []rules.Move
-	HasMoves bool
-}
-
-// Probe returns key's full memo record in one shard lookup, marking the
-// CLOCK reference bit. It does not touch the hit/miss counters; callers
-// account per aspect with Count. The engine's hot path derives the mixed key
-// once and probes once, instead of re-keying around per-aspect getters.
-func (c *Cache) Probe(key uint64) (CachedState, bool) {
+// probe returns a copy of key's entry in one shard lookup, marking the
+// CLOCK reference bit. It does not touch the hit/miss counters: the engine
+// counts each aspect lookup with count. The entry's moves slice is shared
+// with the cache: callers must not modify it.
+func (c *Cache) probe(key uint64) (entry, bool) {
 	s := c.shard(key)
 	s.mu.Lock()
 	e, found := s.get(key)
 	s.mu.Unlock()
-	if !found {
-		return CachedState{}, false
-	}
-	return CachedState{
-		Cost: e.cost, HasCost: e.hasCost,
-		Legal: e.legal == 1, HasLegal: e.legal != 0,
-		Moves: e.moves, HasMoves: e.hasMoves,
-	}, true
-}
-
-// Count records one aspect lookup outcome; pairs with Probe.
-func (c *Cache) Count(hit bool) { c.count(hit) }
-
-// Cost returns the memoized state cost.
-func (c *Cache) Cost(key uint64) (float64, bool) {
-	e, ok := c.Probe(key)
-	ok = ok && e.HasCost
-	c.count(ok)
-	if !ok {
-		return 0, false
-	}
-	return e.Cost, true
+	return e, found
 }
 
 // SetCost records a state cost. Like every setter, the first write wins:
@@ -257,15 +228,6 @@ func (c *Cache) SetCost(key uint64, v float64) {
 		e.cost, e.hasCost = v, true
 	}
 	s.mu.Unlock()
-}
-
-// Legal returns the memoized legality verdict.
-func (c *Cache) Legal(key uint64) (legal, ok bool) {
-	e, found := c.Probe(key)
-	ok = found && e.HasLegal
-	legal = ok && e.Legal
-	c.count(ok)
-	return legal, ok
 }
 
 // SetLegal records a legality verdict (first write wins, see SetCost).
@@ -297,18 +259,6 @@ func (c *Cache) importEntry(key uint64, cost float64, hasCost bool, legal uint8,
 		e.moves, e.hasMoves = moves, true
 	}
 	s.mu.Unlock()
-}
-
-// Moves returns the memoized legal move set. The returned slice is shared:
-// callers must not modify it.
-func (c *Cache) Moves(key uint64) ([]rules.Move, bool) {
-	e, found := c.Probe(key)
-	ok := found && e.HasMoves
-	c.count(ok)
-	if !ok {
-		return nil, false
-	}
-	return e.Moves, true
 }
 
 // SetMoves records a legal move set. The cache takes ownership of ms.

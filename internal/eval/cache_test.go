@@ -24,6 +24,15 @@ func sizeCapFor(init *difftree.Node) int {
 	return 64
 }
 
+// cachedCost reads key's memoized cost through the probe and counts the
+// lookup, as Engine.StateCost does.
+func cachedCost(c *Cache, key uint64) (float64, bool) {
+	v, ok := c.probe(key)
+	ok = ok && v.hasCost
+	c.count(ok)
+	return v.cost, ok
+}
+
 func figure1Engine(t *testing.T, cache *Cache) *Engine {
 	t.Helper()
 	log := workload.PaperFigure1Log()
@@ -43,26 +52,26 @@ func figure1Engine(t *testing.T, cache *Cache) *Engine {
 
 func TestCacheBasics(t *testing.T) {
 	c := NewCache(0)
-	if _, ok := c.Cost(42); ok {
+	if _, ok := cachedCost(c, 42); ok {
 		t.Fatal("empty cache hit")
 	}
 	c.SetCost(42, 3.5)
-	if v, ok := c.Cost(42); !ok || v != 3.5 {
+	if v, ok := cachedCost(c, 42); !ok || v != 3.5 {
 		t.Fatalf("Cost = %v, %v", v, ok)
 	}
 	c.SetLegal(42, true)
 	c.SetLegal(43, false)
-	if v, ok := c.Legal(42); !ok || !v {
+	if v, ok := c.probe(42); !ok || v.legal != 1 {
 		t.Fatal("legal verdict lost")
 	}
-	if v, ok := c.Legal(43); !ok || v {
+	if v, ok := c.probe(43); !ok || v.legal != 2 {
 		t.Fatal("illegal verdict lost")
 	}
 	ms := []rules.Move{{Rule: "Unwrap", Path: difftree.Path{0}}}
 	c.SetMoves(42, ms)
-	got, ok := c.Moves(42)
-	if !ok || len(got) != 1 || got[0].Rule != "Unwrap" {
-		t.Fatalf("Moves = %v, %v", got, ok)
+	got, ok := c.probe(42)
+	if !ok || !got.hasMoves || len(got.moves) != 1 || got.moves[0].Rule != "Unwrap" {
+		t.Fatalf("moves = %v, %v", got.moves, ok)
 	}
 	st := c.Stats()
 	if st.Hits == 0 || st.Misses == 0 || st.Entries != 2 {
@@ -80,17 +89,17 @@ func TestCacheCapEvicts(t *testing.T) {
 	// Fill shard 0 (keys that are multiples of shardCount land in shard 0).
 	c.SetCost(0*shardCount, 1)
 	c.SetCost(1*shardCount, 2) // same shard, over cap: evicts key 0
-	if _, ok := c.Cost(1 * shardCount); !ok {
+	if _, ok := cachedCost(c, 1*shardCount); !ok {
 		t.Fatal("over-cap insert was refused instead of evicting")
 	}
-	if _, ok := c.Cost(0 * shardCount); ok {
+	if _, ok := cachedCost(c, 0*shardCount); ok {
 		t.Fatal("CLOCK victim survived a full-shard insert")
 	}
 	if st := c.Stats(); st.Evictions != 1 {
 		t.Fatalf("evictions = %d, want 1", st.Evictions)
 	}
 	c.SetLegal(1*shardCount, true) // update of resident entry lands in place
-	if v, ok := c.Legal(1 * shardCount); !ok || !v {
+	if v, ok := c.probe(1 * shardCount); !ok || v.legal != 1 {
 		t.Fatal("update to resident entry lost")
 	}
 	if st := c.Stats(); st.Entries != 1 {
@@ -115,7 +124,7 @@ func TestCacheRace(t *testing.T) {
 				case 0:
 					c.SetCost(key, float64(key))
 				case 1:
-					if v, ok := c.Cost(key); ok && v != float64(key) {
+					if v, ok := cachedCost(c, key); ok && v != float64(key) {
 						t.Errorf("worker %d: cost %v for key %d", w, v, key)
 					}
 				case 2:
@@ -123,8 +132,8 @@ func TestCacheRace(t *testing.T) {
 				case 3:
 					c.SetMoves(key, []rules.Move{{Rule: "Unwrap"}})
 				case 4:
-					if ms, ok := c.Moves(key); ok && len(ms) != 1 {
-						t.Errorf("worker %d: moves %v for key %d", w, ms, key)
+					if v, ok := c.probe(key); ok && v.hasMoves && len(v.moves) != 1 {
+						t.Errorf("worker %d: moves %v for key %d", w, v.moves, key)
 					}
 				}
 			}
@@ -290,16 +299,16 @@ func TestCacheReset(t *testing.T) {
 	c := NewCache(0)
 	c.SetCost(1, 2.5)
 	c.SetLegal(2, true)
-	c.Cost(1)
+	cachedCost(c, 1)
 	c.Reset()
 	if st := c.Stats(); st.Entries != 0 || st.Hits != 0 || st.Misses != 0 {
 		t.Fatalf("Reset left state behind: %+v", st)
 	}
-	if _, ok := c.Cost(1); ok {
+	if _, ok := cachedCost(c, 1); ok {
 		t.Fatal("entry survived Reset")
 	}
 	c.SetCost(1, 2.5)
-	if v, ok := c.Cost(1); !ok || v != 2.5 {
+	if v, ok := cachedCost(c, 1); !ok || v != 2.5 {
 		t.Fatal("cache unusable after Reset")
 	}
 }

@@ -115,9 +115,6 @@ func (e *Engine) CacheStats() Stats {
 	return e.cache.Stats()
 }
 
-// Samples returns the configured per-state assignment sample count k.
-func (e *Engine) Samples() int { return e.cfg.Samples }
-
 // SizeCap returns the configured state-size prune bound.
 func (e *Engine) SizeCap() int { return e.cfg.SizeCap }
 
@@ -132,11 +129,11 @@ func (e *Engine) StateCost(d *difftree.Node) float64 {
 	var k uint64
 	if e.cache != nil {
 		k = e.key(h)
-		if v, ok := e.cache.Probe(k); ok && v.HasCost {
-			e.cache.Count(true)
-			return v.Cost
+		if v, ok := e.cache.probe(k); ok && v.hasCost {
+			e.cache.count(true)
+			return v.cost
 		}
-		e.cache.Count(false)
+		e.cache.count(false)
 	}
 	c := SampledCost(d, e.cfg.Log, e.cfg.Model, e.cfg.Samples, int64(mix64(h^uint64(e.cfg.Seed))))
 	if e.cache != nil {
@@ -180,11 +177,11 @@ func (e *Engine) LegalState(d *difftree.Node) bool {
 	var k uint64
 	if e.cache != nil {
 		k = e.key(h)
-		if v, ok := e.cache.Probe(k); ok && v.HasLegal {
-			e.cache.Count(true)
-			return v.Legal
+		if v, ok := e.cache.probe(k); ok && v.legal != 0 {
+			e.cache.count(true)
+			return v.legal == 1
 		}
-		e.cache.Count(false)
+		e.cache.count(false)
 	}
 	v := e.fullLegal(d)
 	if e.cache != nil {
@@ -199,8 +196,9 @@ func (e *Engine) fullLegal(d *difftree.Node) bool {
 	return (e.cfg.SizeCap <= 0 || d.Size() <= e.cfg.SizeCap) && rules.LegalState(d, e.cfg.Log)
 }
 
-// arenaPool recycles the copy-on-write spine arenas Moves and LegalMove
-// build candidates on.
+// arenaPool recycles the copy-on-write spine arenas that Moves and the
+// rollout step (RandomMove) build candidates on; concurrent rollouts of one
+// engine draw separate arenas.
 var arenaPool = sync.Pool{New: func() any { return new(difftree.SpineArena) }}
 
 // Moves enumerates d's legal moves — rule pattern matches, the rewrite is
@@ -230,11 +228,11 @@ func (e *Engine) Moves(d *difftree.Node) []rules.Move {
 	var k uint64
 	if e.cache != nil {
 		k = e.key(h)
-		if v, ok := e.cache.Probe(k); ok && v.HasMoves {
-			e.cache.Count(true)
-			return v.Moves
+		if v, ok := e.cache.probe(k); ok && v.hasMoves {
+			e.cache.count(true)
+			return v.moves
 		}
-		e.cache.Count(false)
+		e.cache.count(false)
 	}
 	legal := e.LegalState(d)
 	arena := arenaPool.Get().(*difftree.SpineArena)
@@ -288,16 +286,84 @@ func (e *Engine) Moves(d *difftree.Node) []rules.Move {
 	return out
 }
 
-// LegalMove is the rollout's legality probe: LegalState of the tree built
-// from src by replacing its subtree n at p with sub, the result of applying
-// Config.Rules[ruleIndex] to n (rules.Rewrite). The caller hands in the node
-// it drew, so the probe walks no path for it, and must guarantee that src is
-// legal; the verdict is unspecified otherwise. A widening rule's candidate
-// is judged from n and sub alone, without building the candidate tree,
-// hashing it or touching the cache (see Moves); any other candidate is built
-// on a pooled spine arena and goes through the memoized LegalState. The
-// caller that keeps the candidate builds it with difftree.ReplaceAt.
-func (e *Engine) LegalMove(src *difftree.Node, p difftree.Path, n, sub *difftree.Node, ruleIndex int) bool {
+// rolloutTries is the number of (rule, node) draws RandomMove makes before
+// it falls back to UniformMove.
+const rolloutTries = 48
+
+// RandomMove is the rollout step of the search: it draws random (rule, node)
+// candidates, each rule tried only on node kinds its rules.KindMask admits,
+// and returns the first legal rewrite of src, falling back to UniformMove
+// when all rolloutTries draws miss. src must be legal: the probe relies on
+// it (see legalMove). ok is false only when src has no legal move.
+//
+// Each try makes two draws: the rule, then an index into the rule's
+// candidate nodes, which are the pre-order per-kind node lists concatenated
+// in fixed Kind order (PathPools, restricted to the mask). The list is never
+// materialized: the index picks a kind segment from src's memoized
+// difftree.KindCounts, and difftree.NthOfKind descends subtree counts to the
+// node, writing its path into a stack buffer and returning the node with
+// its parent. The draw sequence never consults the memoization state, so a
+// walk is a pure function of (src, rng stream): cached and uncached engines
+// take identical walks, the cache only answers the probes faster. A try
+// applies the rule once to the drawn node (rules.Rewrite, which rejects a
+// non-matching pattern without allocating) and probes the rewritten
+// subtree; only the accepted one is spliced into a kept tree, with
+// difftree.ReplaceAt.
+func (e *Engine) RandomMove(src *difftree.Node, rng *rand.Rand) (*difftree.Node, bool) {
+	counts := src.KindCounts()
+	var buf [32]int
+	for i := 0; i < rolloutTries && len(e.cfg.Rules) > 0; i++ {
+		ri := rng.Intn(len(e.cfg.Rules))
+		mask := e.masks[ri]
+		total := 0
+		for k, c := range counts {
+			if mask&(1<<k) != 0 {
+				total += c
+			}
+		}
+		if total == 0 {
+			continue
+		}
+		idx := rng.Intn(total)
+		var k difftree.Kind
+		for k = difftree.All; ; k++ {
+			if mask&(1<<k) == 0 {
+				continue
+			}
+			if idx < counts[k] {
+				break
+			}
+			idx -= counts[k]
+		}
+		p, n, parent := difftree.NthOfKind(src, k, idx, buf[:0])
+		sub, ok := rules.Rewrite(n, parent, e.cfg.Rules[ri])
+		if ok && e.legalMove(src, p, n, sub, ri) {
+			return difftree.ReplaceAt(src, p, sub), true
+		}
+	}
+	return e.UniformMove(src, rng)
+}
+
+// UniformMove draws one of src's legal moves uniformly, by one rng draw
+// into Moves, and applies only that move: the successor Neighbors lists at
+// the drawn index. ok is false when src has no legal move.
+func (e *Engine) UniformMove(src *difftree.Node, rng *rand.Rand) (*difftree.Node, bool) {
+	ms := e.Moves(src)
+	if len(ms) == 0 {
+		return nil, false
+	}
+	next, err := rules.ApplyMove(src, ms[rng.Intn(len(ms))])
+	return next, err == nil
+}
+
+// legalMove is RandomMove's legality probe: LegalState of the tree built
+// from the legal state src by replacing its subtree n at p with sub, the
+// result of applying Config.Rules[ruleIndex] to n. The verdict is
+// unspecified when src is not legal. A widening rule's candidate is judged
+// from n and sub alone, without building the candidate tree, hashing it or
+// touching the cache (see Moves); any other candidate is built on a pooled
+// spine arena and goes through the memoized LegalState.
+func (e *Engine) legalMove(src *difftree.Node, p difftree.Path, n, sub *difftree.Node, ruleIndex int) bool {
 	arena := arenaPool.Get().(*difftree.SpineArena)
 	defer func() {
 		arena.Reset()
@@ -318,7 +384,7 @@ func (e *Engine) legalWidened(src *difftree.Node, p difftree.Path, n, sub *difft
 }
 
 // PathPools returns d's node paths grouped by node kind, each group in
-// pre-order. It is not memoized: core's rollout draws its node with
+// pre-order. It is not memoized: RandomMove draws its node with
 // difftree.NthOfKind from memoized per-node kind counts, and PathPools, a
 // plain walk, is the reference oracle for that draw: pools[k][j] equals
 // the path difftree.NthOfKind(d, k, j, nil) returns. All paths share one

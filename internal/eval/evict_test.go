@@ -53,7 +53,7 @@ func TestEvictHotEntriesSurviveScan(t *testing.T) {
 	}
 	touch := func() {
 		for i, k := range hot {
-			v, ok := c.Cost(k)
+			v, ok := cachedCost(c, k)
 			if !ok {
 				t.Fatalf("hot entry %d evicted by scan traffic", i)
 			}
@@ -99,7 +99,7 @@ func TestEvictRace(t *testing.T) {
 				case 0:
 					c.SetCost(key, float64(key))
 				case 1:
-					if v, ok := c.Cost(key); ok && v != float64(key) {
+					if v, ok := cachedCost(c, key); ok && v != float64(key) {
 						t.Errorf("worker %d: cost %v for key %d", w, v, key)
 					}
 				case 2:

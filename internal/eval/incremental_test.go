@@ -39,12 +39,12 @@ func sameMoves(a, b []rules.Move) bool {
 	return true
 }
 
-// checkLegalMoves asserts, for a state d that is legal for eng, that the
-// rollout probe Engine.LegalMove agrees with the full re-match oracle on
+// checklegalMoves asserts, for a state d that is legal for eng, that the
+// rollout probe Engine.legalMove agrees with the full re-match oracle on
 // every (node, rule) candidate of d, and that the spine-free widening
 // verdict agrees with the size cap plus difftree.ValidEdit on the built
 // candidate.
-func checkLegalMoves(t testing.TB, eng *Engine, d *difftree.Node, log []*ast.Node, what string) {
+func checklegalMoves(t testing.TB, eng *Engine, d *difftree.Node, log []*ast.Node, what string) {
 	t.Helper()
 	var arena difftree.SpineArena
 	difftree.WalkPath(d, func(n *difftree.Node, p difftree.Path) bool {
@@ -63,8 +63,8 @@ func checkLegalMoves(t testing.TB, eng *Engine, d *difftree.Node, log []*ast.Nod
 			}
 			fits := eng.SizeCap() <= 0 || next.Size() <= eng.SizeCap()
 			want := fits && rules.LegalState(next, log)
-			if got := eng.LegalMove(d, p, n, sub, i); got != want {
-				t.Fatalf("%s: LegalMove(%s@%s) = %v, oracle %v\nstate %s", what, r.Name(), p, got, want, d)
+			if got := eng.legalMove(d, p, n, sub, i); got != want {
+				t.Fatalf("%s: legalMove(%s@%s) = %v, oracle %v\nstate %s", what, r.Name(), p, got, want, d)
 			}
 			if !eng.widens[i] {
 				continue
@@ -86,7 +86,7 @@ func checkLegalMoves(t testing.TB, eng *Engine, d *difftree.Node, log []*ast.Nod
 // checkLog — on a cached and an uncached engine, under the search's size cap
 // and a tight one — and that Neighbors applies every move (the rollout
 // fallback draws an index into Moves). At states legal for checkLog, the
-// precondition of the rollout probe, LegalMove must agree with the oracle
+// precondition of the rollout probe, legalMove must agree with the oracle
 // on every candidate.
 func checkIncrementalWalk(t testing.TB, walkLog, checkLog []*ast.Node, seed int64, steps int) {
 	t.Helper()
@@ -116,7 +116,7 @@ func checkIncrementalWalk(t testing.TB, walkLog, checkLog []*ast.Node, seed int6
 				t.Fatalf("seed %d step %d engine %d: %d neighbors for %d moves", seed, step, i, n, len(got))
 			}
 			if eng.LegalState(d) {
-				checkLegalMoves(t, eng, d, checkLog, fmt.Sprintf("seed %d step %d engine %d", seed, step, i))
+				checklegalMoves(t, eng, d, checkLog, fmt.Sprintf("seed %d step %d engine %d", seed, step, i))
 			}
 		}
 		walk := capMoves(d, rules.Moves(d, walkLog, rules.All()), caps[0])
@@ -167,7 +167,7 @@ func TestIncrementalMovesUnexpressedQuery(t *testing.T) {
 }
 
 // FuzzIncrementalLegality differentially checks move enumeration and the
-// rollout probe (LegalMove) against the full re-match oracle on random
+// rollout probe (legalMove) against the full re-match oracle on random
 // walks over random multi-table logs.
 func FuzzIncrementalLegality(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(6))
@@ -223,8 +223,8 @@ func TestWideningNullabilityFlip(t *testing.T) {
 				t.Errorf("cached %v: Moves lists %s, whose result is invalid", eng.Enabled(), m)
 			}
 		}
-		if eng.LegalMove(d, p, n, sub, ri) {
-			t.Errorf("cached %v: LegalMove accepts MultiMerge@%s, whose result is invalid", eng.Enabled(), p)
+		if eng.legalMove(d, p, n, sub, ri) {
+			t.Errorf("cached %v: legalMove accepts MultiMerge@%s, whose result is invalid", eng.Enabled(), p)
 		}
 	}
 }

@@ -70,7 +70,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("imported %d entries", n)
 	}
 	for key, want := range costs {
-		got, ok := dst.Cost(key)
+		got, ok := cachedCost(dst, key)
 		if !ok {
 			t.Fatalf("key %#x missing after import", key)
 		}
@@ -110,7 +110,7 @@ func TestSnapshotImportIdempotentAndFirstWriteWins(t *testing.T) {
 	if entries2 := dst.Stats().Entries; entries2 != entries1 {
 		t.Fatalf("re-import changed occupancy: %d -> %d", entries1, entries2)
 	}
-	if got, _ := dst.Cost(anyKey); got != 12345.5 {
+	if got, _ := cachedCost(dst, anyKey); got != 12345.5 {
 		t.Fatalf("import clobbered a pre-existing entry: got %v, want sentinel 12345.5", got)
 	}
 }
@@ -119,13 +119,13 @@ func TestSetCostFirstWriteWins(t *testing.T) {
 	c := NewCache(0)
 	c.SetCost(7, 1.5)
 	c.SetCost(7, 99)
-	if v, ok := c.Cost(7); !ok || v != 1.5 {
+	if v, ok := cachedCost(c, 7); !ok || v != 1.5 {
 		t.Fatalf("SetCost overwrote: got %v, want 1.5", v)
 	}
 	c.SetLegal(7, true)
 	c.SetLegal(7, false)
-	if legal, ok := c.Legal(7); !ok || !legal {
-		t.Fatalf("SetLegal overwrote: got legal=%v, want true", legal)
+	if v, ok := c.probe(7); !ok || v.legal != 1 {
+		t.Fatalf("SetLegal overwrote: got legal=%v, want 1", v.legal)
 	}
 }
 
@@ -240,13 +240,13 @@ func TestSnapshotSkipsNonPortableAspects(t *testing.T) {
 	if _, err := dst.LoadSnapshot(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := dst.Cost(3); !ok || v != 7 {
+	if v, ok := cachedCost(dst, 3); !ok || v != 7 {
 		t.Fatalf("cost entry lost: %v %v", v, ok)
 	}
-	if got, ok := dst.Moves(1); !ok || !sameMoves(got, ms) {
-		t.Fatalf("moves entry = %v %v, want %v", got, ok, ms)
+	if got, ok := dst.probe(1); !ok || !got.hasMoves || !sameMoves(got.moves, ms) {
+		t.Fatalf("moves entry = %v %v, want %v", got.moves, ok, ms)
 	}
-	if _, ok := dst.Moves(2); ok {
+	if got, ok := dst.probe(2); ok && got.hasMoves {
 		t.Fatal("an unencodable move set travelled across the snapshot")
 	}
 }
@@ -266,16 +266,16 @@ func TestSnapshotCarriesMoves(t *testing.T) {
 	restored := New(eng.cfg, dst)
 	checked := 0
 	for _, d := range append([]*difftree.Node{init}, eng.Neighbors(init)...) {
-		want, ok := src.Moves(eng.key(difftree.Hash(d)))
-		if !ok {
+		want, ok := src.probe(eng.key(difftree.Hash(d)))
+		if !ok || !want.hasMoves {
 			continue
 		}
 		checked++
-		got, ok := dst.Moves(restored.key(difftree.Hash(d)))
-		if !ok || !sameMoves(got, want) {
-			t.Fatalf("restored moves of %s = %v %v, want %v", d, got, ok, want)
+		got, ok := dst.probe(restored.key(difftree.Hash(d)))
+		if !ok || !got.hasMoves || !sameMoves(got.moves, want.moves) {
+			t.Fatalf("restored moves of %s = %v %v, want %v", d, got.moves, ok, want.moves)
 		}
-		if !sameMoves(restored.Moves(d), want) {
+		if !sameMoves(restored.Moves(d), want.moves) {
 			t.Fatalf("restored engine Moves of %s differ", d)
 		}
 	}
@@ -355,7 +355,7 @@ func TestSnapshotPreservesSpecialFloats(t *testing.T) {
 	if _, err := dst.LoadSnapshot(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := dst.Cost(1); !ok || !math.IsInf(v, 1) {
+	if v, ok := cachedCost(dst, 1); !ok || !math.IsInf(v, 1) {
 		t.Fatalf("+Inf did not round-trip: %v %v", v, ok)
 	}
 }
@@ -378,7 +378,7 @@ func TestSnapshotFileAtomicRoundTrip(t *testing.T) {
 		t.Fatalf("LoadSnapshotFile: %v", err)
 	}
 	for key, want := range costs {
-		if got, ok := dst.Cost(key); !ok || got != want {
+		if got, ok := cachedCost(dst, key); !ok || got != want {
 			t.Fatalf("key %#x: %v (ok=%v), want %v", key, got, ok, want)
 		}
 	}

@@ -230,24 +230,19 @@ func Moves(root *difftree.Node, queries []*ast.Node, set []Rule) []Move {
 	return out
 }
 
-// ApplyMove applies a move to root, returning the rewritten tree. It errors
-// if the move no longer matches (e.g. applied to a different tree).
+// ApplyMove applies a move to root through Candidate, returning the
+// rewritten tree; it does not check legality. It errors if the rule is
+// unknown or the move does not apply to root, as a move listed for another
+// tree may not: its path leaves the tree, its pattern does not match there,
+// or the rule vetoes the node's parent.
 func ApplyMove(root *difftree.Node, m Move) (*difftree.Node, error) {
 	r, ok := ByName(m.Rule)
 	if !ok {
 		return nil, fmt.Errorf("rules: unknown rule %q", m.Rule)
 	}
-	n := difftree.At(root, m.Path)
-	if n == nil {
-		return nil, fmt.Errorf("rules: move %s: path does not exist", m)
-	}
-	sub, ok := r.Apply(n)
+	next, ok := Candidate(root, m.Path, r)
 	if !ok {
-		return nil, fmt.Errorf("rules: move %s: rule pattern no longer matches", m)
-	}
-	next := difftree.ReplaceAt(root, m.Path, sub)
-	if next == nil {
-		return nil, fmt.Errorf("rules: move %s: replace failed", m)
+		return nil, fmt.Errorf("rules: move %s does not apply", m)
 	}
 	return next, nil
 }

@@ -388,6 +388,17 @@ func TestApplyMoveErrors(t *testing.T) {
 	if _, err := ApplyMove(d, Move{Rule: "Optional", Path: nil}); err == nil {
 		t.Error("non-matching rule must error")
 	}
+	// Wrap matches a plain ALL anywhere, but applies only under an ANY: at
+	// the root and at a child of an ALL its parent veto must hold.
+	sel := difftree.FromAST(sqlparser.MustParse("SELECT a FROM t"))
+	for _, p := range []difftree.Path{nil, {0}} {
+		if n := difftree.At(sel, p); n == nil || n.Kind != difftree.All {
+			t.Fatalf("%s of %s is not an ALL node", p, sel)
+		}
+		if next, err := ApplyMove(sel, Move{Rule: "Wrap", Path: p}); err == nil {
+			t.Errorf("Wrap@%s under a non-ANY parent must error, got %s", p, next)
+		}
+	}
 }
 
 // TestRandomWalkInvariant is the paper's core invariant under fuzzing: any

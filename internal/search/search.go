@@ -1,9 +1,10 @@
 // Package search implements the non-MCTS search strategies used as
 // comparators in the evaluation: uniform random walks, greedy hill-climbing,
 // beam search, and exhaustive breadth-first enumeration (feasible only for
-// tiny inputs). All draw their moves from the evaluation engine the MCTS
-// search uses — eval.Engine.Moves applies the legality gate and the size cap
-// (see SizeCap) — so they differ from it only in exploration policy.
+// tiny inputs). All take their steps from the evaluation engine the MCTS
+// search uses — eval.Engine.Neighbors and UniformMove apply only moves that
+// pass the legality gate and the size cap (see SizeCap) — so they differ
+// from it only in exploration policy.
 //
 // Every searcher is anytime: it takes a context.Context and returns its
 // best-so-far result promptly when the context is cancelled or its deadline
@@ -17,7 +18,6 @@ import (
 
 	"repro/internal/difftree"
 	"repro/internal/eval"
-	"repro/internal/rules"
 )
 
 // Objective scores a difftree; lower is better (interface cost).
@@ -38,8 +38,7 @@ func SizeCap(init *difftree.Node) int {
 type Result struct {
 	Best        *difftree.Node
 	BestCost    float64
-	Evals       int  // objective evaluations
-	States      int  // states visited/generated
+	States      int  // states visited/generated; one objective call each
 	Interrupted bool // the context ended the search early
 }
 
@@ -65,26 +64,20 @@ func (r *Result) cancelled(ctx context.Context) bool {
 // from init, evaluating every visited state.
 func Random(ctx context.Context, init *difftree.Node, eng *eval.Engine, obj Objective, walks, depth int, seed int64) Result {
 	rng := rand.New(rand.NewSource(seed))
-	res := Result{Best: init, BestCost: obj(init), Evals: 1, States: 1}
+	res := Result{Best: init, BestCost: obj(init), States: 1}
 	for w := 0; w < walks; w++ {
 		cur := init
 		for s := 0; s < depth; s++ {
 			if res.cancelled(ctx) {
 				return res
 			}
-			ms := eng.Moves(cur)
-			if len(ms) == 0 {
-				break
-			}
-			next, err := rules.ApplyMove(cur, ms[rng.Intn(len(ms))])
-			if err != nil {
+			next, ok := eng.UniformMove(cur, rng)
+			if !ok {
 				break
 			}
 			cur = next
 			res.States++
-			c := obj(cur)
-			res.Evals++
-			res.track(cur, c)
+			res.track(cur, obj(cur))
 		}
 	}
 	return res
@@ -94,23 +87,17 @@ func Random(ctx context.Context, init *difftree.Node, eng *eval.Engine, obj Obje
 // resulting state has the lowest objective, stopping at a local optimum or
 // after maxSteps.
 func Greedy(ctx context.Context, init *difftree.Node, eng *eval.Engine, obj Objective, maxSteps int) Result {
-	res := Result{Best: init, BestCost: obj(init), Evals: 1, States: 1}
+	res := Result{Best: init, BestCost: obj(init), States: 1}
 	cur, curCost := init, res.BestCost
 	for s := 0; s < maxSteps; s++ {
-		ms := eng.Moves(cur)
 		var best *difftree.Node
 		bestCost := curCost
-		for _, m := range ms {
+		for _, next := range eng.Neighbors(cur) {
 			if res.cancelled(ctx) {
 				return res
 			}
-			next, err := rules.ApplyMove(cur, m)
-			if err != nil {
-				continue
-			}
 			res.States++
 			c := obj(next)
-			res.Evals++
 			if c < bestCost {
 				best, bestCost = next, c
 			}
@@ -154,20 +141,16 @@ func selectBest(next []scored, width int) []scored {
 // Beam keeps the `width` best states per generation for maxSteps
 // generations, deduplicating by structural hash.
 func Beam(ctx context.Context, init *difftree.Node, eng *eval.Engine, obj Objective, width, maxSteps int) Result {
-	res := Result{Best: init, BestCost: obj(init), Evals: 1, States: 1}
+	res := Result{Best: init, BestCost: obj(init), States: 1}
 	frontier := []scored{{init, res.BestCost, difftree.Hash(init)}}
 	seen := map[uint64]bool{difftree.Hash(init): true}
 
 	for s := 0; s < maxSteps && len(frontier) > 0; s++ {
 		var next []scored
 		for _, st := range frontier {
-			for _, m := range eng.Moves(st.d) {
+			for _, nd := range eng.Neighbors(st.d) {
 				if res.cancelled(ctx) {
 					return res
-				}
-				nd, err := rules.ApplyMove(st.d, m)
-				if err != nil {
-					continue
 				}
 				h := difftree.Hash(nd)
 				if seen[h] {
@@ -176,7 +159,6 @@ func Beam(ctx context.Context, init *difftree.Node, eng *eval.Engine, obj Object
 				seen[h] = true
 				res.States++
 				c := obj(nd)
-				res.Evals++
 				res.track(nd, c)
 				next = append(next, scored{nd, c, h})
 			}
@@ -191,20 +173,16 @@ func Beam(ctx context.Context, init *difftree.Node, eng *eval.Engine, obj Object
 // the optimum over everything visited (and reports completeness — false
 // when the cap was hit or the context ended the sweep).
 func Exhaustive(ctx context.Context, init *difftree.Node, eng *eval.Engine, obj Objective, maxStates int) (Result, bool) {
-	res := Result{Best: init, BestCost: obj(init), Evals: 1, States: 1}
+	res := Result{Best: init, BestCost: obj(init), States: 1}
 	queue := []*difftree.Node{init}
 	seen := map[uint64]bool{difftree.Hash(init): true}
 
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
-		for _, m := range eng.Moves(cur) {
+		for _, next := range eng.Neighbors(cur) {
 			if res.cancelled(ctx) {
 				return res, false
-			}
-			next, err := rules.ApplyMove(cur, m)
-			if err != nil {
-				continue
 			}
 			h := difftree.Hash(next)
 			if seen[h] {
@@ -212,9 +190,7 @@ func Exhaustive(ctx context.Context, init *difftree.Node, eng *eval.Engine, obj 
 			}
 			seen[h] = true
 			res.States++
-			c := obj(next)
-			res.Evals++
-			res.track(next, c)
+			res.track(next, obj(next))
 			if res.States >= maxStates {
 				return res, false
 			}
