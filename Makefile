@@ -129,6 +129,7 @@ fuzz-smoke:
 	$(GO) test ./internal/codec -run '^$$' -fuzz FuzzUnmarshal -fuzztime 10s
 	$(GO) test ./internal/eval -run '^$$' -fuzz FuzzLoadSnapshot -fuzztime 10s
 	$(GO) test ./internal/eval -run '^$$' -fuzz FuzzIncrementalLegality -fuzztime 10s
+	$(GO) test ./internal/eval -run '^$$' -fuzz FuzzMatchMemo -fuzztime 10s
 	$(GO) test ./internal/rules -run '^$$' -fuzz FuzzWideningRules -fuzztime 10s
 	$(GO) test ./internal/rules -run '^$$' -fuzz FuzzRuleRewrite -fuzztime 10s
 	$(GO) test ./internal/difftree -run '^$$' -fuzz FuzzNthOfKind -fuzztime 10s

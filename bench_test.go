@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/baseline"
+	"repro/internal/benchutil"
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/difftree"
@@ -326,11 +327,13 @@ func BenchmarkScalingLogSize(b *testing.B) {
 // cache modes the searchbench harness times. CI runs it with -benchmem and
 // records allocs/op; the uncached mode is the no-memoization reference, cold
 // pays first-search cache fills, warm is the steady state an interactive
-// session lives in.
+// session lives in. Each mode reports process CPU time per op (cpu-ms/op)
+// next to wall time.
 func BenchmarkGenerate(b *testing.B) {
 	log := workload.SDSSLog()
 	run := func(b *testing.B, opt core.Options) {
 		var last float64
+		cpu, _ := benchutil.ProcessCPU()
 		for i := 0; i < b.N; i++ {
 			res, err := core.Generate(context.Background(), log, opt)
 			if err != nil {
@@ -338,6 +341,7 @@ func BenchmarkGenerate(b *testing.B) {
 			}
 			last = res.Cost.Total()
 		}
+		benchutil.ReportCPU(b, b.N, cpu)
 		reportCost(b, last)
 	}
 	b.Run("uncached", func(b *testing.B) {
@@ -348,6 +352,7 @@ func BenchmarkGenerate(b *testing.B) {
 	b.Run("cold", func(b *testing.B) {
 		// A fresh cache every op: every measured run pays the full
 		// first-search miss/insert path.
+		cpu, _ := benchutil.ProcessCPU()
 		for i := 0; i < b.N; i++ {
 			opt := benchOpts(layout.Wide)
 			opt.Cache = eval.NewCache(0)
@@ -357,6 +362,7 @@ func BenchmarkGenerate(b *testing.B) {
 			}
 			reportCost(b, res.Cost.Total())
 		}
+		benchutil.ReportCPU(b, b.N, cpu)
 	})
 	b.Run("warm", func(b *testing.B) {
 		opt := benchOpts(layout.Wide)

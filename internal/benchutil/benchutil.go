@@ -4,7 +4,8 @@
 // compare step. Both commands follow the same conventions — a JSON report
 // artifact, a readable diff against the previous run printed *before* any
 // gate fires, and gates that are recorded but only enforced on machines
-// that can express them.
+// that can express them. Go benchmarks report process CPU time per op
+// through it too (ReportCPU).
 package benchutil
 
 import (
@@ -13,6 +14,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"time"
 )
 
 // WriteJSON marshals v indented with a trailing newline to path, or to
@@ -56,4 +58,17 @@ func DeltaPrinter(w io.Writer) func(label string, old, new float64, unit string)
 func GateEnforced(minCPUs int) (cpus int, enforced bool) {
 	cpus = runtime.NumCPU()
 	return cpus, minCPUs <= 0 || cpus >= minCPUs
+}
+
+// ReportCPU reports on b (a *testing.B) the process CPU time used since
+// start, a ProcessCPU reading, per op as the cpu-ms/op metric. On a shared
+// host wall time per op swings with the neighbours' load; CPU time swings
+// much less, so an A/B comparison can tell a change from the host. It
+// reports nothing where ProcessCPU cannot read the time.
+func ReportCPU(b interface{ ReportMetric(float64, string) }, ops int, start time.Duration) {
+	now, ok := ProcessCPU()
+	if !ok || ops <= 0 {
+		return
+	}
+	b.ReportMetric(float64(now-start)/float64(time.Millisecond)/float64(ops), "cpu-ms/op")
 }

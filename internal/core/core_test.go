@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
@@ -233,5 +234,22 @@ func TestRewardMonotoneInCost(t *testing.T) {
 	// Cached: same value on repeat call.
 	if d.Reward(s) != r1 {
 		t.Error("reward cache broken")
+	}
+}
+
+// TestSDSSSeed1CostWithMatchMemo pins the cost of a cold SDSS search at
+// seed 1 (15 iterations, the default rollout depth), whose legality
+// re-matches go through the engine's match memo. The memo must serve only
+// ExpressibleAll: Express records the choice trail cost.NewEvaluator reads,
+// and a memoized step records none, so memoizing Express too drops choices
+// from the trail and changes the costs.
+func TestSDSSSeed1CostWithMatchMemo(t *testing.T) {
+	opt := Options{Screen: layout.Wide, Iterations: 15, Seed: 1}
+	res, err := Generate(context.Background(), workload.SDSSLog(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%.2f", res.Cost.Total()); got != "44.65" {
+		t.Errorf("SDSS seed 1 costs %s, want 44.65", got)
 	}
 }

@@ -90,17 +90,3 @@ func (a *SpineArena) ReplaceAt(root *Node, p Path, repl *Node) *Node {
 	out.Children[p[0]] = sub
 	return out
 }
-
-// ValidReplace reports whether ValidEdit(a.ReplaceAt(root, p, sub), p)
-// holds, for a valid root whose subtree at p is n. Spine copies keep kind,
-// label and arity, so while sub is nullable exactly when n is, every spine
-// node is nullable exactly when its original is, and every Multi on the
-// spine still has the non-nullable child it has in root: the edit is valid
-// iff sub is. Only a nullability flip builds the spine from a, to run
-// ValidEdit's Multi check on it.
-func (a *SpineArena) ValidReplace(root *Node, p Path, n, sub *Node) bool {
-	if Nullable(sub) == Nullable(n) {
-		return validSubtree(sub)
-	}
-	return ValidEdit(a.ReplaceAt(root, p, sub), p)
-}

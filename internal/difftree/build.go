@@ -31,7 +31,14 @@ func Initial(queries []*ast.Node) (*Node, error) {
 //   - Multi children are not nullable (otherwise matching would diverge),
 //   - All nodes carry a valid grammar label,
 //   - Empty nodes are leaves.
+//
+// A valid tree returns through the per-node memo (validSubtree), so a tree
+// built by a copy-on-write edit of a checked tree walks only its fresh
+// spine; an invalid one is walked again to name the first offending path.
 func Validate(root *Node) error {
+	if validSubtree(root) {
+		return nil
+	}
 	var err error
 	WalkPath(root, func(n *Node, p Path) bool {
 		if err != nil {
@@ -111,6 +118,83 @@ func ValidEdit(next *Node, p Path) bool {
 		n = n.Children[i]
 	}
 	return validSubtree(n)
+}
+
+// ValidReplace reports whether Validate(ReplaceAt(root, p, sub)) == nil,
+// for a valid root whose subtree at p is n. Spine copies keep kind, label
+// and arity, so the edit is valid iff sub is and the spine stays valid
+// under sub's nullability (ValidNullable); neither check builds the spine.
+func ValidReplace(root *Node, p Path, n, sub *Node) bool {
+	nullable := Nullable(sub)
+	if nullable == Nullable(n) {
+		return validSubtree(sub)
+	}
+	return ValidNullable(root, p, nullable) && validSubtree(sub)
+}
+
+// ValidNullable reports whether the spine of a valid root stays valid when
+// its subtree at p is replaced by a subtree whose nullability is nullable:
+// the one invariant a spine copy can newly break is a Multi whose child
+// became nullable. It walks back up the spine only while the nullability
+// keeps differing from the original's, and builds nothing. It is false
+// when p leaves the tree.
+func ValidNullable(root *Node, p Path, nullable bool) bool {
+	var buf [32]*Node
+	spine := buf[:0]
+	n := root
+	for _, i := range p {
+		if n == nil || i < 0 || i >= len(n.Children) {
+			return false
+		}
+		spine = append(spine, n)
+		n = n.Children[i]
+	}
+	if n == nil {
+		return false
+	}
+	if nullable == Nullable(n) {
+		return true
+	}
+	for j := len(spine) - 1; j >= 0; j-- {
+		a := spine[j]
+		if a.Kind == Multi && nullable {
+			return false
+		}
+		now := nullableWith(a, p[j], nullable)
+		if now == Nullable(a) {
+			return true
+		}
+		nullable = now
+	}
+	return true
+}
+
+// nullableWith is Nullable(a) with the nullability of a's child i taken as
+// child.
+func nullableWith(a *Node, i int, child bool) bool {
+	switch a.Kind {
+	case All:
+		if a.Label != ast.KindSeq || !child {
+			return false
+		}
+		for k, c := range a.Children {
+			if k != i && !Nullable(c) {
+				return false
+			}
+		}
+		return true
+	case Any:
+		if child {
+			return true
+		}
+		for k, c := range a.Children {
+			if k != i && Nullable(c) {
+				return true
+			}
+		}
+		return false
+	}
+	return true // Opt, Multi
 }
 
 func errorsAt(p Path, msg string) error {

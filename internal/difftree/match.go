@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/ast"
 )
@@ -46,7 +47,7 @@ const matchBudget = 1 << 20
 // legality-check path allocates nothing after the matcher pool warms up.
 func Expressible(root *Node, q *ast.Node) bool {
 	m := acquireMatcher(false)
-	ok := m.matchQuery(root, q)
+	ok := m.matchQuery(root, q, 0)
 	releaseMatcher(m)
 	return ok
 }
@@ -55,23 +56,142 @@ func Expressible(root *Node, q *ast.Node) bool {
 // matcher (and its cons-cell arena) is reused across all queries; the
 // backtracking budget is per query, matching repeated Expressible calls.
 func ExpressibleAll(root *Node, qs []*ast.Node) bool {
+	return expressibleAll(root, qs, nil)
+}
+
+func expressibleAll(root *Node, qs []*ast.Node, memo *MatchMemo) bool {
 	m := acquireMatcher(false)
+	m.memo = memo
 	defer releaseMatcher(m)
-	for _, q := range qs {
+	for i, q := range qs {
 		m.budget = matchBudget
 		m.chunk, m.used = 0, 0
-		if !m.matchQuery(root, q) {
+		id := 0
+		if memo != nil {
+			id = int(memo.roots[i])
+		}
+		if !m.matchQuery(root, q, id) {
 			return false
 		}
 	}
 	return true
 }
 
+// memoSlots is the fixed size of a MatchMemo's table: a power of two, so
+// a key's low bits index its slot.
+const memoSlots = 1 << 14
+
+// MatchMemo memoizes the matcher's context-free All-node step for one
+// fixed query log: whether an All node's children generate exactly an AST
+// node's children. The verdict depends only on the difftree subtree and
+// the AST subtree, so it is keyed by the difftree subtree's structural hash
+// and the AST subtree's class: structurally equal AST subtrees of the log
+// share one class. A copy-on-write edit keeps every subtree off its spine,
+// so re-matching a candidate repeats almost every step made on the state
+// it was built from, and the memo answers those steps instead.
+//
+// Only ExpressibleAll consults it: Express records a trail of choices,
+// which a memoized step would skip. A verdict is stored only when its
+// sub-match finished within matchBudget, so every stored verdict is the
+// exact one. A memoized step consumes no budget, so a memoized match can
+// succeed where the unmemoized one exhausts the budget and reports
+// inexpressible; everywhere else the two agree.
+//
+// The table is direct-mapped, of fixed size, with each slot one atomic
+// word holding the key's high bits and the verdict; a colliding store
+// overwrites. It is safe for concurrent use.
+type MatchMemo struct {
+	log   []*ast.Node
+	roots []int32 // pre-order number of each query's root
+	sizes []int32 // AST subtree size per pre-order number
+	class []int32 // AST subtree class per pre-order number
+	slots [memoSlots]atomic.Uint64
+}
+
+// NewMatchMemo returns an empty memo for matching log. The AST nodes of
+// log are numbered in pre-order across the queries, so the matcher tracks
+// the number of the node it is at and reads its class from a slice; the
+// classes number the log's structurally distinct subtrees.
+func NewMatchMemo(log []*ast.Node) *MatchMemo {
+	mm := &MatchMemo{log: log, roots: make([]int32, len(log))}
+	var firsts []*ast.Node             // by class
+	classes := map[uint64][]int32{}    // ast.Hash -> classes with that hash
+	var number func(a *ast.Node) int32 // returns a's subtree size
+	number = func(a *ast.Node) int32 {
+		id := len(mm.sizes)
+		mm.sizes = append(mm.sizes, 0)
+		mm.class = append(mm.class, 0)
+		size := int32(1)
+		for _, c := range a.Children {
+			size += number(c)
+		}
+		mm.sizes[id] = size
+		h := ast.Hash(a)
+		class := int32(-1)
+		for _, c := range classes[h] {
+			if ast.Equal(firsts[c], a) {
+				class = c
+				break
+			}
+		}
+		if class < 0 {
+			class = int32(len(firsts))
+			firsts = append(firsts, a)
+			classes[h] = append(classes[h], class)
+		}
+		mm.class[id] = class
+		return size
+	}
+	for i, q := range log {
+		mm.roots[i] = int32(len(mm.sizes))
+		number(q)
+	}
+	return mm
+}
+
+// ExpressibleAll is ExpressibleAll(root, log) for the memo's log, with
+// the All-node step memoized; see MatchMemo for where the two can differ.
+func (mm *MatchMemo) ExpressibleAll(root *Node) bool {
+	return expressibleAll(root, mm.log, mm)
+}
+
+// key digests a difftree subtree hash and the class of the AST node
+// numbered id.
+func (mm *MatchMemo) key(h uint64, id int) uint64 {
+	x := h ^ uint64(mm.class[id]+1)*0x9e3779b97f4a7c15
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return x
+}
+
+// A slot holds the key's bits above the index, then the verdict in bit 1
+// and a set flag in bit 0; 0 is an empty slot.
+const memoTagMask = ^uint64(memoSlots - 1)
+
+func (mm *MatchMemo) lookup(key uint64) (verdict, ok bool) {
+	w := mm.slots[key&(memoSlots-1)].Load()
+	if w&1 == 0 || w&memoTagMask != key&memoTagMask {
+		return false, false
+	}
+	return w&2 != 0, true
+}
+
+func (mm *MatchMemo) store(key uint64, verdict bool) {
+	w := key&memoTagMask | 1
+	if verdict {
+		w |= 2
+	}
+	mm.slots[key&(memoSlots-1)].Store(w)
+}
+
 // Express finds choice assignments under which the difftree generates q.
 // The witness is deterministic (first found in a fixed alternative order).
 func Express(root *Node, q *ast.Node) (Assignment, bool) {
 	m := acquireMatcher(true)
-	if !m.matchQuery(root, q) {
+	if !m.matchQuery(root, q, 0) {
 		releaseMatcher(m)
 		return nil, false
 	}
@@ -119,6 +239,7 @@ type matcher struct {
 	budget    int
 	needTrail bool
 	qbuf      [1]*ast.Node
+	memo      *MatchMemo // nil: no memo, and AST node numbers are not tracked
 
 	// Cons-cell arena: dlist cells live only for the duration of one match
 	// (match returns bool; nothing downstream holds a cell), so they are
@@ -143,12 +264,15 @@ func acquireMatcher(needTrail bool) *matcher {
 
 func releaseMatcher(m *matcher) {
 	m.qbuf[0] = nil
+	m.memo = nil
 	matcherPool.Put(m)
 }
 
-func (m *matcher) matchQuery(root *Node, q *ast.Node) bool {
+// matchQuery matches root against q, the AST node numbered id in the
+// memo's log (0 without a memo).
+func (m *matcher) matchQuery(root *Node, q *ast.Node, id int) bool {
 	m.qbuf[0] = q
-	return m.match(m.cons(root, nil), m.qbuf[:1])
+	return m.match(m.cons(root, nil), m.qbuf[:1], id)
 }
 
 func (m *matcher) mark() int     { return len(m.trail) }
@@ -198,8 +322,9 @@ func (m *matcher) consChildren(children []*Node, rest *dlist) *dlist {
 
 // match reports whether the pending difftree node list can generate exactly
 // the AST node sequence as. It backtracks across Any/Opt/Multi alternatives
-// and records choices on the trail.
-func (m *matcher) match(ds *dlist, as []*ast.Node) bool {
+// and records choices on the trail. With a memo, id numbers as[0] in the
+// memo's log.
+func (m *matcher) match(ds *dlist, as []*ast.Node, id int) bool {
 	if m.budget <= 0 {
 		return false
 	}
@@ -211,16 +336,16 @@ func (m *matcher) match(ds *dlist, as []*ast.Node) bool {
 	d := ds.head
 	rest := ds.tail
 	if d == nil {
-		return m.match(rest, as)
+		return m.match(rest, as, id)
 	}
 
 	switch d.Kind {
 	case All:
 		switch d.Label {
 		case ast.KindEmpty:
-			return m.match(rest, as)
+			return m.match(rest, as, id)
 		case ast.KindSeq:
-			return m.match(m.consChildren(d.Children, rest), as)
+			return m.match(m.consChildren(d.Children, rest), as, id)
 		default:
 			if len(as) == 0 {
 				return false
@@ -230,11 +355,15 @@ func (m *matcher) match(ds *dlist, as []*ast.Node) bool {
 				return false
 			}
 			mk := m.mark()
-			if !m.match(m.consChildren(d.Children, nil), a.Children) {
+			if !m.matchChildren(d, a, id) {
 				m.undo(mk)
 				return false
 			}
-			if !m.match(rest, as[1:]) {
+			next := 0
+			if m.memo != nil {
+				next = id + int(m.memo.sizes[id])
+			}
+			if !m.match(rest, as[1:], next) {
 				m.undo(mk)
 				return false
 			}
@@ -248,7 +377,7 @@ func (m *matcher) match(ds *dlist, as []*ast.Node) bool {
 			}
 			mk := m.mark()
 			m.record(d, i)
-			if m.match(m.cons(c, rest), as) {
+			if m.match(m.cons(c, rest), as, id) {
 				return true
 			}
 			m.undo(mk)
@@ -260,13 +389,13 @@ func (m *matcher) match(ds *dlist, as []*ast.Node) bool {
 		mk := m.mark()
 		if headCanMatch(d.Children[0], as) {
 			m.record(d, 0)
-			if m.match(m.cons(d.Children[0], rest), as) {
+			if m.match(m.cons(d.Children[0], rest), as, id) {
 				return true
 			}
 			m.undo(mk)
 		}
 		m.record(d, -1)
-		if m.match(rest, as) {
+		if m.match(rest, as, id) {
 			return true
 		}
 		m.undo(mk)
@@ -279,19 +408,39 @@ func (m *matcher) match(ds *dlist, as []*ast.Node) bool {
 		mk := m.mark()
 		if headCanMatch(d.Children[0], as) {
 			m.record(d, 0)
-			if m.match(m.cons(d.Children[0], m.cons(d, rest)), as) {
+			if m.match(m.cons(d.Children[0], m.cons(d, rest)), as, id) {
 				return true
 			}
 			m.undo(mk)
 		}
 		m.record(d, -1)
-		if m.match(rest, as) {
+		if m.match(rest, as, id) {
 			return true
 		}
 		m.undo(mk)
 		return false
 	}
 	return false
+}
+
+// matchChildren is match's context-free All-node step: whether d's
+// children generate exactly a's, a being numbered id. With a memo, a
+// verdict found within the budget is stored and a stored one is returned
+// without matching; a childless d is matched directly, which costs less
+// than a lookup.
+func (m *matcher) matchChildren(d *Node, a *ast.Node, id int) bool {
+	if m.memo == nil || len(d.Children) == 0 {
+		return m.match(m.consChildren(d.Children, nil), a.Children, id+1)
+	}
+	key := m.memo.key(Hash(d), id)
+	if v, ok := m.memo.lookup(key); ok {
+		return v
+	}
+	v := m.match(m.consChildren(d.Children, nil), a.Children, id+1)
+	if m.budget > 0 {
+		m.memo.store(key, v)
+	}
+	return v
 }
 
 // headCanMatch is a cheap pruning check: a plain All node can only start

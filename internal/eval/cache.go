@@ -11,7 +11,9 @@
 //
 // The Engine also owns the search step built on them: Neighbors applies
 // every legal move, UniformMove one drawn uniformly, and RandomMove is the
-// MCTS rollout step.
+// MCTS rollout step. A cached engine re-matches queries through its own
+// difftree.MatchMemo, made on its first full re-match and dropped with the
+// engine.
 //
 // Scoring a state is deterministic per state: the reward-sampling RNG is
 // seeded from the state's hash mixed with the engine's base seed, so a

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/assign"
 	"repro/internal/ast"
@@ -32,17 +33,70 @@ type Config struct {
 // Engine evaluates difftree states for one Config, memoizing through an
 // optional shared Cache. A nil cache disables memoization entirely — every
 // call recomputes — which is the reference baseline the bench harness
-// compares against. The Engine itself holds no state beyond the cache, and
-// is safe for concurrent use.
+// compares against. Beyond the cache, the Engine holds only its match memo
+// (see fullLegal) and its path trie (see Moves), which are dropped with it,
+// and is safe for concurrent use.
 type Engine struct {
 	cfg   Config
 	cache *Cache
 	fp    uint64 // configuration fingerprint, mixed into every cache key
 
 	// masks[i] is rules.KindMask(cfg.Rules[i]); widens[i] is
-	// rules.Widens(cfg.Rules[i]).
-	masks  []uint8
-	widens []bool
+	// rules.Widens(cfg.Rules[i]); shapers[i] is cfg.Rules[i] when it is a
+	// widening shaper, else nil.
+	masks   []uint8
+	widens  []bool
+	shapers []shaper
+
+	// matches memoizes the matcher's All-node step across the full
+	// re-matches of this engine: nil until the first one, and never set
+	// on an uncached engine.
+	matches atomic.Pointer[difftree.MatchMemo]
+
+	// paths interns the paths of the move lists Moves builds.
+	paths pathTrie
+}
+
+// pathTrie interns move paths: a trie over child indexes whose node for a
+// path holds one exactly sized copy of it. The states a search enumerates
+// differ only near their edited spines, so their move lists, which the
+// cache keeps, share their paths instead of each holding its own.
+type pathTrie struct {
+	mu   sync.Mutex
+	root pathNode
+}
+
+type pathNode struct {
+	path difftree.Path // nil until interned
+	kids []*pathNode   // by child index
+}
+
+// intern returns the trie's copy of p. The caller holds t.mu.
+func (t *pathTrie) intern(p difftree.Path) difftree.Path {
+	n := &t.root
+	for _, i := range p {
+		if i >= len(n.kids) {
+			n.kids = append(n.kids, make([]*pathNode, i+1-len(n.kids))...)
+		}
+		if n.kids[i] == nil {
+			n.kids[i] = new(pathNode)
+		}
+		n = n.kids[i]
+	}
+	if n.path == nil {
+		n.path = append(make(difftree.Path, 0, len(p)), p...)
+	}
+	return n.path
+}
+
+// shaper is a widening rule that reports what a widening verdict reads of
+// its replacement, size and nullability, without building it; Moves judges
+// its candidates with legalShaped. The rule must apply no parent veto, and
+// its replacement of a node of a valid tree must be valid.
+// rules.MultiMerge is one.
+type shaper interface {
+	rules.Rule
+	Shape(n *difftree.Node) (size int, nullable, ok bool)
 }
 
 // New builds an engine over cfg, memoizing into cache (nil = uncached).
@@ -50,9 +104,13 @@ func New(cfg Config, cache *Cache) *Engine {
 	e := &Engine{cfg: cfg, cache: cache, fp: fingerprint(cfg)}
 	e.masks = make([]uint8, len(cfg.Rules))
 	e.widens = make([]bool, len(cfg.Rules))
+	e.shapers = make([]shaper, len(cfg.Rules))
 	for i, r := range cfg.Rules {
 		e.masks[i] = rules.KindMask(r)
 		e.widens[i] = rules.Widens(r)
+		if s, ok := r.(shaper); ok && e.widens[i] {
+			e.shapers[i] = s
+		}
 	}
 	if cache != nil {
 		cache.noteFingerprint(e.fp)
@@ -171,7 +229,7 @@ func SampledCost(d *difftree.Node, log []*ast.Node, model cost.Model, k int, see
 // cap, structurally valid, and still expressing every log query. The full
 // verdict — size gate included — is memoized, so a hit costs one hash walk
 // (itself amortized by per-node hash caching) and one shard lookup. A miss
-// runs the full re-match oracle, rules.LegalState.
+// runs the full re-match (fullLegal).
 func (e *Engine) LegalState(d *difftree.Node) bool {
 	h := difftree.Hash(d)
 	var k uint64
@@ -190,10 +248,33 @@ func (e *Engine) LegalState(d *difftree.Node) bool {
 	return v
 }
 
-// fullLegal is the unmemoized LegalState verdict: the size gate, then the
-// full re-match oracle.
+// fullLegal is the LegalState verdict computed afresh: the size gate, the
+// structural check, which walks only the subtrees not yet checked
+// (difftree.Validate), and the re-match of every log query. On a cached
+// engine the re-match goes through the engine's difftree.MatchMemo, made on
+// the first call, so a step repeated from an earlier re-match is looked up;
+// it agrees with the oracle, rules.LegalState, unless the oracle's match
+// exhausts the matcher's backtracking budget. An uncached engine re-matches
+// through the oracle itself, so it stays the no-memo reference.
 func (e *Engine) fullLegal(d *difftree.Node) bool {
-	return (e.cfg.SizeCap <= 0 || d.Size() <= e.cfg.SizeCap) && rules.LegalState(d, e.cfg.Log)
+	if !e.fits(d.Size()) {
+		return false
+	}
+	if e.cache == nil {
+		return rules.LegalState(d, e.cfg.Log)
+	}
+	return difftree.Validate(d) == nil && e.matchMemo().ExpressibleAll(d)
+}
+
+// matchMemo returns the engine's match memo, making it on first use. Made
+// eagerly, the table would be garbage for every search that never
+// re-matches, as a warm one mostly does not.
+func (e *Engine) matchMemo() *difftree.MatchMemo {
+	if mm := e.matches.Load(); mm != nil {
+		return mm
+	}
+	e.matches.CompareAndSwap(nil, difftree.NewMatchMemo(e.cfg.Log))
+	return e.matches.Load()
 }
 
 // arenaPool recycles the copy-on-write spine arenas that Moves and the
@@ -204,7 +285,8 @@ var arenaPool = sync.Pool{New: func() any { return new(difftree.SpineArena) }}
 // Moves enumerates d's legal moves — rule pattern matches, the rewrite is
 // within the size cap, and every query stays expressible — in deterministic
 // order (pre-order paths, rule order), memoized per state. The returned
-// slice is shared with the cache; callers must not modify it. A rule is
+// slice is shared with the cache, and its paths with the engine's other
+// move lists; callers must modify neither. A rule is
 // tried only on the node kinds its rules.KindMask admits, read from masks
 // computed once per engine, and on the node and parent the walk holds
 // (rules.Rewrite), so a try walks no path. Only the (rule, path) pair
@@ -215,15 +297,23 @@ var arenaPool = sync.Pool{New: func() any { return new(difftree.SpineArena) }}
 // without building the candidate tree: the rewrite keeps every derivation d
 // had, so every query stays expressible; its size is d's minus the replaced
 // subtree's plus the replacement's; and its structure is valid iff the
-// replacement is, unless the replacement's nullability differs from the
-// replaced subtree's (difftree.SpineArena.ValidReplace). Every other
-// candidate, and every candidate of a d that is not legal, is built on a
-// pooled spine arena and goes through the full re-match. Verdicts equal the
-// full re-match oracle's (rules.Moves and rules.LegalState remain the
-// reference) as long as no re-match of a widened tree would exhaust the
-// matcher's backtracking budget. Only the move list is memoized, not the
-// verdict of each candidate.
+// replacement is and, when the replacement's nullability differs from the
+// replaced subtree's, the spine stays valid under it
+// (difftree.ValidReplace). A shaper (MultiMerge) reports the
+// replacement's size and nullability without building the replacement
+// either. Every other candidate, and every candidate of a d that is not
+// legal, is built on a pooled spine arena and goes through the full
+// re-match (fullLegal). Verdicts equal the full re-match oracle's
+// (rules.Moves and rules.LegalState remain the reference) as long as no
+// re-match exhausts the matcher's backtracking budget. Only the move list
+// is memoized, not the verdict of each candidate.
 func (e *Engine) Moves(d *difftree.Node) []rules.Move {
+	return e.moves(d, false)
+}
+
+// moves is Moves, skipping d's LegalState check when the caller knows d
+// to be legal.
+func (e *Engine) moves(d *difftree.Node, legal bool) []rules.Move {
 	h := difftree.Hash(d)
 	var k uint64
 	if e.cache != nil {
@@ -234,7 +324,7 @@ func (e *Engine) Moves(d *difftree.Node) []rules.Move {
 		}
 		e.cache.count(false)
 	}
-	legal := e.LegalState(d)
+	legal = legal || e.LegalState(d)
 	arena := arenaPool.Get().(*difftree.SpineArena)
 	var out []rules.Move
 	var ends, flat []int // the kept paths back to back, out[i]'s ending at ends[i]
@@ -246,15 +336,23 @@ func (e *Engine) Moves(d *difftree.Node) []rules.Move {
 			if e.masks[i]&(1<<n.Kind) == 0 {
 				continue
 			}
-			sub, ok := rules.Rewrite(n, parent, r)
-			if !ok {
-				continue
-			}
-			arena.Reset()
-			if legal && e.widens[i] {
-				ok = e.legalWidened(d, p, n, sub, arena)
+			var ok bool
+			if legal && e.shapers[i] != nil {
+				var applies bool
+				if ok, applies = e.legalShaped(d, p, n, e.shapers[i]); !applies {
+					continue
+				}
 			} else {
-				ok = e.fullLegal(arena.ReplaceAt(d, p, sub))
+				sub, applies := rules.Rewrite(n, parent, r)
+				if !applies {
+					continue
+				}
+				if legal && e.widens[i] {
+					ok = e.legalWidened(d, p, n, sub)
+				} else {
+					arena.Reset()
+					ok = e.fullLegal(arena.ReplaceAt(d, p, sub))
+				}
 			}
 			if ok {
 				flat = append(flat, p...)
@@ -271,15 +369,15 @@ func (e *Engine) Moves(d *difftree.Node) []rules.Move {
 	walk(d, nil)
 	arena.Reset()
 	arenaPool.Put(arena)
-	// The cache keeps the list: size it exactly, with every path in one
-	// exactly sized array.
+	// The cache keeps the list: size it exactly, with interned paths.
 	out = slices.Clone(out)
-	flat = slices.Clone(flat)
+	e.paths.mu.Lock()
 	start := 0
 	for i, end := range ends {
-		out[i].Path = flat[start:end:end]
+		out[i].Path = e.paths.intern(flat[start:end])
 		start = end
 	}
+	e.paths.mu.Unlock()
 	if e.cache != nil {
 		e.cache.SetMoves(k, out)
 	}
@@ -341,14 +439,20 @@ func (e *Engine) RandomMove(src *difftree.Node, rng *rand.Rand) (*difftree.Node,
 			return difftree.ReplaceAt(src, p, sub), true
 		}
 	}
-	return e.UniformMove(src, rng)
+	return e.uniformMove(src, rng, true)
 }
 
 // UniformMove draws one of src's legal moves uniformly, by one rng draw
 // into Moves, and applies only that move: the successor Neighbors lists at
 // the drawn index. ok is false when src has no legal move.
 func (e *Engine) UniformMove(src *difftree.Node, rng *rand.Rand) (*difftree.Node, bool) {
-	ms := e.Moves(src)
+	return e.uniformMove(src, rng, false)
+}
+
+// uniformMove is UniformMove; legal reports that the caller knows src to be
+// legal, as RandomMove's fallback does, so Moves need not check it.
+func (e *Engine) uniformMove(src *difftree.Node, rng *rand.Rand, legal bool) (*difftree.Node, bool) {
+	ms := e.moves(src, legal)
 	if len(ms) == 0 {
 		return nil, false
 	}
@@ -364,23 +468,40 @@ func (e *Engine) UniformMove(src *difftree.Node, rng *rand.Rand) (*difftree.Node
 // touching the cache (see Moves); any other candidate is built on a pooled
 // spine arena and goes through the memoized LegalState.
 func (e *Engine) legalMove(src *difftree.Node, p difftree.Path, n, sub *difftree.Node, ruleIndex int) bool {
+	if e.widens[ruleIndex] {
+		return e.legalWidened(src, p, n, sub)
+	}
 	arena := arenaPool.Get().(*difftree.SpineArena)
 	defer func() {
 		arena.Reset()
 		arenaPool.Put(arena)
 	}()
-	if e.widens[ruleIndex] {
-		return e.legalWidened(src, p, n, sub, arena)
-	}
 	return e.LegalState(arena.ReplaceAt(src, p, sub))
 }
 
 // legalWidened is fullLegal for the tree a widening rule builds from the
 // legal state src by rewriting its subtree n at p into sub: the size gate
 // and the structural checks the edit can break, read from src, n and sub.
-// The arena holds a spine only when ValidReplace needs one.
-func (e *Engine) legalWidened(src *difftree.Node, p difftree.Path, n, sub *difftree.Node, arena *difftree.SpineArena) bool {
-	return (e.cfg.SizeCap <= 0 || src.Size()-n.Size()+sub.Size() <= e.cfg.SizeCap) && arena.ValidReplace(src, p, n, sub)
+func (e *Engine) legalWidened(src *difftree.Node, p difftree.Path, n, sub *difftree.Node) bool {
+	return e.fits(src.Size()-n.Size()+sub.Size()) && difftree.ValidReplace(src, p, n, sub)
+}
+
+// legalShaped is legalWidened for the rule s applied to src's subtree n at
+// p, judged from s.Shape without building the replacement: a shaper's
+// replacement of a node of a valid tree is valid, so only the size gate and
+// the spine's check under a nullability flip remain. applies is false when
+// s does not apply to n.
+func (e *Engine) legalShaped(src *difftree.Node, p difftree.Path, n *difftree.Node, s shaper) (legal, applies bool) {
+	size, nullable, applies := s.Shape(n)
+	if !applies {
+		return false, false
+	}
+	return e.fits(src.Size()-n.Size()+size) && difftree.ValidNullable(src, p, nullable), true
+}
+
+// fits reports whether a state of the given size is within the size cap.
+func (e *Engine) fits(size int) bool {
+	return e.cfg.SizeCap <= 0 || size <= e.cfg.SizeCap
 }
 
 // PathPools returns d's node paths grouped by node kind, each group in

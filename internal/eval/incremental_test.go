@@ -8,6 +8,7 @@ import (
 	"repro/internal/ast"
 	"repro/internal/difftree"
 	"repro/internal/rules"
+	"repro/internal/testutil"
 	"repro/internal/workload"
 )
 
@@ -41,12 +42,12 @@ func sameMoves(a, b []rules.Move) bool {
 
 // checklegalMoves asserts, for a state d that is legal for eng, that the
 // rollout probe Engine.legalMove agrees with the full re-match oracle on
-// every (node, rule) candidate of d, and that the spine-free widening
-// verdict agrees with the size cap plus difftree.ValidEdit on the built
-// candidate.
+// every (node, rule) candidate of d, that the spine-free widening verdict
+// agrees with the size cap plus difftree.ValidEdit on the built candidate,
+// and that a shaper's build-free verdict (legalShaped, which Moves uses)
+// agrees with the widening verdict on the built replacement.
 func checklegalMoves(t testing.TB, eng *Engine, d *difftree.Node, log []*ast.Node, what string) {
 	t.Helper()
-	var arena difftree.SpineArena
 	difftree.WalkPath(d, func(n *difftree.Node, p difftree.Path) bool {
 		var parent *difftree.Node
 		if len(p) > 0 {
@@ -54,6 +55,16 @@ func checklegalMoves(t testing.TB, eng *Engine, d *difftree.Node, log []*ast.Nod
 		}
 		for i, r := range eng.cfg.Rules {
 			sub, ok := rules.Rewrite(n, parent, r)
+			if s := eng.shapers[i]; s != nil {
+				shaped, applies := eng.legalShaped(d, p, n, s)
+				if applies != ok {
+					t.Fatalf("%s: %s@%s: legalShaped applies %v, Rewrite %v\nstate %s", what, r.Name(), p, applies, ok, d)
+				}
+				if ok && shaped != eng.legalWidened(d, p, n, sub) {
+					t.Fatalf("%s: %s@%s: legalShaped = %v, widening verdict on the built replacement %v\nstate %s",
+						what, r.Name(), p, shaped, !shaped, d)
+				}
+			}
 			if !ok {
 				continue
 			}
@@ -69,9 +80,8 @@ func checklegalMoves(t testing.TB, eng *Engine, d *difftree.Node, log []*ast.Nod
 			if !eng.widens[i] {
 				continue
 			}
-			arena.Reset()
 			want = fits && difftree.ValidEdit(next, p)
-			if got := eng.legalWidened(d, p, n, sub, &arena); got != want {
+			if got := eng.legalWidened(d, p, n, sub); got != want {
 				t.Fatalf("%s: widening verdict for %s@%s = %v, size and ValidEdit on the candidate %v\nstate %s",
 					what, r.Name(), p, got, want, d)
 			}
@@ -183,8 +193,8 @@ func FuzzIncrementalLegality(f *testing.F) {
 // verdict needs the spine: MultiMerge on the Seq of ALL[MULTI[SEQ[a, b]]]
 // yields SEQ[MULTI[ANY[a, b]]], which is nullable where the Seq was not, so
 // the MULTI above it breaks its invariant although the replacement itself
-// is valid. Both Moves and the rollout probe must reject it, as the full
-// re-match oracle does.
+// is valid. Moves, its build-free verdict (legalShaped) and the rollout
+// probe must all reject it, as the full re-match oracle does.
 func TestWideningNullabilityFlip(t *testing.T) {
 	table := func(v string) *difftree.Node { return difftree.NewAll(ast.KindTable, v) }
 	d := difftree.NewAll(ast.KindFrom, "",
@@ -226,5 +236,76 @@ func TestWideningNullabilityFlip(t *testing.T) {
 		if eng.legalMove(d, p, n, sub, ri) {
 			t.Errorf("cached %v: legalMove accepts MultiMerge@%s, whose result is invalid", eng.Enabled(), p)
 		}
+		if legal, applies := eng.legalShaped(d, p, n, eng.shapers[ri]); legal || !applies {
+			t.Errorf("cached %v: legalShaped(MultiMerge@%s) = (%v, applies %v), want (false, true)", eng.Enabled(), p, legal, applies)
+		}
+	}
+}
+
+// TestMovesMissAllocs bounds the allocations of an uncached Moves miss on
+// the initial SDSS state (63 moves from about 1000 kind-admitted tries).
+// Before MultiMerge's verdict stopped building the replacement
+// (MultiMerge.Shape), the miss made about 390 allocations; the move list, its
+// paths, and the replacements of the other rules' matches now make fewer
+// than 100.
+func TestMovesMissAllocs(t *testing.T) {
+	log := workload.SDSSLog()
+	init, err := difftree.Initial(log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := New(Config{Log: log, Rules: rules.All(), SizeCap: sizeCapFor(init)}, nil)
+	if n := len(eng.Moves(init)); n == 0 {
+		t.Fatal("the initial SDSS state has no move")
+	}
+	if testutil.Race {
+		t.Skip("allocation counts vary under the race detector, which drops pooled items")
+	}
+	const bound = 120
+	if got := testing.AllocsPerRun(5, func() { eng.Moves(init) }); got > bound {
+		t.Errorf("uncached Moves miss on the initial SDSS state: %v allocs, want at most %d", got, bound)
+	}
+}
+
+// TestMovesShareInternedPaths checks that the move lists an engine builds
+// share one exactly sized copy of each path: along a walk, every move at a
+// position another list also has a move at holds the same slice, and no
+// path has spare capacity an append could write into.
+func TestMovesShareInternedPaths(t *testing.T) {
+	log := workload.SDSSLog()
+	init, err := difftree.Initial(log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := New(Config{Log: log, Rules: rules.All(), SizeCap: sizeCapFor(init)}, NewCache(0))
+	seen := map[string]*int{} // path -> its first element's address
+	shared := 0
+	rng := rand.New(rand.NewSource(1))
+	d := init
+	for step := 0; step < 12; step++ {
+		for _, m := range eng.Moves(d) {
+			if len(m.Path) != cap(m.Path) {
+				t.Fatalf("step %d: %s has capacity %d beyond its length", step, m, cap(m.Path))
+			}
+			if len(m.Path) == 0 {
+				continue
+			}
+			key := m.Path.String()
+			if first, ok := seen[key]; !ok {
+				seen[key] = &m.Path[0]
+			} else if first != &m.Path[0] {
+				t.Fatalf("step %d: %s holds its own copy of a path an earlier list holds", step, m)
+			} else {
+				shared++
+			}
+		}
+		next, ok := eng.UniformMove(d, rng)
+		if !ok {
+			break
+		}
+		d = next
+	}
+	if shared == 0 {
+		t.Fatal("no two lists had a move at one position; the walk shows nothing")
 	}
 }

@@ -147,8 +147,9 @@ func walk(eng *Engine, init *difftree.Node, seed int64, steps int) []uint64 {
 
 // TestRandomMoveSharedEngine runs seeded rollout walks from goroutines
 // sharing one engine on a tiny, constantly evicting cache, the way tree
-// workers share their engine, its probes and its pooled spine arenas. Each
-// walk must equal the sequential walk for its seed on an uncached engine.
+// workers share their engine, its probes, its match memo and its pooled
+// spine arenas. Each walk must equal the sequential walk for its seed on an
+// uncached engine, which re-matches without the memo.
 // Under -race this is also the data-race exercise for the rollout step.
 func TestRandomMoveSharedEngine(t *testing.T) {
 	const seeds, steps, workers = 8, 40, 4
@@ -185,5 +186,8 @@ func TestRandomMoveSharedEngine(t *testing.T) {
 	}
 	if st := cache.Stats(); st.Evictions == 0 {
 		t.Error("the shared cache evicted nothing; the walks never competed for it")
+	}
+	if shared.matches.Load() == nil {
+		t.Error("the shared engine made no match memo; the walks never re-matched through it")
 	}
 }

@@ -145,9 +145,11 @@ func (GroupAny) widens()   {}
 
 // LegalState reports whether a rewritten difftree satisfies the system
 // invariant: structurally valid and still expressing every input query. It
-// re-matches every query against the whole tree: the reference oracle for
-// eval.Engine, which skips the re-match for widening rewrites of a legal
-// state (Widens).
+// re-matches every query against the whole tree with no match memo (the
+// structural check skips only subtrees already found valid), which makes
+// it the reference oracle for eval.Engine: the engine skips the re-match
+// for widening rewrites of a legal state (Widens), and re-matches the rest
+// through a difftree.MatchMemo.
 func LegalState(next *difftree.Node, queries []*ast.Node) bool {
 	return difftree.Validate(next) == nil && difftree.ExpressibleAll(next, queries)
 }

@@ -37,18 +37,21 @@ func lostQuery(d *difftree.Node, p difftree.Path, r Rule, qs []*ast.Node) (lost 
 // checkWidening asserts the Widens contract at every node of a valid d: a
 // widening rule's rewrite, when it is a valid tree, keeps every query d
 // expresses. It also holds the spine-free verdict eval.Engine reads from the
-// rewritten subtree alone (size arithmetic and
-// difftree.SpineArena.ValidReplace) to the size and ValidEdit of the built
-// candidate. It returns the number of (node, widening rule) rewrites checked.
+// rewritten subtree alone (size arithmetic and difftree.ValidReplace) to the
+// size and ValidEdit of the built candidate, and a rule's Shape to the
+// replacement it builds (checkShape). It returns the number of (node,
+// widening rule) rewrites checked.
 func checkWidening(t testing.TB, what string, d *difftree.Node) int {
 	t.Helper()
 	qs := difftree.EnumerateQueries(d, widenQueryLimit, widenMaxMulti)
 	checked := 0
-	var arena difftree.SpineArena
 	difftree.WalkPath(d, func(n *difftree.Node, p difftree.Path) bool {
 		for _, r := range All() {
 			if !Widens(r) {
 				continue
+			}
+			if s, ok := r.(shaper); ok {
+				checkShape(t, what, d, p, s)
 			}
 			next, applied := Candidate(d, p, r)
 			if !applied {
@@ -59,9 +62,8 @@ func checkWidening(t testing.TB, what string, d *difftree.Node) int {
 			if got, want := d.Size()-n.Size()+sub.Size(), next.Size(); got != want {
 				t.Fatalf("%s: %s at %s: size from the subtree %d, candidate size %d", what, r.Name(), p, got, want)
 			}
-			arena.Reset()
 			valid := difftree.ValidEdit(next, p)
-			if got := arena.ValidReplace(d, p, n, sub); got != valid {
+			if got := difftree.ValidReplace(d, p, n, sub); got != valid {
 				t.Fatalf("%s: %s at %s: ValidReplace = %v, ValidEdit on the candidate %v\nstate %s",
 					what, r.Name(), p, got, valid, d)
 			}
@@ -163,6 +165,59 @@ func TestNonWideningRulesLoseQueries(t *testing.T) {
 		if Widens(c.rule) {
 			t.Errorf("%s is listed as widening, but rewriting %s loses %s", c.rule.Name(), c.d, q)
 		}
+	}
+}
+
+// shaper is a rule that reports its replacement's shape without building
+// it, as eval.Engine reads it.
+type shaper interface {
+	Rule
+	Shape(n *difftree.Node) (size int, nullable, ok bool)
+}
+
+// checkShape holds s.Shape at the node at p of a valid d to the replacement
+// s builds there: the same ok, and on a match the same size and
+// nullability, with a valid replacement, which a verdict from Shape
+// assumes.
+func checkShape(t testing.TB, what string, d *difftree.Node, p difftree.Path, s shaper) {
+	t.Helper()
+	n, parent := lookup(d, p)
+	size, nullable, ok := s.Shape(n)
+	sub, applied := Rewrite(n, parent, s)
+	if ok != applied {
+		t.Fatalf("%s: %s at %s: Shape ok %v, Rewrite ok %v\nstate %s", what, s.Name(), p, ok, applied, d)
+	}
+	if !applied {
+		return
+	}
+	if size != sub.Size() || nullable != difftree.Nullable(sub) {
+		t.Fatalf("%s: %s at %s: Shape = (%d, nullable %v), replacement %s has (%d, %v)",
+			what, s.Name(), p, size, nullable, sub, sub.Size(), difftree.Nullable(sub))
+	}
+	if err := difftree.Validate(sub); err != nil {
+		t.Fatalf("%s: %s at %s: replacement %s of a valid tree is invalid: %v", what, s.Name(), p, sub, err)
+	}
+}
+
+// TestShapersHaveNoVeto pins what a verdict from Shape relies on: a rule
+// with a Shape widens and applies no parent veto, which Shape does not
+// apply.
+func TestShapersHaveNoVeto(t *testing.T) {
+	shapers := 0
+	for _, r := range All() {
+		if _, ok := r.(shaper); !ok {
+			continue
+		}
+		shapers++
+		if _, ok := r.(parentAware); ok {
+			t.Errorf("%s has a Shape and a parent veto, which Shape does not apply", r.Name())
+		}
+		if !Widens(r) {
+			t.Errorf("%s has a Shape but does not widen", r.Name())
+		}
+	}
+	if shapers == 0 {
+		t.Error("no built-in rule has a Shape: MultiMerge's verdict builds its replacement again")
 	}
 }
 
