@@ -62,14 +62,16 @@ bench-allocs:
 # imported into a fresh cache before searching), and the first workload's
 # tree_parallel section (4 workers on one tree vs sequential, both cold).
 # Fails if any workload's warm-cache speedup drops below 3x, if a cold
-# first search is slower than uncached (speedup_cold < 1.0 — the median
-# ratio over 10 interleaved cold/uncached pairs, cold with a fresh cache per
-# run; the per-pair win count is printed), if a warm
+# first search is slower than uncached (speedup_cold < 1.0, cold with a
+# fresh cache per run), if a warm
 # run allocates more than 300k/iteration, if restart-from-snapshot misses
 # 3x over cold or changes a result, if caching changes a result, or — on
 # machines with >= 4 CPUs — if tree-parallel misses 2x iters/sec or
-# worsens the best cost. Pass COMPARE=old.json to print per-metric deltas
-# (including allocs/iter) before the gates.
+# worsens the best cost. The warm, cold and restart ratios are each the
+# median over 10 interleaved pairs (warm/uncached, cold/uncached,
+# restored/cold); the per-pair win counts are printed. Pass
+# COMPARE=old.json to print per-metric deltas (including allocs/iter)
+# before the gates.
 bench-json:
 	$(GO) run ./cmd/searchbench -out BENCH_search.json -max-allocs-per-iter 300000 $(if $(COMPARE),-compare $(COMPARE))
 
@@ -107,13 +109,14 @@ load-smoke:
 
 # race-tree runs the tree-parallel race suite CI gates on: every test of
 # internal/mcts (each search runs the shared-tree code, whatever its worker
-# count), the TreeWorkers tests of core and the root package, and the
+# count), the TreeWorkers tests of core and the root package, the
 # shared-engine rollout test of internal/eval (tree workers share the
-# engine's rollout step and its pooled spine arenas).
+# engine's rollout step and its pooled spine arenas), and its move-code
+# tests (engines on one cache intern into its code tables at once).
 race-tree:
 	$(GO) test -race -count=2 ./internal/mcts
 	$(GO) test -race -count=2 -run 'TreeParallel|TreeWorkers|VirtualLoss' ./internal/core .
-	$(GO) test -race -count=2 -run 'TestRandomMoveSharedEngine' ./internal/eval
+	$(GO) test -race -count=2 -run 'TestRandomMoveSharedEngine|TestMoveCodesConcurrentEngines|TestCodeTablesConcurrentIntern' ./internal/eval
 
 # golden regenerates the end-to-end fixtures under testdata/golden/ (run it
 # after an intentional change to search or cost semantics, then review the

@@ -8,6 +8,8 @@ package mctsui
 import (
 	"context"
 	"math"
+	"runtime"
+	"runtime/metrics"
 	"testing"
 
 	"repro/internal/ast"
@@ -40,6 +42,16 @@ func reportCost(b *testing.B, c float64) {
 		c = -1
 	}
 	b.ReportMetric(c, "cost")
+}
+
+// reportLiveHeap reports the live heap after a GC as live-MB (MiB), with
+// the timer stopped.
+func reportLiveHeap(b *testing.B) {
+	b.StopTimer()
+	runtime.GC()
+	s := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	metrics.Read(s)
+	b.ReportMetric(float64(s[0].Value.Uint64())/(1<<20), "live-MB")
 }
 
 // BenchmarkFig6aAllQueriesWide regenerates Figure 6(a): all SDSS queries on
@@ -328,7 +340,8 @@ func BenchmarkScalingLogSize(b *testing.B) {
 // records allocs/op; the uncached mode is the no-memoization reference, cold
 // pays first-search cache fills, warm is the steady state an interactive
 // session lives in. Each mode reports process CPU time per op (cpu-ms/op)
-// next to wall time.
+// next to wall time; warm also reports live-MB, the heap held with its
+// primed cache, most of which is the cache's move lists.
 func BenchmarkGenerate(b *testing.B) {
 	log := workload.SDSSLog()
 	run := func(b *testing.B, opt core.Options) {
@@ -373,6 +386,8 @@ func BenchmarkGenerate(b *testing.B) {
 		}
 		b.ResetTimer()
 		run(b, opt)
+		reportLiveHeap(b)
+		runtime.KeepAlive(opt.Cache)
 	})
 }
 

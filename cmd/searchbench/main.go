@@ -15,10 +15,12 @@
 // -min-speedup gate (default 3) applies to the warm/uncached ratio of every
 // workload and makes `make bench-json` fail loudly if the cache stops
 // paying for itself. The -min-cold-speedup gate (default 1) protects a
-// first search from its own cache: cached-cold and uncached searches differ
-// by about as much as single runs spread on a shared machine, so they are
-// timed in coldPairs interleaved pairs and gated on the median per-pair
-// ratio.
+// first search from its own cache. The -min-snapshot-speedup gate (default
+// 3) applies to searches on a cache restored from a snapshot against cold
+// ones. Single runs spread on a shared machine by about as much as
+// cached-cold and uncached searches differ, so each of the three ratios is
+// the median per-pair ratio of ten interleaved pairs (coldPairs, warmPairs,
+// restartPairs).
 //
 // A fourth mode measures tree-parallel MCTS (-tree-workers goroutines on
 // one shared tree, virtual-loss diversified) against the sequential
@@ -104,7 +106,9 @@ type snapshotSection struct {
 	Entries       int64      `json:"entries"`
 	Bytes         int        `json:"bytes"`
 	Restored      modeResult `json:"restored"`
-	Speedup       float64    `json:"speedup"` // restored vs cached_cold
+	Speedup       float64    `json:"speedup"` // median per-pair ratio, restored vs cached_cold
+	Pairs         int        `json:"pairs"`   // interleaved restored/cold pairs timed
+	Wins          int        `json:"wins"`    // pairs in which restored was faster
 	EqualBestCost bool       `json:"equal_best_cost"`
 }
 
@@ -122,7 +126,9 @@ type workloadReport struct {
 	SpeedupCold   float64          `json:"speedup_cold"` // median per-pair ratio
 	ColdPairs     int              `json:"cold_pairs"`   // interleaved cold/uncached pairs timed
 	ColdWins      int              `json:"cold_wins"`    // pairs in which cold was faster
-	SpeedupWarm   float64          `json:"speedup_warm"`
+	SpeedupWarm   float64          `json:"speedup_warm"` // median per-pair ratio
+	WarmPairs     int              `json:"warm_pairs"`   // interleaved warm/uncached pairs timed
+	WarmWins      int              `json:"warm_wins"`    // pairs in which warm was faster
 	EqualBestCost bool             `json:"equal_best_cost"`
 	TreeParallel  *treeSection     `json:"tree_parallel,omitempty"`
 	Snapshot      *snapshotSection `json:"snapshot,omitempty"`
@@ -134,12 +140,19 @@ type fileReport struct {
 	GeneratedAt string                    `json:"generated_at"`
 }
 
-// coldPairs is the number of interleaved cached-cold/uncached pairs timed
-// per workload for speedup_cold. A cold cache moves a first search's speed
-// by no more than single fastest-of-3 runs spread on a shared 2-vCPU
-// machine, so one comparison passed or failed the gate on noise; the gate
-// reads the median of ten pairs instead.
-const coldPairs = 10
+// coldPairs, warmPairs and restartPairs are the numbers of interleaved
+// pairs timed per workload for speedup_cold (cached-cold/uncached),
+// speedup_warm (warm/uncached) and the snapshot speedup (restored/cold).
+// A cold cache moves a first search's speed by no more than single
+// fastest-of-3 runs spread on a shared 2-vCPU machine, so one comparison
+// passed or failed the gate on noise; and a fastest-of-3 warm or restored
+// run over the fastest of ten baseline runs read below 3x on host noise
+// alone. Each gate reads the median of ten pairs instead.
+const (
+	coldPairs    = 10
+	warmPairs    = 10
+	restartPairs = 10
+)
 
 func logFor(name string) ([]*ast.Node, error) {
 	switch name {
@@ -164,7 +177,7 @@ func main() {
 	iterations := flag.Int("iterations", 15, "search iteration budget per run")
 	rollout := flag.Int("rollout", 8, "rollout depth")
 	seed := flag.Int64("seed", 1, "deterministic seed")
-	repeats := flag.Int("repeats", 3, "timed repetitions per mode (fastest wins)")
+	repeats := flag.Int("repeats", 3, "timed repetitions per tree-parallel mode, at least 5 (fastest wins)")
 	minSpeedup := flag.Float64("min-speedup", 3, "fail unless warm-cache/uncached iters-per-sec reaches this on every workload (0 disables)")
 	minColdSpeedup := flag.Float64("min-cold-speedup", 1.0, "fail unless cold-cache/uncached iters-per-sec reaches this on every workload (0 disables) — the cache must never slow a first search down")
 	maxAllocsPerIter := flag.Float64("max-allocs-per-iter", 0, "fail if any warm-cache run allocates more than this per iteration (0 disables)")
@@ -209,12 +222,14 @@ func main() {
 			rep.SpeedupWarm, rep.SpeedupCold, rep.CachedWarm.CacheHitRate*100, rep.CachedWarm.BestCost)
 		fmt.Printf("%s cold speedup: median %.2fx over %d interleaved pairs, cold faster in %d/%d\n",
 			rep.Workload, rep.SpeedupCold, rep.ColdPairs, rep.ColdWins, rep.ColdPairs)
+		fmt.Printf("%s warm speedup: median %.2fx over %d interleaved pairs, warm faster in %d/%d\n",
+			rep.Workload, rep.SpeedupWarm, rep.WarmPairs, rep.WarmWins, rep.WarmPairs)
 		fmt.Printf("%s allocs/iter: %.0f warm / %.0f cold / %.0f uncached (%.0f KiB/iter warm)\n",
 			rep.Workload, rep.CachedWarm.AllocsPerIter, rep.CachedCold.AllocsPerIter,
 			rep.Uncached.AllocsPerIter, rep.CachedWarm.BytesPerIter/1024)
 		if snap := rep.Snapshot; snap != nil {
-			fmt.Printf("%s restart-from-snapshot: %.1f iters/sec vs %.1f cold (%.1fx), %d entries in %d bytes, hit rate %.1f%%\n",
-				rep.Workload, snap.Restored.ItersPerSec, rep.CachedCold.ItersPerSec, snap.Speedup,
+			fmt.Printf("%s restart-from-snapshot: %.1f iters/sec vs %.1f cold (median %.2fx over %d interleaved pairs, restored faster in %d/%d), %d entries in %d bytes, hit rate %.1f%%\n",
+				rep.Workload, snap.Restored.ItersPerSec, rep.CachedCold.ItersPerSec, snap.Speedup, snap.Pairs, snap.Wins, snap.Pairs,
 				snap.Entries, snap.Bytes, snap.Restored.CacheHitRate*100)
 		}
 		if tree := rep.TreeParallel; tree != nil {
@@ -238,7 +253,8 @@ func main() {
 				name, rep.Uncached.BestCost, rep.CachedCold.BestCost, rep.CachedWarm.BestCost)
 		}
 		if *minSpeedup > 0 && rep.SpeedupWarm < *minSpeedup {
-			fatalf("%s: warm speedup %.2fx below the %.1fx gate", name, rep.SpeedupWarm, *minSpeedup)
+			fatalf("%s: median warm speedup %.2fx over %d pairs (warm faster in %d) below the %.1fx gate",
+				name, rep.SpeedupWarm, rep.WarmPairs, rep.WarmWins, *minSpeedup)
 		}
 		if *minColdSpeedup > 0 && rep.SpeedupCold < *minColdSpeedup {
 			fatalf("%s: median cold speedup %.2fx over %d pairs (cold faster in %d) below the %.1fx gate — the cache slows a first search down",
@@ -254,8 +270,8 @@ func main() {
 					name, snap.Restored.BestCost, rep.CachedCold.BestCost)
 			}
 			if *minSnapshotSpeedup > 0 && snap.Speedup < *minSnapshotSpeedup {
-				fatalf("%s: restart-from-snapshot speedup %.2fx below the %.1fx gate",
-					name, snap.Speedup, *minSnapshotSpeedup)
+				fatalf("%s: median restart-from-snapshot speedup %.2fx over %d pairs (restored faster in %d) below the %.1fx gate",
+					name, snap.Speedup, snap.Pairs, snap.Wins, *minSnapshotSpeedup)
 			}
 		}
 		if tree := rep.TreeParallel; tree != nil && tree.GateEnforced {
@@ -320,72 +336,51 @@ func benchWorkload(name string, log []*ast.Node, strategy core.Strategy, strateg
 		}
 		return m
 	}
-	fastest := func(opt core.Options, n int) modeResult {
-		best := modeResult{ElapsedMS: -1}
-		for r := 0; r < n; r++ {
-			if m := once(opt); best.ElapsedMS < 0 || m.ElapsedMS < best.ElapsedMS {
-				best = m
-			}
-		}
-		return best
-	}
-
-	// Cached-cold (a fresh cache per run, so every sample pays the full
-	// first-search miss/insert path) and uncached searches run in
-	// interleaved pairs, the order alternating, so drift in machine load
-	// hits both modes alike. speedup_cold is the median per-pair ratio; the
-	// mode sections keep each mode's fastest run. Warm then reuses the cache
-	// the last cold run filled.
+	// Every gated ratio is the median per-pair ratio of interleaved pairs,
+	// the order alternating, so drift in machine load hits both modes
+	// alike; the mode sections keep each mode's fastest run.
+	//
+	// Cached-cold runs get a fresh cache each, so every sample pays the full
+	// first-search miss/insert path. Warm then reuses the cache the last
+	// cold run filled.
 	uncachedOpt := base
 	uncachedOpt.DisableMemo = true
-	sharedOpt := base
-	uncached, cold := modeResult{ElapsedMS: -1}, modeResult{ElapsedMS: -1}
-	ratios := make([]float64, 0, coldPairs)
-	coldWins := 0
-	for r := 0; r < coldPairs; r++ {
-		sharedOpt.Cache = eval.NewCache(0)
-		var u, c modeResult
-		if r%2 == 0 {
-			u, c = once(uncachedOpt), once(sharedOpt)
-		} else {
-			c, u = once(sharedOpt), once(uncachedOpt)
-		}
-		if uncached.ElapsedMS < 0 || u.ElapsedMS < uncached.ElapsedMS {
-			uncached = u
-		}
-		if cold.ElapsedMS < 0 || c.ElapsedMS < cold.ElapsedMS {
-			cold = c
-		}
-		ratios = append(ratios, c.ItersPerSec/u.ItersPerSec)
-		if c.ElapsedMS < u.ElapsedMS {
-			coldWins++
-		}
+	uncachedRun := func() modeResult { return once(uncachedOpt) }
+	coldRun := func() modeResult {
+		opt := base
+		opt.Cache = eval.NewCache(0)
+		return once(opt)
 	}
-	warm := fastest(sharedOpt, repeats)
+	sharedOpt := base
+	cold, uncached, speedupCold, coldWins := pairs(coldPairs, func() modeResult {
+		sharedOpt.Cache = eval.NewCache(0)
+		return once(sharedOpt)
+	}, uncachedRun)
+	warm, uncachedW, speedupWarm, warmWins := pairs(warmPairs, func() modeResult { return once(sharedOpt) }, uncachedRun)
+	uncached = faster(uncached, uncachedW)
 
 	// Restart-from-snapshot: export the warm cache through the codec, then
 	// time searches that import it into a fresh cache first — the cost,
 	// legality and move-set entries arrive warm, exactly what a restarted
-	// daemon pays.
+	// daemon pays — against cold searches.
 	var snapBuf bytes.Buffer
 	snapEntries, err := sharedOpt.Cache.Snapshot(&snapBuf)
 	if err != nil {
 		fatalf("cache snapshot: %v", err)
 	}
-	snap := &snapshotSection{Entries: snapEntries, Bytes: snapBuf.Len()}
-	restoredOpt := base
-	restored := modeResult{ElapsedMS: -1}
-	for r := 0; r < repeats; r++ {
-		restoredOpt.Cache = eval.NewCache(0)
-		if _, err := restoredOpt.Cache.LoadSnapshot(bytes.NewReader(snapBuf.Bytes())); err != nil {
+	snap := &snapshotSection{Entries: snapEntries, Bytes: snapBuf.Len(), Pairs: restartPairs}
+	restored, coldR, speedupRestart, restartWins := pairs(restartPairs, func() modeResult {
+		opt := base
+		opt.Cache = eval.NewCache(0)
+		if _, err := opt.Cache.LoadSnapshot(bytes.NewReader(snapBuf.Bytes())); err != nil {
 			fatalf("cache snapshot import: %v", err)
 		}
-		if m := once(restoredOpt); restored.ElapsedMS < 0 || m.ElapsedMS < restored.ElapsedMS {
-			restored = m
-		}
-	}
+		return once(opt)
+	}, coldRun)
+	cold = faster(cold, coldR)
 	snap.Restored = restored
-	snap.Speedup = restored.ItersPerSec / cold.ItersPerSec
+	snap.Speedup = speedupRestart
+	snap.Wins = restartWins
 	snap.EqualBestCost = restored.BestCost == cold.BestCost
 
 	rep := workloadReport{
@@ -398,10 +393,12 @@ func benchWorkload(name string, log []*ast.Node, strategy core.Strategy, strateg
 		Uncached:      uncached,
 		CachedCold:    cold,
 		CachedWarm:    warm,
-		SpeedupCold:   median(ratios),
+		SpeedupCold:   speedupCold,
 		ColdPairs:     coldPairs,
 		ColdWins:      coldWins,
-		SpeedupWarm:   warm.ItersPerSec / uncached.ItersPerSec,
+		SpeedupWarm:   speedupWarm,
+		WarmPairs:     warmPairs,
+		WarmWins:      warmWins,
 		EqualBestCost: cold.BestCost == uncached.BestCost && warm.BestCost == uncached.BestCost,
 		Snapshot:      snap,
 	}
@@ -454,6 +451,37 @@ func benchWorkload(name string, log []*ast.Node, strategy core.Strategy, strateg
 		rep.TreeParallel = tree
 	}
 	return rep
+}
+
+// pairs times n interleaved pairs of runs of a and b, b first in every
+// other pair. It returns each side's fastest run, the median per-pair ratio
+// of a's iters/sec to b's, and the number of pairs in which a was faster.
+func pairs(n int, a, b func() modeResult) (fastA, fastB modeResult, ratio float64, wins int) {
+	fastA, fastB = modeResult{ElapsedMS: -1}, modeResult{ElapsedMS: -1}
+	ratios := make([]float64, 0, n)
+	for r := 0; r < n; r++ {
+		var x, y modeResult
+		if r%2 == 0 {
+			x, y = a(), b()
+		} else {
+			y, x = b(), a()
+		}
+		fastA, fastB = faster(fastA, x), faster(fastB, y)
+		ratios = append(ratios, x.ItersPerSec/y.ItersPerSec)
+		if x.ElapsedMS < y.ElapsedMS {
+			wins++
+		}
+	}
+	return fastA, fastB, median(ratios), wins
+}
+
+// faster returns the faster of two runs of one mode; a run with a negative
+// ElapsedMS stands for none.
+func faster(x, y modeResult) modeResult {
+	if x.ElapsedMS < 0 || (y.ElapsedMS >= 0 && y.ElapsedMS < x.ElapsedMS) {
+		return y
+	}
+	return x
 }
 
 // median returns the median of xs (the mean of the middle two for an even

@@ -7,7 +7,8 @@
 //     assignments,
 //   - LegalState, the system invariant (size prune + every query stays
 //     expressible), and
-//   - Moves, the legal move set.
+//   - Moves, the legal move set, kept as 4-byte move codes (see
+//     codeTables) that hold no pointer for the garbage collector to mark.
 //
 // The Engine also owns the search step built on them: Neighbors applies
 // every legal move, UniformMove one drawn uniformly, and RandomMove is the
@@ -28,8 +29,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/rules"
 )
 
 // shardCount spreads cache keys over independently locked shards; a power
@@ -75,6 +74,11 @@ type Cache struct {
 	// it so an operator can see which configurations a warm cache covers.
 	fpMu sync.Mutex
 	fps  map[uint64]struct{}
+
+	// tab holds the rule names and paths of the move codes every cached
+	// move list is made of (see codeTables). It is append-only: Reset keeps
+	// it, since a list handed out before a Reset still decodes against it.
+	tab codeTables
 }
 
 // shard is one CLOCK ring: the map resolves a key to its ring slot, the
@@ -104,8 +108,8 @@ type slot struct {
 type entry struct {
 	cost     float64
 	hasCost  bool
-	legal    uint8 // 0 unknown, 1 legal, 2 illegal
-	moves    []rules.Move
+	legal    uint8    // 0 unknown, 1 legal, 2 illegal
+	moves    []uint32 // move codes against the cache's tab
 	hasMoves bool
 }
 
@@ -248,8 +252,9 @@ func (c *Cache) SetLegal(key uint64, legal bool) {
 // importEntry merges one snapshot entry's aspects, first-write-wins per
 // aspect: an import is idempotent, and never clobbers anything a live
 // search has already computed. legal uses the entry encoding (0 unknown,
-// 1 legal, 2 illegal). The cache takes ownership of moves.
-func (c *Cache) importEntry(key uint64, cost float64, hasCost bool, legal uint8, moves []rules.Move, hasMoves bool) {
+// 1 legal, 2 illegal). The cache takes ownership of moves, codes against
+// c.tab.
+func (c *Cache) importEntry(key uint64, cost float64, hasCost bool, legal uint8, moves []uint32, hasMoves bool) {
 	s, e := c.lockFor(key)
 	if hasCost && !e.hasCost {
 		e.cost, e.hasCost = cost, true
@@ -263,8 +268,9 @@ func (c *Cache) importEntry(key uint64, cost float64, hasCost bool, legal uint8,
 	s.mu.Unlock()
 }
 
-// SetMoves records a legal move set. The cache takes ownership of ms.
-func (c *Cache) SetMoves(key uint64, ms []rules.Move) {
+// setMoves records a legal move set as codes against c.tab (first write
+// wins, see SetCost). The cache takes ownership of ms.
+func (c *Cache) setMoves(key uint64, ms []uint32) {
 	s, e := c.lockFor(key)
 	if !e.hasMoves {
 		e.moves, e.hasMoves = ms, true
@@ -276,8 +282,10 @@ func (c *Cache) SetMoves(key uint64, ms []rules.Move) {
 // counters, returning the cache to its freshly constructed state. The
 // fingerprint inventory is kept: it describes the engines attached over the
 // cache's lifetime (they register once, at construction), not the resident
-// entries. Safe to call concurrently with readers: in-flight lookups simply
-// miss and recompute — by construction a recompute equals the dropped value.
+// entries. So are the move-code tables, which only grow: lists handed out
+// before the Reset keep decoding. Safe to call concurrently with readers:
+// in-flight lookups simply miss and recompute — by construction a recompute
+// equals the dropped value.
 func (c *Cache) Reset() {
 	for i := range c.shards {
 		s := &c.shards[i]

@@ -33,6 +33,16 @@ func cachedCost(c *Cache, key uint64) (float64, bool) {
 	return v.cost, ok
 }
 
+// setMoveList records ms as key's move set, encoded against c's tables.
+func setMoveList(t testing.TB, c *Cache, key uint64, ms []rules.Move) {
+	t.Helper()
+	codes, ok := c.tab.encodeMoves(ms)
+	if !ok {
+		t.Fatalf("move list %v does not fit the code tables", ms)
+	}
+	c.setMoves(key, codes)
+}
+
 func figure1Engine(t *testing.T, cache *Cache) *Engine {
 	t.Helper()
 	log := workload.PaperFigure1Log()
@@ -68,9 +78,9 @@ func TestCacheBasics(t *testing.T) {
 		t.Fatal("illegal verdict lost")
 	}
 	ms := []rules.Move{{Rule: "Unwrap", Path: difftree.Path{0}}}
-	c.SetMoves(42, ms)
+	setMoveList(t, c, 42, ms)
 	got, ok := c.probe(42)
-	if !ok || !got.hasMoves || len(got.moves) != 1 || got.moves[0].Rule != "Unwrap" {
+	if !ok || !got.hasMoves || !sameMoves(c.tab.decode(got.moves), ms) {
 		t.Fatalf("moves = %v, %v", got.moves, ok)
 	}
 	st := c.Stats()
@@ -130,7 +140,7 @@ func TestCacheRace(t *testing.T) {
 				case 2:
 					c.SetLegal(key, key%2 == 0)
 				case 3:
-					c.SetMoves(key, []rules.Move{{Rule: "Unwrap"}})
+					setMoveList(t, c, key, []rules.Move{{Rule: "Unwrap"}})
 				case 4:
 					if v, ok := c.probe(key); ok && v.hasMoves && len(v.moves) != 1 {
 						t.Errorf("worker %d: moves %v for key %d", w, v.moves, key)

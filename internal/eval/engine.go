@@ -6,7 +6,6 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -25,7 +24,7 @@ type Config struct {
 	Log     []*ast.Node  // the (ordered) query log
 	Model   cost.Model   // cost parameters incl. screen constraint
 	Samples int          // k random widget assignments per state cost
-	Rules   []rules.Rule // transformation rule set gating moves
+	Rules   []rules.Rule // transformation rule set gating moves (at most 256 names)
 	SizeCap int          // state-size prune bound (0 = uncapped)
 	Seed    int64        // base seed for per-state reward sampling
 }
@@ -34,8 +33,8 @@ type Config struct {
 // optional shared Cache. A nil cache disables memoization entirely — every
 // call recomputes — which is the reference baseline the bench harness
 // compares against. Beyond the cache, the Engine holds only its match memo
-// (see fullLegal) and its path trie (see Moves), which are dropped with it,
-// and is safe for concurrent use.
+// (see fullLegal), dropped with it, and, when uncached, the move-code
+// tables of its move lists (see Moves). It is safe for concurrent use.
 type Engine struct {
 	cfg   Config
 	cache *Cache
@@ -53,40 +52,13 @@ type Engine struct {
 	// on an uncached engine.
 	matches atomic.Pointer[difftree.MatchMemo]
 
-	// paths interns the paths of the move lists Moves builds.
-	paths pathTrie
-}
-
-// pathTrie interns move paths: a trie over child indexes whose node for a
-// path holds one exactly sized copy of it. The states a search enumerates
-// differ only near their edited spines, so their move lists, which the
-// cache keeps, share their paths instead of each holding its own.
-type pathTrie struct {
-	mu   sync.Mutex
-	root pathNode
-}
-
-type pathNode struct {
-	path difftree.Path // nil until interned
-	kids []*pathNode   // by child index
-}
-
-// intern returns the trie's copy of p. The caller holds t.mu.
-func (t *pathTrie) intern(p difftree.Path) difftree.Path {
-	n := &t.root
-	for _, i := range p {
-		if i >= len(n.kids) {
-			n.kids = append(n.kids, make([]*pathNode, i+1-len(n.kids))...)
-		}
-		if n.kids[i] == nil {
-			n.kids[i] = new(pathNode)
-		}
-		n = n.kids[i]
-	}
-	if n.path == nil {
-		n.path = append(make(difftree.Path, 0, len(p)), p...)
-	}
-	return n.path
+	// tab is the code tables the engine encodes its move lists against:
+	// the cache's, or its own when uncached or when the cache's name table
+	// has no room for its rule names. ruleCodes[i] is cfg.Rules[i]'s
+	// rule-name id in tab, shifted into code position. Lists are cached
+	// only when encoded against the cache's tables.
+	tab       *codeTables
+	ruleCodes []uint32
 }
 
 // shaper is a widening rule that reports what a widening verdict reads of
@@ -112,8 +84,18 @@ func New(cfg Config, cache *Cache) *Engine {
 			e.shapers[i] = s
 		}
 	}
+	var ok bool
 	if cache != nil {
 		cache.noteFingerprint(e.fp)
+		if e.ruleCodes, ok = cache.tab.internRules(cfg.Rules); ok {
+			e.tab = &cache.tab
+		}
+	}
+	if e.tab == nil {
+		e.tab = new(codeTables)
+		if e.ruleCodes, ok = e.tab.internRules(cfg.Rules); !ok {
+			panic(fmt.Sprintf("eval: the rule set names more than %d rules", maxRuleIDs))
+		}
 	}
 	return e
 }
@@ -277,16 +259,17 @@ func (e *Engine) matchMemo() *difftree.MatchMemo {
 	return e.matches.Load()
 }
 
-// arenaPool recycles the copy-on-write spine arenas that Moves and the
-// rollout step (RandomMove) build candidates on; concurrent rollouts of one
-// engine draw separate arenas.
+// arenaPool recycles the copy-on-write spine arenas that the rollout step
+// (RandomMove) builds candidates on; concurrent rollouts of one engine draw
+// separate arenas.
 var arenaPool = sync.Pool{New: func() any { return new(difftree.SpineArena) }}
 
 // Moves enumerates d's legal moves — rule pattern matches, the rewrite is
 // within the size cap, and every query stays expressible — in deterministic
-// order (pre-order paths, rule order), memoized per state. The returned
-// slice is shared with the cache, and its paths with the engine's other
-// move lists; callers must modify neither. A rule is
+// order (pre-order paths, rule order), memoized per state. It returns a
+// fresh slice, decoded from the move codes the cache keeps; its paths are
+// shared with the engine's other move lists, so callers must not modify
+// them. A rule is
 // tried only on the node kinds its rules.KindMask admits, read from masks
 // computed once per engine, and on the node and parent the walk holds
 // (rules.Rewrite), so a try walks no path. Only the (rule, path) pair
@@ -302,86 +285,112 @@ var arenaPool = sync.Pool{New: func() any { return new(difftree.SpineArena) }}
 // (difftree.ValidReplace). A shaper (MultiMerge) reports the
 // replacement's size and nullability without building the replacement
 // either. Every other candidate, and every candidate of a d that is not
-// legal, is built on a pooled spine arena and goes through the full
+// legal, is built on a spine arena and goes through the full
 // re-match (fullLegal). Verdicts equal the full re-match oracle's
 // (rules.Moves and rules.LegalState remain the reference) as long as no
 // re-match exhausts the matcher's backtracking budget. Only the move list
 // is memoized, not the verdict of each candidate.
 func (e *Engine) Moves(d *difftree.Node) []rules.Move {
-	return e.moves(d, false)
+	codes, tab := e.moves(d, false)
+	return tab.decode(codes)
 }
 
-// moves is Moves, skipping d's LegalState check when the caller knows d
-// to be legal.
-func (e *Engine) moves(d *difftree.Node, legal bool) []rules.Move {
+// moves is Moves as move codes, decoded against tab; the caller must not
+// modify them. It skips d's LegalState check when the caller knows d to be
+// legal. A miss walks d with pooled scratch (moveWalk) and allocates only
+// the exactly sized code list it returns, which the cache keeps.
+func (e *Engine) moves(d *difftree.Node, legal bool) (codes []uint32, tab *codeTables) {
 	h := difftree.Hash(d)
 	var k uint64
 	if e.cache != nil {
 		k = e.key(h)
 		if v, ok := e.cache.probe(k); ok && v.hasMoves {
 			e.cache.count(true)
-			return v.moves
+			return v.moves, &e.cache.tab
 		}
 		e.cache.count(false)
 	}
 	legal = legal || e.LegalState(d)
-	arena := arenaPool.Get().(*difftree.SpineArena)
-	var out []rules.Move
-	var ends, flat []int // the kept paths back to back, out[i]'s ending at ends[i]
-	var buf [16]int
-	p := difftree.Path(buf[:0])
-	var walk func(n, parent *difftree.Node)
-	walk = func(n, parent *difftree.Node) {
-		for i, r := range e.cfg.Rules {
-			if e.masks[i]&(1<<n.Kind) == 0 {
+	w := walkPool.Get().(*moveWalk)
+	w.e, w.d, w.legal = e, d, legal
+	w.walk(d, nil)
+	tab = e.tab
+	codes, ok := tab.encode(e.ruleCodes, w.kept, w.ends, w.flat)
+	if !ok {
+		// The path table is full: encode against tables of this list's
+		// own, which is then not cached.
+		tab = new(codeTables)
+		ruleCodes, _ := tab.internRules(e.cfg.Rules) // fits: e.ruleCodes did
+		codes, _ = tab.encode(ruleCodes, w.kept, w.ends, w.flat)
+	}
+	w.release()
+	if e.cache != nil && tab == &e.cache.tab {
+		e.cache.setMoves(k, codes)
+	}
+	return codes, tab
+}
+
+// moveWalk is the scratch of one move enumeration, pooled so that a miss
+// allocates none of it: the walk's position and spine arena, and the kept
+// moves, move i applying cfg.Rules[kept[i]] at flat[ends[i-1]:ends[i]].
+type moveWalk struct {
+	e     *Engine
+	d     *difftree.Node
+	legal bool // d is legal
+	arena difftree.SpineArena
+	path  difftree.Path
+	kept  []int32
+	ends  []int32
+	flat  []int
+}
+
+var walkPool = sync.Pool{New: func() any { return new(moveWalk) }}
+
+// release empties w, keeping its buffers, and returns it to the pool.
+func (w *moveWalk) release() {
+	w.e, w.d = nil, nil
+	w.arena.Reset()
+	w.path, w.kept, w.ends, w.flat = w.path[:0], w.kept[:0], w.ends[:0], w.flat[:0]
+	walkPool.Put(w)
+}
+
+// walk tries every rule the kind mask admits on n, whose parent is parent,
+// at w.path, keeping the legal moves, then recurses into n's children.
+func (w *moveWalk) walk(n, parent *difftree.Node) {
+	e, d, p := w.e, w.d, w.path
+	for i, r := range e.cfg.Rules {
+		if e.masks[i]&(1<<n.Kind) == 0 {
+			continue
+		}
+		var ok bool
+		if w.legal && e.shapers[i] != nil {
+			var applies bool
+			if ok, applies = e.legalShaped(d, p, n, e.shapers[i]); !applies {
 				continue
 			}
-			var ok bool
-			if legal && e.shapers[i] != nil {
-				var applies bool
-				if ok, applies = e.legalShaped(d, p, n, e.shapers[i]); !applies {
-					continue
-				}
+		} else {
+			sub, applies := rules.Rewrite(n, parent, r)
+			if !applies {
+				continue
+			}
+			if w.legal && e.widens[i] {
+				ok = e.legalWidened(d, p, n, sub)
 			} else {
-				sub, applies := rules.Rewrite(n, parent, r)
-				if !applies {
-					continue
-				}
-				if legal && e.widens[i] {
-					ok = e.legalWidened(d, p, n, sub)
-				} else {
-					arena.Reset()
-					ok = e.fullLegal(arena.ReplaceAt(d, p, sub))
-				}
-			}
-			if ok {
-				flat = append(flat, p...)
-				out = append(out, rules.Move{Rule: r.Name()})
-				ends = append(ends, len(flat))
+				w.arena.Reset()
+				ok = e.fullLegal(w.arena.ReplaceAt(d, p, sub))
 			}
 		}
-		for i, c := range n.Children {
-			p = append(p, i)
-			walk(c, n)
-			p = p[:len(p)-1]
+		if ok {
+			w.flat = append(w.flat, p...)
+			w.kept = append(w.kept, int32(i))
+			w.ends = append(w.ends, int32(len(w.flat)))
 		}
 	}
-	walk(d, nil)
-	arena.Reset()
-	arenaPool.Put(arena)
-	// The cache keeps the list: size it exactly, with interned paths.
-	out = slices.Clone(out)
-	e.paths.mu.Lock()
-	start := 0
-	for i, end := range ends {
-		out[i].Path = e.paths.intern(flat[start:end])
-		start = end
+	for i, c := range n.Children {
+		w.path = append(w.path, i)
+		w.walk(c, n)
+		w.path = w.path[:len(w.path)-1]
 	}
-	e.paths.mu.Unlock()
-	if e.cache != nil {
-		e.cache.SetMoves(k, out)
-	}
-	return out
 }
 
 // rolloutTries is the number of (rule, node) draws RandomMove makes before
@@ -452,11 +461,11 @@ func (e *Engine) UniformMove(src *difftree.Node, rng *rand.Rand) (*difftree.Node
 // uniformMove is UniformMove; legal reports that the caller knows src to be
 // legal, as RandomMove's fallback does, so Moves need not check it.
 func (e *Engine) uniformMove(src *difftree.Node, rng *rand.Rand, legal bool) (*difftree.Node, bool) {
-	ms := e.moves(src, legal)
-	if len(ms) == 0 {
+	codes, tab := e.moves(src, legal)
+	if len(codes) == 0 {
 		return nil, false
 	}
-	next, err := rules.ApplyMove(src, ms[rng.Intn(len(ms))])
+	next, err := rules.ApplyMove(src, tab.move(codes[rng.Intn(len(codes))]))
 	return next, err == nil
 }
 
@@ -537,10 +546,10 @@ func (e *Engine) PathPools(d *difftree.Node) [4][]difftree.Path {
 // Neighbors applies every legal move of d, returning the successor states
 // in the same deterministic order as Moves.
 func (e *Engine) Neighbors(d *difftree.Node) []*difftree.Node {
-	ms := e.Moves(d)
-	out := make([]*difftree.Node, 0, len(ms))
-	for _, m := range ms {
-		next, err := rules.ApplyMove(d, m)
+	codes, tab := e.moves(d, false)
+	out := make([]*difftree.Node, 0, len(codes))
+	for _, c := range codes {
+		next, err := rules.ApplyMove(d, tab.move(c))
 		if err != nil {
 			continue
 		}

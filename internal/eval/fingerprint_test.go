@@ -57,3 +57,54 @@ func TestFingerprintCoversRuleParameters(t *testing.T) {
 		t.Errorf("disabled-rule engine served %d moves from the enabled engine's cache entry", len(ms))
 	}
 }
+
+// TestSharedCodeTablesDecodeEachRuleSet: engines with different rule sets
+// on one cache encode against the cache's one set of code tables, and each
+// decodes its own rule names, from the lists it builds and from the ones it
+// reads back; engines with one configuration read each other's lists and
+// share each path.
+func TestSharedCodeTablesDecodeEachRuleSet(t *testing.T) {
+	log := workload.PaperFigure1Log()
+	init, err := difftree.Initial(log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := NewCache(0)
+	toggle := New(Config{Log: log, Samples: 1, Seed: 1, Rules: []rules.Rule{toggleRule{on: true}}}, shared)
+	all := New(Config{Log: log, Samples: 1, Seed: 1, Rules: rules.All()}, shared)
+	if toggle.tab != &shared.tab || all.tab != &shared.tab {
+		t.Fatal("an engine on a cache does not encode against the cache's tables")
+	}
+	oracle := rules.Moves(init, log, rules.All())
+	for pass := 0; pass < 2; pass++ { // a miss, then a cache hit
+		if got := all.Moves(init); !sameMoves(got, oracle) {
+			t.Fatalf("pass %d: built-in engine Moves = %v, oracle %v", pass, got, oracle)
+		}
+		got := toggle.Moves(init)
+		if len(got) == 0 {
+			t.Fatalf("pass %d: the toggle engine has no move", pass)
+		}
+		for _, m := range got {
+			if m.Rule != "Toggle" {
+				t.Fatalf("pass %d: the toggle engine decoded %s", pass, m)
+			}
+		}
+	}
+	twin := New(all.cfg, shared)
+	misses := shared.Stats().Misses
+	twin.Moves(init)
+	if shared.Stats().Misses != misses {
+		t.Fatal("an engine with the same configuration did not read the cached list")
+	}
+	reseeded := all.cfg
+	reseeded.Seed = 2 // another fingerprint: its own entries, built afresh
+	got := New(reseeded, shared).Moves(init)
+	if shared.Stats().Misses == misses {
+		t.Fatal("the reseeded engine read another configuration's list")
+	}
+	for i, m := range all.Moves(init) {
+		if len(m.Path) > 0 && &m.Path[0] != &got[i].Path[0] {
+			t.Fatalf("%s: two engines on one cache hold their own copies of a path", m)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package eval
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/ast"
@@ -94,7 +95,9 @@ func checklegalMoves(t testing.TB, eng *Engine, d *difftree.Node, log []*ast.Nod
 // the size-capped legal moves for walkLog, from its initial state, and
 // asserts at every state that Engine.Moves agrees with the oracle for
 // checkLog — on a cached and an uncached engine, under the search's size cap
-// and a tight one — and that Neighbors applies every move (the rollout
+// and a tight one, both when the list is built and when it is decoded again
+// (from the cache, on a cached engine) — and that Neighbors applies every
+// move (the rollout
 // fallback draws an index into Moves). At states legal for checkLog, the
 // precondition of the rollout probe, legalMove must agree with the oracle
 // on every candidate.
@@ -121,6 +124,10 @@ func checkIncrementalWalk(t testing.TB, walkLog, checkLog []*ast.Node, seed int6
 			if !sameMoves(got, want) {
 				t.Fatalf("seed %d step %d engine %d (cap %d, cached %v): Moves = %v, oracle %v\nstate %s",
 					seed, step, i, eng.SizeCap(), eng.Enabled(), got, want, d)
+			}
+			if again := eng.Moves(d); !sameMoves(again, want) {
+				t.Fatalf("seed %d step %d engine %d (cached %v): the list decoded again = %v, oracle %v",
+					seed, step, i, eng.Enabled(), again, want)
 			}
 			if n := len(eng.Neighbors(d)); n != len(got) {
 				t.Fatalf("seed %d step %d engine %d: %d neighbors for %d moves", seed, step, i, n, len(got))
@@ -150,6 +157,7 @@ func TestIncrementalMovesMatchOracle(t *testing.T) {
 	}{
 		{"figure1", workload.PaperFigure1Log(), 8, 16},
 		{"sdss", workload.SDSSLog(), 4, 20},
+		{"sdss-join", workload.SDSSJoinLog(), 4, 16},
 		{"random-join-5", workload.RandomJoinLog(rand.New(rand.NewSource(7)), 5), 6, 16},
 		{"random-join-8", workload.RandomJoinLog(rand.New(rand.NewSource(11)), 8), 4, 16},
 	}
@@ -245,9 +253,11 @@ func TestWideningNullabilityFlip(t *testing.T) {
 // TestMovesMissAllocs bounds the allocations of an uncached Moves miss on
 // the initial SDSS state (63 moves from about 1000 kind-admitted tries).
 // Before MultiMerge's verdict stopped building the replacement
-// (MultiMerge.Shape), the miss made about 390 allocations; the move list, its
-// paths, and the replacements of the other rules' matches now make fewer
-// than 100.
+// (MultiMerge.Shape), the miss made about 390 allocations; while the walk
+// grew its own scratch and the list held rules.Move values, 83. The walk's
+// scratch is now pooled and the kept list is one code slice, so what is
+// left is that slice, the decoded list Moves returns, and the replacements
+// of the other rules' matches.
 func TestMovesMissAllocs(t *testing.T) {
 	log := workload.SDSSLog()
 	init, err := difftree.Initial(log)
@@ -261,9 +271,44 @@ func TestMovesMissAllocs(t *testing.T) {
 	if testutil.Race {
 		t.Skip("allocation counts vary under the race detector, which drops pooled items")
 	}
-	const bound = 120
+	const bound = 70
 	if got := testing.AllocsPerRun(5, func() { eng.Moves(init) }); got > bound {
 		t.Errorf("uncached Moves miss on the initial SDSS state: %v allocs, want at most %d", got, bound)
+	}
+}
+
+// TestMovesMissDoesNotAliasEarlierList: a move list a miss returned stays
+// as it was through later misses, on an uncached engine and on a cached one
+// (which keeps the list). A list built in the walk's pooled scratch would be
+// overwritten by the next walk, the bug class mctsvet's slicealias guards.
+func TestMovesMissDoesNotAliasEarlierList(t *testing.T) {
+	log := workload.SDSSLog()
+	init, err := difftree.Initial(log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cache := range []*Cache{nil, NewCache(0)} {
+		eng := New(Config{Log: log, Rules: rules.All(), SizeCap: sizeCapFor(init)}, cache)
+		codes, tab := eng.moves(init, false)
+		want := slices.Clone(codes)
+		first := eng.Moves(init)
+		wantFirst := slices.Clone(first)
+		d := init
+		rng := rand.New(rand.NewSource(1))
+		for step := 0; step < 4; step++ {
+			next, ok := eng.UniformMove(d, rng)
+			if !ok {
+				t.Fatal("walk stuck")
+			}
+			d = next
+			eng.Moves(d) // a miss: a new walk over the pooled scratch
+		}
+		if !slices.Equal(codes, want) {
+			t.Fatalf("cached %v: the first list's codes changed under later misses", eng.Enabled())
+		}
+		if !sameMoves(first, wantFirst) || !sameMoves(tab.decode(codes), wantFirst) {
+			t.Fatalf("cached %v: the first list changed under later misses: %v, want %v", eng.Enabled(), first, wantFirst)
+		}
 	}
 }
 

@@ -25,7 +25,8 @@ import (
 //
 // Cost, legality and move sets travel: every aspect a cache entry holds.
 // A move set is a list of (rule name, path) pairs, written against a
-// rule-name table.
+// rule-name table: the cache's move codes are decoded on export and
+// encoded against the importing cache's tables on import.
 //
 // Binary format (all integers little-endian):
 //
@@ -92,13 +93,13 @@ var (
 	ErrSnapshotSchema = errors.New("incompatible cache snapshot")
 )
 
-// snapEntry is one exported entry, also the scratch row for the
-// verify-before-insert import path.
+// snapEntry is one parsed entry, the scratch row of the verify-before-insert
+// import path.
 type snapEntry struct {
 	key   uint64
 	cost  float64
 	flags uint8
-	moves []rules.Move // shared with the cache on export
+	moves []rules.Move
 }
 
 // Snapshot writes the cache's persistable aspects (cost, legality, move
@@ -163,7 +164,14 @@ func (c *Cache) Snapshot(w io.Writer) (entries int64, err error) {
 	if err := writeU(shardCount, 4); err != nil {
 		return 0, err
 	}
-	var rows []snapEntry
+	// A row holds the entry's move codes, shared with the cache.
+	type row struct {
+		key   uint64
+		cost  float64
+		flags uint8
+		moves []uint32
+	}
+	var rows []row
 	for i := range c.shards {
 		s := &c.shards[i]
 		rows = rows[:0]
@@ -180,15 +188,15 @@ func (c *Cache) Snapshot(w io.Writer) (entries int64, err error) {
 					flags |= snapLegal
 				}
 			}
-			var moves []rules.Move
-			if sl.e.hasMoves && encodableMoves(sl.e.moves, ruleIndex) {
+			var moves []uint32
+			if sl.e.hasMoves && c.encodableMoves(sl.e.moves, ruleIndex) {
 				flags |= snapHasMoves
 				moves = sl.e.moves
 			}
 			if flags == 0 {
 				continue // moves-only entry whose move set does not encode
 			}
-			rows = append(rows, snapEntry{key: sl.key, cost: sl.e.cost, flags: flags, moves: moves})
+			rows = append(rows, row{key: sl.key, cost: sl.e.cost, flags: flags, moves: moves})
 		}
 		s.mu.Unlock()
 		// Written after the shard unlocks: a stalled writer (slow disk, slow
@@ -209,7 +217,7 @@ func (c *Cache) Snapshot(w io.Writer) (entries int64, err error) {
 				}
 			}
 			if r.flags&snapHasMoves != 0 {
-				if err := writeMoves(writeU, r.moves, ruleIndex); err != nil {
+				if err := c.writeMoves(writeU, r.moves, ruleIndex); err != nil {
 					return 0, err
 				}
 			}
@@ -224,12 +232,14 @@ func (c *Cache) Snapshot(w io.Writer) (entries int64, err error) {
 	return entries, bw.Flush()
 }
 
-// encodableMoves reports whether ms fits the move encoding.
-func encodableMoves(ms []rules.Move, ruleIndex map[string]int) bool {
+// encodableMoves reports whether the move list with codes ms fits the
+// snapshot's move encoding.
+func (c *Cache) encodableMoves(ms []uint32, ruleIndex map[string]int) bool {
 	if len(ms) > snapMaxMoves {
 		return false
 	}
-	for _, m := range ms {
+	for _, code := range ms {
+		m := c.tab.move(code)
 		if _, ok := ruleIndex[m.Rule]; !ok || len(m.Path) > snapMaxPathLen {
 			return false
 		}
@@ -242,11 +252,13 @@ func encodableMoves(ms []rules.Move, ruleIndex map[string]int) bool {
 	return true
 }
 
-func writeMoves(writeU func(v uint64, n int) error, ms []rules.Move, ruleIndex map[string]int) error {
+// writeMoves writes the move list with codes ms.
+func (c *Cache) writeMoves(writeU func(v uint64, n int) error, ms []uint32, ruleIndex map[string]int) error {
 	if err := writeU(uint64(len(ms)), 2); err != nil {
 		return err
 	}
-	for _, m := range ms {
+	for _, code := range ms {
+		m := c.tab.move(code)
 		if err := writeU(uint64(ruleIndex[m.Rule]), 1); err != nil {
 			return err
 		}
@@ -271,7 +283,9 @@ func writeMoves(writeU func(v uint64, n int) error, ms []rules.Move, ruleIndex m
 // aspect: importing twice is a no-op, and entries a live search has already
 // populated are never clobbered. Importing into a cache smaller than the
 // snapshot admits entries through the normal CLOCK eviction path, so
-// occupancy never exceeds capacity.
+// occupancy never exceeds capacity. A move set whose rule names or paths do
+// not fit the cache's code tables is not imported; it is recomputed on
+// first visit.
 func (c *Cache) LoadSnapshot(r io.Reader) (int64, error) {
 	rows, fps, err := parseSnapshot(r)
 	if err != nil {
@@ -288,7 +302,16 @@ func (c *Cache) LoadSnapshot(r io.Reader) (int64, error) {
 				legal = 1
 			}
 		}
-		c.importEntry(row.key, row.cost, row.flags&snapHasCost != 0, legal, row.moves, row.flags&snapHasMoves != 0)
+		hasCost := row.flags&snapHasCost != 0
+		var moves []uint32
+		hasMoves := row.flags&snapHasMoves != 0
+		if hasMoves {
+			moves, hasMoves = c.tab.encodeMoves(row.moves)
+		}
+		if !hasCost && legal == 0 && !hasMoves {
+			continue
+		}
+		c.importEntry(row.key, row.cost, hasCost, legal, moves, hasMoves)
 	}
 	return int64(len(rows)), nil
 }

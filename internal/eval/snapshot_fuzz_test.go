@@ -18,7 +18,7 @@ func FuzzLoadSnapshot(f *testing.F) {
 	c.SetCost(0x1234, 1.25)
 	c.SetLegal(0x1234, true)
 	c.SetLegal(0x9999, false)
-	c.SetMoves(0x9999, []rules.Move{{Rule: "Wrap", Path: difftree.Path{0, 3}}})
+	setMoveList(f, c, 0x9999, []rules.Move{{Rule: "Wrap", Path: difftree.Path{0, 3}}})
 	var buf bytes.Buffer
 	if _, err := c.Snapshot(&buf); err != nil {
 		f.Fatal(err)

@@ -225,8 +225,8 @@ func TestSnapshotSkipsNonPortableAspects(t *testing.T) {
 	// outside the table does not encode, so a moves-only entry holding it
 	// must not appear at all.
 	ms := []rules.Move{{Rule: "Wrap", Path: difftree.Path{0, 2}}, {Rule: "Any2All", Path: nil}}
-	c.SetMoves(1, ms)
-	c.SetMoves(2, []rules.Move{{Rule: "NoSuchRule", Path: nil}})
+	setMoveList(t, c, 1, ms)
+	setMoveList(t, c, 2, []rules.Move{{Rule: "NoSuchRule", Path: nil}})
 	c.SetCost(3, 7)
 	var buf bytes.Buffer
 	n, err := c.Snapshot(&buf)
@@ -243,7 +243,7 @@ func TestSnapshotSkipsNonPortableAspects(t *testing.T) {
 	if v, ok := cachedCost(dst, 3); !ok || v != 7 {
 		t.Fatalf("cost entry lost: %v %v", v, ok)
 	}
-	if got, ok := dst.probe(1); !ok || !got.hasMoves || !sameMoves(got.moves, ms) {
+	if got, ok := dst.probe(1); !ok || !got.hasMoves || !sameMoves(dst.tab.decode(got.moves), ms) {
 		t.Fatalf("moves entry = %v %v, want %v", got.moves, ok, ms)
 	}
 	if got, ok := dst.probe(2); ok && got.hasMoves {
@@ -272,15 +272,86 @@ func TestSnapshotCarriesMoves(t *testing.T) {
 		}
 		checked++
 		got, ok := dst.probe(restored.key(difftree.Hash(d)))
-		if !ok || !got.hasMoves || !sameMoves(got.moves, want.moves) {
-			t.Fatalf("restored moves of %s = %v %v, want %v", d, got.moves, ok, want.moves)
+		wantMoves := src.tab.decode(want.moves)
+		if !ok || !got.hasMoves || !sameMoves(dst.tab.decode(got.moves), wantMoves) {
+			t.Fatalf("restored moves of %s = %v %v, want %v", d, got.moves, ok, wantMoves)
 		}
-		if !sameMoves(restored.Moves(d), want.moves) {
+		if !sameMoves(restored.Moves(d), wantMoves) {
 			t.Fatalf("restored engine Moves of %s differ", d)
 		}
 	}
 	if checked < 2 {
 		t.Fatalf("only %d states carried moves", checked)
+	}
+}
+
+// TestSnapshotReexportIdentical: a snapshot imported into an empty cache
+// exports again byte for byte: the move codes decode to the lists that were
+// written, and entries land in their shards in file order.
+func TestSnapshotReexportIdentical(t *testing.T) {
+	src, _, _ := warmFigure1Cache(t)
+	raw := snapshotBytes(t, src)
+	dst := NewCache(0)
+	if _, err := dst.LoadSnapshot(bytes.NewReader(raw)); err != nil {
+		t.Fatal(err)
+	}
+	if again := snapshotBytes(t, dst); !bytes.Equal(again, raw) {
+		t.Fatalf("re-export differs: %d bytes, first export %d", len(again), len(raw))
+	}
+}
+
+// TestSnapshotFromRuleMoveLists loads testdata/figure1-rulemoves.snap,
+// written by the cache while it held move lists as []rules.Move: the Figure
+// 1 engine's (figure1Engine) costs and move lists of the initial state and
+// its neighbors. The format did not change with the move codes, so it must
+// load, answer Moves for those states from the cache with the lists it
+// carries, which equal the uncached engine's, and export again byte for
+// byte.
+func TestSnapshotFromRuleMoveLists(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "figure1-rulemoves.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, _, err := parseSnapshot(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	written := make(map[uint64][]rules.Move)
+	for _, r := range rows {
+		if r.flags&snapHasMoves != 0 {
+			written[r.key] = r.moves
+		}
+	}
+	dst := NewCache(0)
+	if _, err := dst.LoadSnapshot(bytes.NewReader(raw)); err != nil {
+		t.Fatal(err)
+	}
+	restored, ref := figure1Engine(t, dst), figure1Engine(t, nil)
+	init, err := difftree.Initial(ref.cfg.Log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	for _, d := range append([]*difftree.Node{init}, ref.Neighbors(init)...) {
+		ms, ok := written[restored.key(difftree.Hash(d))]
+		if !ok {
+			continue
+		}
+		checked++
+		misses := dst.Stats().Misses
+		got := restored.Moves(d)
+		if dst.Stats().Misses != misses {
+			t.Fatalf("Moves of %s missed a cache that carries its list", d)
+		}
+		if want := ref.Moves(d); !sameMoves(got, ms) || !sameMoves(got, want) {
+			t.Fatalf("Moves of %s = %v; the snapshot carries %v, the uncached engine lists %v", d, got, ms, want)
+		}
+	}
+	if checked != len(written) || checked < 2 {
+		t.Fatalf("%d of the snapshot's %d move lists belong to the states checked", checked, len(written))
+	}
+	if again := snapshotBytes(t, dst); !bytes.Equal(again, raw) {
+		t.Fatalf("re-export differs: %d bytes, file %d", len(again), len(raw))
 	}
 }
 
@@ -330,7 +401,7 @@ func TestSnapshotVersion1Rejected(t *testing.T) {
 // build does not have is a schema mismatch, not an import.
 func TestSnapshotRuleGuard(t *testing.T) {
 	c := NewCache(0)
-	c.SetMoves(1, []rules.Move{{Rule: "Any2All", Path: difftree.Path{1}}})
+	setMoveList(t, c, 1, []rules.Move{{Rule: "Any2All", Path: difftree.Path{1}}})
 	raw := snapshotBytes(t, c)
 	off := len(snapMagic) + 2
 	for _, name := range ast.KindNames() {
