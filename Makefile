@@ -112,7 +112,8 @@ load-smoke:
 # count), the TreeWorkers tests of core and the root package, the
 # shared-engine rollout test of internal/eval (tree workers share the
 # engine's rollout step and its pooled spine arenas), and its move-code
-# tests (engines on one cache intern into its code tables at once).
+# tests (engines on one cache intern into its path table at once, and
+# fill and rotate a small one).
 race-tree:
 	$(GO) test -race -count=2 ./internal/mcts
 	$(GO) test -race -count=2 -run 'TreeParallel|TreeWorkers|VirtualLoss' ./internal/core .

@@ -119,7 +119,6 @@ type workloadReport struct {
 	Iterations    int              `json:"iterations"`
 	RolloutDepth  int              `json:"rollout_depth"`
 	Seed          int64            `json:"seed"`
-	Repeats       int              `json:"repeats"`
 	Uncached      modeResult       `json:"uncached"`
 	CachedCold    modeResult       `json:"cached_cold"`
 	CachedWarm    modeResult       `json:"cached_warm"`
@@ -177,7 +176,6 @@ func main() {
 	iterations := flag.Int("iterations", 15, "search iteration budget per run")
 	rollout := flag.Int("rollout", 8, "rollout depth")
 	seed := flag.Int64("seed", 1, "deterministic seed")
-	repeats := flag.Int("repeats", 3, "timed repetitions per tree-parallel mode, at least 5 (fastest wins)")
 	minSpeedup := flag.Float64("min-speedup", 3, "fail unless warm-cache/uncached iters-per-sec reaches this on every workload (0 disables)")
 	minColdSpeedup := flag.Float64("min-cold-speedup", 1.0, "fail unless cold-cache/uncached iters-per-sec reaches this on every workload (0 disables) — the cache must never slow a first search down")
 	maxAllocsPerIter := flag.Float64("max-allocs-per-iter", 0, "fail if any warm-cache run allocates more than this per iteration (0 disables)")
@@ -204,7 +202,7 @@ func main() {
 		if err != nil {
 			fatalf("%v", err)
 		}
-		rep := benchWorkload(name, log, strategy, *strategySpec, *iterations, *rollout, *seed, *repeats,
+		rep := benchWorkload(name, log, strategy, *strategySpec, *iterations, *rollout, *seed,
 			i == 0, *treeWorkers, *minTreeSpeedup)
 		file.Workloads[name] = rep
 		order = append(order, name)
@@ -289,7 +287,7 @@ func main() {
 // benchWorkload times the three cache modes (and, for the first workload,
 // the tree-parallel section) on one query log.
 func benchWorkload(name string, log []*ast.Node, strategy core.Strategy, strategySpec string,
-	iterations, rollout int, seed int64, repeats int,
+	iterations, rollout int, seed int64,
 	withTree bool, treeWorkers int, minTreeSpeedup float64) workloadReport {
 
 	base := core.Options{
@@ -389,7 +387,6 @@ func benchWorkload(name string, log []*ast.Node, strategy core.Strategy, strateg
 		Iterations:    iterations,
 		RolloutDepth:  rollout,
 		Seed:          seed,
-		Repeats:       repeats,
 		Uncached:      uncached,
 		CachedCold:    cold,
 		CachedWarm:    warm,
@@ -434,10 +431,10 @@ func benchWorkload(name string, log []*ast.Node, strategy core.Strategy, strateg
 		treeOpt := base
 		treeOpt.TreeWorkers = treeWorkers
 		// The parallel search is non-deterministic, so this section is gated
-		// on samples, not a single run: take at least 5 repetitions per mode
-		// so one unlucky interleaving (or one noisy-CI hiccup) cannot flip
-		// the speedup or best-cost verdict.
-		treeRepeats := max(repeats, 5)
+		// on samples, not a single run: 5 repetitions per mode, so one
+		// unlucky interleaving (or one noisy-CI hiccup) cannot flip the
+		// speedup or best-cost verdict.
+		const treeRepeats = 5
 		cpus, qualified := benchutil.GateEnforced(treeWorkers)
 		tree := &treeSection{
 			Workers:      treeWorkers,

@@ -88,7 +88,10 @@ type CacheStats = eval.Stats
 // which makes one bounded cache safe to share for the whole lifetime of a
 // long-running service under an unbounded stream of workloads. Eviction
 // never changes a result: state evaluation is deterministic per state, so a
-// dropped entry is recomputed bit-identically on its next visit. Reset
+// dropped entry is recomputed bit-identically on its next visit. The paths
+// the cached move sets name are bounded with it (maxEntries paths, within
+// 2^16 to 2^23): once that table is full, the cache starts an empty one and
+// drops the move sets of the old one, to be recomputed the same way. Reset
 // remains available as a hard rotation point.
 func NewCache(maxEntries int) *Cache {
 	return &Cache{c: eval.NewCache(maxEntries)}
@@ -97,9 +100,10 @@ func NewCache(maxEntries int) *Cache {
 // Stats snapshots the cache's hit/miss/occupancy counters.
 func (c *Cache) Stats() CacheStats { return c.c.Stats() }
 
-// Reset drops every memoized state and zeroes the counters. Safe during
-// concurrent searches: evaluation is deterministic per state, so in-flight
-// lookups just recompute the identical values.
+// Reset drops every memoized state, and the paths their move sets name, and
+// zeroes the counters. Safe during concurrent searches: evaluation is
+// deterministic per state, so in-flight lookups just recompute the
+// identical values.
 func (c *Cache) Reset() { c.c.Reset() }
 
 // Generator generates interfaces from query logs. The zero-argument New()

@@ -8,7 +8,7 @@
 //   - LegalState, the system invariant (size prune + every query stays
 //     expressible), and
 //   - Moves, the legal move set, kept as 4-byte move codes (see
-//     codeTables) that hold no pointer for the garbage collector to mark.
+//     pathTable) that hold no pointer for the garbage collector to mark.
 //
 // The Engine also owns the search step built on them: Neighbors applies
 // every legal move, UniformMove one drawn uniformly, and RandomMove is the
@@ -75,10 +75,13 @@ type Cache struct {
 	fpMu sync.Mutex
 	fps  map[uint64]struct{}
 
-	// tab holds the rule names and paths of the move codes every cached
-	// move list is made of (see codeTables). It is append-only: Reset keeps
-	// it, since a list handed out before a Reset still decodes against it.
-	tab codeTables
+	// paths holds the paths of the move codes every cached move list is
+	// made of (see pathTable), bounded by the cache's capacity. It is
+	// replaced, under every shard lock, by Reset and by rotatePaths when
+	// full, so the table read under any one shard lock is the one that
+	// shard's lists decode against. A list handed out earlier keeps
+	// decoding against the table it came with.
+	paths atomic.Pointer[pathTable]
 }
 
 // shard is one CLOCK ring: the map resolves a key to its ring slot, the
@@ -109,7 +112,7 @@ type entry struct {
 	cost     float64
 	hasCost  bool
 	legal    uint8    // 0 unknown, 1 legal, 2 illegal
-	moves    []uint32 // move codes against the cache's tab
+	moves    []uint32 // move codes against the cache's paths
 	hasMoves bool
 }
 
@@ -121,7 +124,11 @@ type entry struct {
 // fill evenly in practice. A full shard admits new states by evicting cold
 // ones (per-shard CLOCK, see Cache), so a long-lived process keeps
 // memoizing its current working set forever; Reset remains available for
-// callers that want a hard rotation point.
+// callers that want a hard rotation point. The paths of the cached move
+// lists are bounded too, at maxEntries clamped to [2^16, 2^23] paths: when
+// the table is full, the cache starts an empty one and drops the move lists
+// of the old one (costs and legality verdicts stay), which are recomputed
+// on their next visit.
 func NewCache(maxEntries int) *Cache {
 	if maxEntries <= 0 {
 		maxEntries = DefaultMaxEntries
@@ -131,6 +138,7 @@ func NewCache(maxEntries int) *Cache {
 	for i := range c.shards {
 		c.shards[i].m = make(map[uint64]int)
 	}
+	c.paths.Store(newPathTable(pathLimit(maxEntries)))
 	return c
 }
 
@@ -223,6 +231,19 @@ func (c *Cache) probe(key uint64) (entry, bool) {
 	return e, found
 }
 
+// probeMoves is probe for key's move list: its codes, shared with the
+// cache, and the path table they decode against; ok is false when the list
+// is not cached.
+func (c *Cache) probeMoves(key uint64) (codes []uint32, paths *pathTable, ok bool) {
+	s := c.shard(key)
+	s.mu.Lock()
+	if e, found := s.get(key); found && e.hasMoves {
+		codes, paths, ok = e.moves, c.paths.Load(), true
+	}
+	s.mu.Unlock()
+	return codes, paths, ok
+}
+
 // SetCost records a state cost. Like every setter, the first write wins:
 // evaluation is a pure function of (config, state), so two writers for one
 // key computed the same value and there is nothing to overwrite — and a
@@ -252,9 +273,9 @@ func (c *Cache) SetLegal(key uint64, legal bool) {
 // importEntry merges one snapshot entry's aspects, first-write-wins per
 // aspect: an import is idempotent, and never clobbers anything a live
 // search has already computed. legal uses the entry encoding (0 unknown,
-// 1 legal, 2 illegal). The cache takes ownership of moves, codes against
-// c.tab.
-func (c *Cache) importEntry(key uint64, cost float64, hasCost bool, legal uint8, moves []uint32, hasMoves bool) {
+// 1 legal, 2 illegal). moves are codes against paths, kept (and owned by
+// the cache) only while paths is the cache's table.
+func (c *Cache) importEntry(key uint64, cost float64, hasCost bool, legal uint8, moves []uint32, paths *pathTable) {
 	s, e := c.lockFor(key)
 	if hasCost && !e.hasCost {
 		e.cost, e.hasCost = cost, true
@@ -262,39 +283,74 @@ func (c *Cache) importEntry(key uint64, cost float64, hasCost bool, legal uint8,
 	if legal != 0 && e.legal == 0 {
 		e.legal = legal
 	}
-	if hasMoves && !e.hasMoves {
+	if paths != nil && !e.hasMoves && c.paths.Load() == paths {
 		e.moves, e.hasMoves = moves, true
 	}
 	s.mu.Unlock()
 }
 
-// setMoves records a legal move set as codes against c.tab (first write
-// wins, see SetCost). The cache takes ownership of ms.
-func (c *Cache) setMoves(key uint64, ms []uint32) {
+// setMoves records a legal move set as codes against paths (first write
+// wins, see SetCost). It is kept only while paths is the cache's table,
+// which then owns ms.
+func (c *Cache) setMoves(key uint64, ms []uint32, paths *pathTable) {
 	s, e := c.lockFor(key)
-	if !e.hasMoves {
+	if !e.hasMoves && c.paths.Load() == paths {
 		e.moves, e.hasMoves = ms, true
 	}
 	s.mu.Unlock()
 }
 
-// Reset drops every memoized state (all fingerprints) and zeroes the
-// counters, returning the cache to its freshly constructed state. The
-// fingerprint inventory is kept: it describes the engines attached over the
-// cache's lifetime (they register once, at construction), not the resident
-// entries. So are the move-code tables, which only grow: lists handed out
-// before the Reset keep decoding. Safe to call concurrently with readers:
-// in-flight lookups simply miss and recompute — by construction a recompute
-// equals the dropped value.
+// rotatePaths replaces the full path table old, unless another caller
+// already has, with an empty one and drops the move lists encoded against
+// old; it returns the cache's table. Evicted states leave their paths
+// behind, so a long-lived cache fills its table with paths no list names,
+// and rotating is what reclaims them.
+func (c *Cache) rotatePaths(old *pathTable) *pathTable {
+	c.lockAll()
+	defer c.unlockAll()
+	if c.paths.Load() == old {
+		c.paths.Store(newPathTable(old.limit))
+		for i := range c.shards {
+			for j := range c.shards[i].ring {
+				e := &c.shards[i].ring[j].e
+				//mctsvet:allow cachewrite -- drops a list whose path table is gone; it is recomputed on the next visit, never overwritten
+				e.moves, e.hasMoves = nil, false
+			}
+		}
+	}
+	return c.paths.Load()
+}
+
+func (c *Cache) lockAll() {
+	for i := range c.shards {
+		c.shards[i].mu.Lock()
+	}
+}
+
+func (c *Cache) unlockAll() {
+	for i := range c.shards {
+		c.shards[i].mu.Unlock()
+	}
+}
+
+// Reset drops every memoized state (all fingerprints) and the path table
+// of the cached move lists, and zeroes the counters, returning the cache to
+// its freshly constructed state. The fingerprint inventory is kept: it
+// describes the engines attached over the cache's lifetime (they register
+// once, at construction), not the resident entries. Move lists handed out
+// before the Reset keep decoding against the table they came with. Safe to
+// call concurrently with readers: in-flight lookups simply miss and
+// recompute — by construction a recompute equals the dropped value.
 func (c *Cache) Reset() {
+	c.lockAll()
+	c.paths.Store(newPathTable(c.paths.Load().limit))
 	for i := range c.shards {
 		s := &c.shards[i]
-		s.mu.Lock()
 		s.m = make(map[uint64]int)
 		s.ring = nil
 		s.hand = 0
-		s.mu.Unlock()
 	}
+	c.unlockAll()
 	c.hits.Store(0)
 	c.misses.Store(0)
 	c.evictions.Store(0)

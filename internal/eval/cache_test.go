@@ -33,14 +33,24 @@ func cachedCost(c *Cache, key uint64) (float64, bool) {
 	return v.cost, ok
 }
 
-// setMoveList records ms as key's move set, encoded against c's tables.
+// setMoveList records ms as key's move set, encoded against c's path table.
 func setMoveList(t testing.TB, c *Cache, key uint64, ms []rules.Move) {
 	t.Helper()
-	codes, ok := c.tab.encodeMoves(ms)
+	paths := c.paths.Load()
+	codes, ok := paths.encodeMoves(ms)
 	if !ok {
-		t.Fatalf("move list %v does not fit the code tables", ms)
+		t.Fatalf("move list %v does not fit the path table", ms)
 	}
-	c.setMoves(key, codes)
+	c.setMoves(key, codes, paths)
+}
+
+// cachedMoves returns key's cached move list, decoded.
+func cachedMoves(c *Cache, key uint64) ([]rules.Move, bool) {
+	codes, paths, ok := c.probeMoves(key)
+	if !ok {
+		return nil, false
+	}
+	return paths.decode(codes), true
 }
 
 func figure1Engine(t *testing.T, cache *Cache) *Engine {
@@ -79,9 +89,8 @@ func TestCacheBasics(t *testing.T) {
 	}
 	ms := []rules.Move{{Rule: "Unwrap", Path: difftree.Path{0}}}
 	setMoveList(t, c, 42, ms)
-	got, ok := c.probe(42)
-	if !ok || !got.hasMoves || !sameMoves(c.tab.decode(got.moves), ms) {
-		t.Fatalf("moves = %v, %v", got.moves, ok)
+	if got, ok := cachedMoves(c, 42); !ok || !sameMoves(got, ms) {
+		t.Fatalf("moves = %v, %v", got, ok)
 	}
 	st := c.Stats()
 	if st.Hits == 0 || st.Misses == 0 || st.Entries != 2 {
@@ -320,5 +329,28 @@ func TestCacheReset(t *testing.T) {
 	c.SetCost(1, 2.5)
 	if v, ok := cachedCost(c, 1); !ok || v != 2.5 {
 		t.Fatal("cache unusable after Reset")
+	}
+}
+
+// TestCacheResetDropsPaths: Reset starts an empty path table, and a move
+// list handed out before it keeps decoding against the table it came with.
+func TestCacheResetDropsPaths(t *testing.T) {
+	c := NewCache(0)
+	eng := figure1Engine(t, c)
+	init, err := difftree.Initial(eng.cfg.Log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := eng.Moves(init)
+	codes, paths := eng.moves(init, false)
+	c.Reset()
+	if got := c.paths.Load(); got == paths || got.n != 0 {
+		t.Fatalf("Reset kept the path table (%d paths)", got.n)
+	}
+	if !sameMoves(paths.decode(codes), want) {
+		t.Fatal("a list handed out before Reset decodes differently")
+	}
+	if !sameMoves(eng.Moves(init), want) || c.paths.Load().n == 0 {
+		t.Fatal("the cache does not rebuild its lists after Reset")
 	}
 }

@@ -24,7 +24,7 @@ type Config struct {
 	Log     []*ast.Node  // the (ordered) query log
 	Model   cost.Model   // cost parameters incl. screen constraint
 	Samples int          // k random widget assignments per state cost
-	Rules   []rules.Rule // transformation rule set gating moves (at most 256 names)
+	Rules   []rules.Rule // transformation rule set gating moves
 	SizeCap int          // state-size prune bound (0 = uncapped)
 	Seed    int64        // base seed for per-state reward sampling
 }
@@ -33,8 +33,8 @@ type Config struct {
 // optional shared Cache. A nil cache disables memoization entirely — every
 // call recomputes — which is the reference baseline the bench harness
 // compares against. Beyond the cache, the Engine holds only its match memo
-// (see fullLegal), dropped with it, and, when uncached, the move-code
-// tables of its move lists (see Moves). It is safe for concurrent use.
+// (see fullLegal), dropped with it, and, when uncached, the path table of
+// its move lists (see Moves). It is safe for concurrent use.
 type Engine struct {
 	cfg   Config
 	cache *Cache
@@ -52,13 +52,11 @@ type Engine struct {
 	// on an uncached engine.
 	matches atomic.Pointer[difftree.MatchMemo]
 
-	// tab is the code tables the engine encodes its move lists against:
-	// the cache's, or its own when uncached or when the cache's name table
-	// has no room for its rule names. ruleCodes[i] is cfg.Rules[i]'s
-	// rule-name id in tab, shifted into code position. Lists are cached
-	// only when encoded against the cache's tables.
-	tab       *codeTables
+	// ruleCodes[i] is cfg.Rules[i]'s rule-name id in ruleNames, shifted
+	// into code position. ownPaths is the path table of an uncached
+	// engine's move lists; a cached engine encodes against the cache's.
 	ruleCodes []uint32
+	ownPaths  atomic.Pointer[pathTable]
 }
 
 // shaper is a widening rule that reports what a widening verdict reads of
@@ -85,17 +83,13 @@ func New(cfg Config, cache *Cache) *Engine {
 		}
 	}
 	var ok bool
+	if e.ruleCodes, ok = ruleNames.codes(cfg.Rules); !ok {
+		panic(fmt.Sprintf("eval: the rules name more than %d rules", maxRuleIDs))
+	}
 	if cache != nil {
 		cache.noteFingerprint(e.fp)
-		if e.ruleCodes, ok = cache.tab.internRules(cfg.Rules); ok {
-			e.tab = &cache.tab
-		}
-	}
-	if e.tab == nil {
-		e.tab = new(codeTables)
-		if e.ruleCodes, ok = e.tab.internRules(cfg.Rules); !ok {
-			panic(fmt.Sprintf("eval: the rule set names more than %d rules", maxRuleIDs))
-		}
+	} else {
+		e.ownPaths.Store(newPathTable(pathLimit(DefaultMaxEntries)))
 	}
 	return e
 }
@@ -291,22 +285,22 @@ var arenaPool = sync.Pool{New: func() any { return new(difftree.SpineArena) }}
 // re-match exhausts the matcher's backtracking budget. Only the move list
 // is memoized, not the verdict of each candidate.
 func (e *Engine) Moves(d *difftree.Node) []rules.Move {
-	codes, tab := e.moves(d, false)
-	return tab.decode(codes)
+	codes, paths := e.moves(d, false)
+	return paths.decode(codes)
 }
 
-// moves is Moves as move codes, decoded against tab; the caller must not
+// moves is Moves as move codes, decoded against paths; the caller must not
 // modify them. It skips d's LegalState check when the caller knows d to be
 // legal. A miss walks d with pooled scratch (moveWalk) and allocates only
 // the exactly sized code list it returns, which the cache keeps.
-func (e *Engine) moves(d *difftree.Node, legal bool) (codes []uint32, tab *codeTables) {
+func (e *Engine) moves(d *difftree.Node, legal bool) (codes []uint32, paths *pathTable) {
 	h := difftree.Hash(d)
 	var k uint64
 	if e.cache != nil {
 		k = e.key(h)
-		if v, ok := e.cache.probe(k); ok && v.hasMoves {
+		if codes, paths, ok := e.cache.probeMoves(k); ok {
 			e.cache.count(true)
-			return v.moves, &e.cache.tab
+			return codes, paths
 		}
 		e.cache.count(false)
 	}
@@ -314,20 +308,37 @@ func (e *Engine) moves(d *difftree.Node, legal bool) (codes []uint32, tab *codeT
 	w := walkPool.Get().(*moveWalk)
 	w.e, w.d, w.legal = e, d, legal
 	w.walk(d, nil)
-	tab = e.tab
-	codes, ok := tab.encode(e.ruleCodes, w.kept, w.ends, w.flat)
-	if !ok {
-		// The path table is full: encode against tables of this list's
-		// own, which is then not cached.
-		tab = new(codeTables)
-		ruleCodes, _ := tab.internRules(e.cfg.Rules) // fits: e.ruleCodes did
-		codes, _ = tab.encode(ruleCodes, w.kept, w.ends, w.flat)
+	paths = e.paths()
+	for {
+		var ok bool
+		if codes, ok = paths.encode(e.ruleCodes, w.kept, w.ends, w.flat); ok {
+			break
+		}
+		paths = e.rotatePaths(paths)
 	}
 	w.release()
-	if e.cache != nil && tab == &e.cache.tab {
-		e.cache.setMoves(k, codes)
+	if e.cache != nil {
+		e.cache.setMoves(k, codes, paths)
 	}
-	return codes, tab
+	return codes, paths
+}
+
+// paths returns the path table the engine encodes its move lists against.
+func (e *Engine) paths() *pathTable {
+	if e.cache != nil {
+		return e.cache.paths.Load()
+	}
+	return e.ownPaths.Load()
+}
+
+// rotatePaths replaces the full path table old, unless another caller
+// already has, with an empty one, and returns the engine's table.
+func (e *Engine) rotatePaths(old *pathTable) *pathTable {
+	if e.cache != nil {
+		return e.cache.rotatePaths(old)
+	}
+	e.ownPaths.CompareAndSwap(old, newPathTable(old.limit))
+	return e.ownPaths.Load()
 }
 
 // moveWalk is the scratch of one move enumeration, pooled so that a miss
@@ -461,11 +472,11 @@ func (e *Engine) UniformMove(src *difftree.Node, rng *rand.Rand) (*difftree.Node
 // uniformMove is UniformMove; legal reports that the caller knows src to be
 // legal, as RandomMove's fallback does, so Moves need not check it.
 func (e *Engine) uniformMove(src *difftree.Node, rng *rand.Rand, legal bool) (*difftree.Node, bool) {
-	codes, tab := e.moves(src, legal)
+	codes, paths := e.moves(src, legal)
 	if len(codes) == 0 {
 		return nil, false
 	}
-	next, err := rules.ApplyMove(src, tab.move(codes[rng.Intn(len(codes))]))
+	next, err := rules.ApplyMove(src, paths.move(codes[rng.Intn(len(codes))]))
 	return next, err == nil
 }
 
@@ -546,10 +557,10 @@ func (e *Engine) PathPools(d *difftree.Node) [4][]difftree.Path {
 // Neighbors applies every legal move of d, returning the successor states
 // in the same deterministic order as Moves.
 func (e *Engine) Neighbors(d *difftree.Node) []*difftree.Node {
-	codes, tab := e.moves(d, false)
+	codes, paths := e.moves(d, false)
 	out := make([]*difftree.Node, 0, len(codes))
 	for _, c := range codes {
-		next, err := rules.ApplyMove(d, tab.move(c))
+		next, err := rules.ApplyMove(d, paths.move(c))
 		if err != nil {
 			continue
 		}

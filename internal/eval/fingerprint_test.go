@@ -59,7 +59,7 @@ func TestFingerprintCoversRuleParameters(t *testing.T) {
 }
 
 // TestSharedCodeTablesDecodeEachRuleSet: engines with different rule sets
-// on one cache encode against the cache's one set of code tables, and each
+// on one cache encode against the cache's one path table, and each
 // decodes its own rule names, from the lists it builds and from the ones it
 // reads back; engines with one configuration read each other's lists and
 // share each path.
@@ -72,8 +72,8 @@ func TestSharedCodeTablesDecodeEachRuleSet(t *testing.T) {
 	shared := NewCache(0)
 	toggle := New(Config{Log: log, Samples: 1, Seed: 1, Rules: []rules.Rule{toggleRule{on: true}}}, shared)
 	all := New(Config{Log: log, Samples: 1, Seed: 1, Rules: rules.All()}, shared)
-	if toggle.tab != &shared.tab || all.tab != &shared.tab {
-		t.Fatal("an engine on a cache does not encode against the cache's tables")
+	if toggle.paths() != shared.paths.Load() || all.paths() != shared.paths.Load() {
+		t.Fatal("an engine on a cache does not encode against the cache's path table")
 	}
 	oracle := rules.Moves(init, log, rules.All())
 	for pass := 0; pass < 2; pass++ { // a miss, then a cache hit

@@ -26,7 +26,7 @@ import (
 // Cost, legality and move sets travel: every aspect a cache entry holds.
 // A move set is a list of (rule name, path) pairs, written against a
 // rule-name table: the cache's move codes are decoded on export and
-// encoded against the importing cache's tables on import.
+// encoded against the importing cache's path table on import.
 //
 // Binary format (all integers little-endian):
 //
@@ -176,6 +176,7 @@ func (c *Cache) Snapshot(w io.Writer) (entries int64, err error) {
 		s := &c.shards[i]
 		rows = rows[:0]
 		s.mu.Lock()
+		paths := c.paths.Load() // the table this shard's lists decode against
 		for j := range s.ring {
 			sl := &s.ring[j]
 			var flags uint8
@@ -189,7 +190,7 @@ func (c *Cache) Snapshot(w io.Writer) (entries int64, err error) {
 				}
 			}
 			var moves []uint32
-			if sl.e.hasMoves && c.encodableMoves(sl.e.moves, ruleIndex) {
+			if sl.e.hasMoves && encodableMoves(paths, sl.e.moves, ruleIndex) {
 				flags |= snapHasMoves
 				moves = sl.e.moves
 			}
@@ -217,7 +218,7 @@ func (c *Cache) Snapshot(w io.Writer) (entries int64, err error) {
 				}
 			}
 			if r.flags&snapHasMoves != 0 {
-				if err := c.writeMoves(writeU, r.moves, ruleIndex); err != nil {
+				if err := writeMoves(writeU, paths, r.moves, ruleIndex); err != nil {
 					return 0, err
 				}
 			}
@@ -232,14 +233,14 @@ func (c *Cache) Snapshot(w io.Writer) (entries int64, err error) {
 	return entries, bw.Flush()
 }
 
-// encodableMoves reports whether the move list with codes ms fits the
-// snapshot's move encoding.
-func (c *Cache) encodableMoves(ms []uint32, ruleIndex map[string]int) bool {
+// encodableMoves reports whether the move list with codes ms against paths
+// fits the snapshot's move encoding.
+func encodableMoves(paths *pathTable, ms []uint32, ruleIndex map[string]int) bool {
 	if len(ms) > snapMaxMoves {
 		return false
 	}
 	for _, code := range ms {
-		m := c.tab.move(code)
+		m := paths.move(code)
 		if _, ok := ruleIndex[m.Rule]; !ok || len(m.Path) > snapMaxPathLen {
 			return false
 		}
@@ -252,13 +253,13 @@ func (c *Cache) encodableMoves(ms []uint32, ruleIndex map[string]int) bool {
 	return true
 }
 
-// writeMoves writes the move list with codes ms.
-func (c *Cache) writeMoves(writeU func(v uint64, n int) error, ms []uint32, ruleIndex map[string]int) error {
+// writeMoves writes the move list with codes ms against paths.
+func writeMoves(writeU func(v uint64, n int) error, paths *pathTable, ms []uint32, ruleIndex map[string]int) error {
 	if err := writeU(uint64(len(ms)), 2); err != nil {
 		return err
 	}
 	for _, code := range ms {
-		m := c.tab.move(code)
+		m := paths.move(code)
 		if err := writeU(uint64(ruleIndex[m.Rule]), 1); err != nil {
 			return err
 		}
@@ -283,9 +284,10 @@ func (c *Cache) writeMoves(writeU func(v uint64, n int) error, ms []uint32, rule
 // aspect: importing twice is a no-op, and entries a live search has already
 // populated are never clobbered. Importing into a cache smaller than the
 // snapshot admits entries through the normal CLOCK eviction path, so
-// occupancy never exceeds capacity. A move set whose rule names or paths do
-// not fit the cache's code tables is not imported; it is recomputed on
-// first visit.
+// occupancy never exceeds capacity. Move sets are encoded against the
+// cache's path table until it is full (see NewCache); the rest are not
+// imported, and are recomputed on first visit, so an import holds at most
+// the table's bound of paths, in memory linear in them.
 func (c *Cache) LoadSnapshot(r io.Reader) (int64, error) {
 	rows, fps, err := parseSnapshot(r)
 	if err != nil {
@@ -304,14 +306,17 @@ func (c *Cache) LoadSnapshot(r io.Reader) (int64, error) {
 		}
 		hasCost := row.flags&snapHasCost != 0
 		var moves []uint32
-		hasMoves := row.flags&snapHasMoves != 0
-		if hasMoves {
-			moves, hasMoves = c.tab.encodeMoves(row.moves)
+		var paths *pathTable
+		if row.flags&snapHasMoves != 0 {
+			p := c.paths.Load()
+			if codes, ok := p.encodeMoves(row.moves); ok {
+				moves, paths = codes, p
+			}
 		}
-		if !hasCost && legal == 0 && !hasMoves {
+		if !hasCost && legal == 0 && paths == nil {
 			continue
 		}
-		c.importEntry(row.key, row.cost, hasCost, legal, moves, hasMoves)
+		c.importEntry(row.key, row.cost, hasCost, legal, moves, paths)
 	}
 	return int64(len(rows)), nil
 }

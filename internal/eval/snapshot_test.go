@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/ast"
@@ -243,8 +244,8 @@ func TestSnapshotSkipsNonPortableAspects(t *testing.T) {
 	if v, ok := cachedCost(dst, 3); !ok || v != 7 {
 		t.Fatalf("cost entry lost: %v %v", v, ok)
 	}
-	if got, ok := dst.probe(1); !ok || !got.hasMoves || !sameMoves(dst.tab.decode(got.moves), ms) {
-		t.Fatalf("moves entry = %v %v, want %v", got.moves, ok, ms)
+	if got, ok := cachedMoves(dst, 1); !ok || !sameMoves(got, ms) {
+		t.Fatalf("moves entry = %v %v, want %v", got, ok, ms)
 	}
 	if got, ok := dst.probe(2); ok && got.hasMoves {
 		t.Fatal("an unencodable move set travelled across the snapshot")
@@ -266,15 +267,14 @@ func TestSnapshotCarriesMoves(t *testing.T) {
 	restored := New(eng.cfg, dst)
 	checked := 0
 	for _, d := range append([]*difftree.Node{init}, eng.Neighbors(init)...) {
-		want, ok := src.probe(eng.key(difftree.Hash(d)))
-		if !ok || !want.hasMoves {
+		wantMoves, ok := cachedMoves(src, eng.key(difftree.Hash(d)))
+		if !ok {
 			continue
 		}
 		checked++
-		got, ok := dst.probe(restored.key(difftree.Hash(d)))
-		wantMoves := src.tab.decode(want.moves)
-		if !ok || !got.hasMoves || !sameMoves(dst.tab.decode(got.moves), wantMoves) {
-			t.Fatalf("restored moves of %s = %v %v, want %v", d, got.moves, ok, wantMoves)
+		got, ok := cachedMoves(dst, restored.key(difftree.Hash(d)))
+		if !ok || !sameMoves(got, wantMoves) {
+			t.Fatalf("restored moves of %s = %v %v, want %v", d, got, ok, wantMoves)
 		}
 		if !sameMoves(restored.Moves(d), wantMoves) {
 			t.Fatalf("restored engine Moves of %s differ", d)
@@ -283,6 +283,79 @@ func TestSnapshotCarriesMoves(t *testing.T) {
 	if checked < 2 {
 		t.Fatalf("only %d states carried moves", checked)
 	}
+}
+
+// TestSnapshotImportMemoryLinear: an import's heap is linear in what it
+// carries, whatever its path steps. The snapshot holds one list of 64
+// moves at paths [a, 65535]: 400 bytes of moves. Interning them in a trie
+// whose nodes index their children densely took 512 KiB a move.
+func TestSnapshotImportMemoryLinear(t *testing.T) {
+	const moves = 64
+	ms := make([]rules.Move, moves)
+	for a := range ms {
+		ms[a] = rules.Move{Rule: "Unwrap", Path: difftree.Path{a, math.MaxUint16}}
+	}
+	src := NewCache(0)
+	setMoveList(t, src, 1, ms)
+	snap := snapshotBytes(t, src)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	dst := NewCache(0)
+	if _, err := dst.LoadSnapshot(bytes.NewReader(snap)); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if got, ok := cachedMoves(dst, 1); !ok || !sameMoves(got, ms) {
+		t.Fatalf("imported moves = %v %v, want %v", got, ok, ms)
+	}
+	runtime.KeepAlive(dst)
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew > 1<<20 {
+		t.Fatalf("importing %d bytes grew the heap by %d bytes", len(snap), grew)
+	}
+}
+
+// TestSnapshotImportStopsAtPathLimit: an import interns paths only until
+// the cache's path table is full; the move lists past that are left to be
+// recomputed, while every entry's other aspects still land.
+func TestSnapshotImportStopsAtPathLimit(t *testing.T) {
+	const entries, limit = 64, 16
+	src := NewCache(0)
+	for k := uint64(0); k < entries; k++ {
+		src.SetCost(k, float64(k))
+		setMoveList(t, src, k, []rules.Move{{Rule: "Unwrap", Path: difftree.Path{int(k), 1}}})
+	}
+	dst := NewCache(0)
+	dst.paths.Store(newPathTable(limit))
+	if _, err := dst.LoadSnapshot(bytes.NewReader(snapshotBytes(t, src))); err != nil {
+		t.Fatal(err)
+	}
+	withMoves := 0
+	for k := uint64(0); k < entries; k++ {
+		if v, ok := cachedCost(dst, k); !ok || v != float64(k) {
+			t.Fatalf("entry %d lost its cost: %v %v", k, v, ok)
+		}
+		if got, ok := cachedMoves(dst, k); ok {
+			if want := src.paths.Load().decode(mustCodes(t, src, k)); !sameMoves(got, want) {
+				t.Fatalf("entry %d: moves %v, want %v", k, got, want)
+			}
+			withMoves++
+		}
+	}
+	if n := dst.paths.Load().n; n != limit || withMoves != limit {
+		t.Fatalf("the import interned %d paths for %d lists, want %d", n, withMoves, limit)
+	}
+}
+
+// mustCodes returns key's cached move codes.
+func mustCodes(t *testing.T, c *Cache, key uint64) []uint32 {
+	t.Helper()
+	codes, _, ok := c.probeMoves(key)
+	if !ok {
+		t.Fatalf("no move list cached at %d", key)
+	}
+	return codes
 }
 
 // TestSnapshotReexportIdentical: a snapshot imported into an empty cache
