@@ -41,8 +41,7 @@ test:
 test-fast:
 	$(GO) test -skip TestSoakEvictionDeterminism ./...
 
-# bench runs the benchmark suite once (includes BenchmarkGenerateWorkers,
-# the root-parallelization scaling check).
+# bench runs the root package's benchmark suite once.
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
 
@@ -109,14 +108,15 @@ load-smoke:
 
 # race-tree runs the tree-parallel race suite CI gates on: every test of
 # internal/mcts (each search runs the shared-tree code, whatever its worker
-# count), the TreeWorkers tests of core and the root package, the
-# shared-engine rollout test of internal/eval (tree workers share the
+# count), the TreeWorkers tests of core and the root package, core's
+# concurrent Generate calls on one shared cache, the shared-engine rollout
+# test of internal/eval (tree workers share the
 # engine's rollout step and its pooled spine arenas), and its move-code
 # tests (engines on one cache intern into its path table at once, and
 # fill and rotate a small one).
 race-tree:
 	$(GO) test -race -count=2 ./internal/mcts
-	$(GO) test -race -count=2 -run 'TreeParallel|TreeWorkers|VirtualLoss' ./internal/core .
+	$(GO) test -race -count=2 -run 'TreeParallel|TreeWorkers|VirtualLoss|ConcurrentGenerate' ./internal/core .
 	$(GO) test -race -count=2 -run 'TestRandomMoveSharedEngine|TestMoveCodesConcurrentEngines|TestCodeTablesConcurrentIntern' ./internal/eval
 
 # golden regenerates the end-to-end fixtures under testdata/golden/ (run it

@@ -391,27 +391,6 @@ func BenchmarkGenerate(b *testing.B) {
 	})
 }
 
-// BenchmarkGenerateWorkers measures root-parallelization scaling: the same
-// search budget per worker, 1 to 8 workers (experiment P1). Wall-clock per
-// op should stay near-flat while total iterations scale with the worker
-// count — regressions here mean the workers serialized somewhere.
-func BenchmarkGenerateWorkers(b *testing.B) {
-	log := workload.SDSSLog()
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(itoa(workers)+"workers", func(b *testing.B) {
-			var last float64
-			for i := 0; i < b.N; i++ {
-				res, err := core.GenerateParallel(context.Background(), log, benchOpts(layout.Wide), workers)
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = res.Cost.Total()
-			}
-			reportCost(b, last)
-		})
-	}
-}
-
 // Micro-benchmarks for the hot paths.
 
 func BenchmarkParseSDSSQuery(b *testing.B) {

@@ -65,7 +65,7 @@ func main() {
 	gateCPUs := flag.Int("gate-cpus", 4, "enforce gates only when NumCPU >= this (numbers are recorded regardless)")
 	cacheEntries := flag.Int("cache-entries", 0, "in-process daemon: eval cache capacity (0: engine default)")
 	maxConcurrent := flag.Int("max-concurrent", 0, "in-process daemon: concurrent search slots (0: GOMAXPROCS)")
-	maxWorkers := flag.Int("max-workers", 1, "in-process daemon: per-request worker cap (1 keeps replays deterministic)")
+	maxWorkers := flag.Int("max-workers", 1, "in-process daemon: per-request tree_workers cap (1 keeps replays deterministic)")
 	fleet := flag.Int("fleet", 0, "start this many in-process replicas behind an in-process fleet router and drive traffic through it (0: single daemon; ignored with -addr)")
 	flag.Parse()
 

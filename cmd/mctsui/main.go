@@ -6,7 +6,7 @@
 //	mctsui [-log queries.sql | -workload sdss|sdss-join|sdss-join-block|figure1]
 //	       [-width 1200 -height 800] [-iters 60 | -budget 60s]
 //	       [-seed 1] [-strategy mcts|beam[:W]|greedy|random[:N]|exhaustive[:M]]
-//	       [-workers N] [-tree-workers N] [-progress]
+//	       [-tree-workers N] [-progress]
 //	       [-format ascii|html|both] [-show-queries N]
 //
 // With no -log flag it runs on the paper's SDSS log (Listing 1). The search
@@ -37,8 +37,7 @@ func main() {
 	budget := flag.Duration("budget", 0, "wall-clock search budget, e.g. 60s (the paper's setting)")
 	seed := flag.Int64("seed", mctsui.DefaultSeed, "random seed")
 	strategy := flag.String("strategy", "mcts", "search strategy: mcts, beam[:width], greedy, random[:walks], or exhaustive[:states]")
-	workers := flag.Int("workers", 1, "parallel root searches (keeps the best result)")
-	treeWorkers := flag.Int("tree-workers", 1, "goroutines sharing each MCTS search tree (>1 trades determinism for speed)")
+	treeWorkers := flag.Int("tree-workers", 1, "goroutines sharing the MCTS search tree (>1 trades determinism for speed)")
 	progress := flag.Bool("progress", false, "stream best-so-far snapshots to stderr while searching")
 	format := flag.String("format", "ascii", "output format: ascii, html, page (interactive HTML), json, or both")
 	showQueries := flag.Int("show-queries", 0, "also print up to N expressible queries")
@@ -87,7 +86,6 @@ func main() {
 		mctsui.WithScreen(mctsui.Screen{W: *width, H: *height}),
 		mctsui.WithSeed(*seed),
 		mctsui.WithStrategy(strat),
-		mctsui.WithWorkers(*workers),
 		mctsui.WithTreeWorkers(*treeWorkers),
 	}
 	if *budget > 0 {
@@ -97,8 +95,8 @@ func main() {
 	}
 	if *progress {
 		opts = append(opts, mctsui.WithProgress(func(p mctsui.Progress) {
-			fmt.Fprintf(os.Stderr, "\r%s w%d iter=%d evals=%d best=%.2f elapsed=%v   ",
-				p.Strategy, p.Worker, p.Iterations, p.Evals, p.BestCost, p.Elapsed.Round(time.Millisecond))
+			fmt.Fprintf(os.Stderr, "\r%s iter=%d evals=%d best=%.2f elapsed=%v   ",
+				p.Strategy, p.Iterations, p.Evals, p.BestCost, p.Elapsed.Round(time.Millisecond))
 		}))
 	}
 
@@ -150,8 +148,8 @@ func main() {
 
 	if *stats {
 		s := iface.Stats()
-		fmt.Printf("search: strategy=%s workers=%d tree-workers=%d iterations=%d expanded=%d rollouts=%d evals=%d best-reward=%.3f initial-fanout=%d initial-cost=%.2f interrupted=%v\n",
-			s.Strategy, s.Workers, s.TreeWorkers, s.Iterations, s.Expanded, s.Rollouts, s.Evals, s.BestReward, s.InitialFan, iface.InitialCost(), s.Interrupted)
+		fmt.Printf("search: strategy=%s tree-workers=%d iterations=%d expanded=%d rollouts=%d evals=%d best-reward=%.3f initial-fanout=%d initial-cost=%.2f interrupted=%v\n",
+			s.Strategy, s.TreeWorkers, s.Iterations, s.Expanded, s.Rollouts, s.Evals, s.BestReward, s.InitialFan, iface.InitialCost(), s.Interrupted)
 		if n := len(s.Trajectory); n > 0 {
 			last := s.Trajectory[n-1]
 			fmt.Printf("trajectory: %d improvements, final best %.2f after %d evals (%v)\n",

@@ -60,7 +60,7 @@ func main() {
 	replicaID := flag.String("replica-id", "", "fleet identity reported on /v1/stats and as an X-Replica header (empty = single node)")
 	cacheEntries := flag.Int("cache-entries", 0, "transposition cache bound in states (0 = ~1M default); the cache CLOCK-evicts once full")
 	maxConcurrent := flag.Int("max-concurrent", 0, "max simultaneous searches (0 = GOMAXPROCS)")
-	maxWorkers := flag.Int("max-workers", 0, "per-request parallelism budget: workers x tree_workers is capped here (0 = GOMAXPROCS)")
+	maxWorkers := flag.Int("max-workers", 0, "per-request parallelism cap: caps tree_workers (0 = GOMAXPROCS)")
 	queueDepth := flag.Int("queue-depth", 0, "max requests waiting for a search slot (0 = 4x max-concurrent); overflow gets 429")
 	queueWait := flag.Duration("queue-wait", 10*time.Second, "max time a request waits for a slot before 503")
 	maxBudget := flag.Duration("max-budget", time.Minute, "cap on per-request wall-clock search budgets")

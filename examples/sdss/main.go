@@ -21,7 +21,6 @@ func main() {
 	iters := flag.Int("iters", 15, "MCTS iterations per screen")
 	rows := flag.Int("rows", 2000, "rows per synthetic SDSS table")
 	seed := flag.Int64("seed", 1, "search seed")
-	workers := flag.Int("workers", 1, "parallel root searches per screen")
 	flag.Parse()
 	ctx := context.Background()
 
@@ -43,7 +42,6 @@ func main() {
 			mctsui.WithScreen(sc.screen),
 			mctsui.WithIterations(*iters),
 			mctsui.WithSeed(*seed),
-			mctsui.WithWorkers(*workers),
 		).Generate(ctx, queries)
 		if err != nil {
 			log.Fatal(err)

@@ -30,8 +30,8 @@ const (
 type Strategy = core.Strategy
 
 // Progress is an anytime snapshot of a running search, delivered to the
-// WithProgress callback: within one worker, BestCost is monotone
-// non-increasing and the counters monotone non-decreasing.
+// WithProgress callback: BestCost is monotone non-increasing and the
+// counters monotone non-decreasing.
 type Progress = core.Progress
 
 // Stats summarizes a finished search, including the best-so-far cost
@@ -67,9 +67,9 @@ func StrategyByName(spec string) (Strategy, error) { return core.StrategyByName(
 
 // Cache is a concurrency-safe transposition cache over search states: it
 // memoizes state costs, legality verdicts, and legal move sets keyed by the
-// difftree's structural hash. Every Generator uses one internally (shared
-// across its workers); construct one with NewCache and install it with
-// WithCache to additionally share evaluations across Generate calls — or
+// difftree's structural hash. Every Generate call uses one internally
+// (shared by its tree workers); construct one with NewCache and install it
+// with WithCache to additionally share evaluations across Generate calls — or
 // across Generators — that search the same log under the same settings.
 // Because state evaluation is deterministic per state, caching never changes
 // a result: for a fixed seed, cached and uncached runs return the same best
@@ -110,8 +110,7 @@ func (c *Cache) Reset() { c.c.Reset() }
 // is ready to use with the paper's defaults; functional options tune it.
 // A Generator is immutable after New and safe for concurrent use.
 type Generator struct {
-	opt     core.Options
-	workers int
+	opt core.Options
 }
 
 // Option configures a Generator.
@@ -119,7 +118,7 @@ type Option func(*Generator)
 
 // New returns a Generator configured by opts.
 func New(opts ...Option) *Generator {
-	g := &Generator{workers: 1}
+	g := &Generator{}
 	for _, o := range opts {
 		o(g)
 	}
@@ -150,30 +149,12 @@ func WithRolloutDepth(n int) Option { return func(g *Generator) { g.opt.RolloutD
 // (default DefaultRewardSamples).
 func WithRewardSamples(k int) Option { return func(g *Generator) { g.opt.RewardSamples = k } }
 
-// WithExplorationC sets the UCT exploration constant (default
-// DefaultExplorationC, the paper's √2).
-func WithExplorationC(c float64) Option { return func(g *Generator) { g.opt.ExplorationC = c } }
-
-// WithWorkers runs n independent searches in parallel with distinct seeds
-// and keeps the best interface (root parallelization, the paper's suggested
-// optimization for interactive run-times). Values below 1 mean 1.
-func WithWorkers(n int) Option {
-	return func(g *Generator) {
-		if n < 1 {
-			n = 1
-		}
-		g.workers = n
-	}
-}
-
 // WithTreeWorkers runs the MCTS search tree-parallel: n goroutines share
 // one search tree, with a virtual-loss penalty steering concurrent workers
 // onto different paths and all leaf evaluations draining through the shared
 // transposition cache. This multiplies iterations/sec within one search —
-// the lever that matters under the paper's 1-minute wall-clock budget —
-// where WithWorkers instead runs n independent searches (root
-// parallelization) and keeps the best. The two compose: WithWorkers(2) and
-// WithTreeWorkers(4) runs two trees with four goroutines each.
+// the lever that matters under the paper's 1-minute wall-clock budget — and
+// is the one way to spend several cores on one generation.
 //
 // Determinism contract: n <= 1 (the default) is the sequential search,
 // bit-identical per seed. n > 1 gives up run-to-run reproducibility (worker
@@ -195,7 +176,7 @@ func WithStrategy(s Strategy) Option { return func(g *Generator) { g.opt.Strateg
 // WithCache installs a shared transposition cache (see NewCache), reusing
 // memoized state evaluations across every Generate call — and every
 // Generator — it is passed to. Without this option each Generate call uses
-// a fresh private cache (still shared across that call's workers). A nil
+// a fresh private cache (still shared by that call's tree workers). A nil
 // cache is ignored. Like every option, the last of WithCache/WithoutCache
 // wins.
 func WithCache(c *Cache) Option {
@@ -279,9 +260,9 @@ func WithoutInitialCost() Option {
 }
 
 // WithProgress installs an anytime observability callback, invoked with
-// best-so-far snapshots while the search runs. With WithWorkers the
-// callback is serialized across workers and each snapshot carries its
-// worker index. The callback runs on the search goroutine and must be fast.
+// best-so-far snapshots while the search runs. With WithTreeWorkers the
+// callback is serialized across the workers. The callback runs on a search
+// goroutine and must be fast.
 func WithProgress(fn func(Progress)) Option { return func(g *Generator) { g.opt.Progress = fn } }
 
 // Generate parses the query log (one SQL string per entry) and runs the
@@ -310,7 +291,7 @@ func (g *Generator) GenerateMulti(ctx context.Context, queries []string) ([]*Int
 	if err != nil {
 		return nil, err
 	}
-	clusters := cluster.Split(log, cluster.Options{})
+	clusters := cluster.Split(log)
 	out := make([]*Interface, 0, len(clusters))
 	for _, c := range clusters {
 		iface, err := g.GenerateFromASTs(ctx, c.Queries)
@@ -346,13 +327,7 @@ func (g *Generator) GenerateFromASTs(ctx context.Context, log []*ast.Node) (*Int
 	if len(log) == 0 {
 		return nil, errors.New("mctsui: empty query log")
 	}
-	var res *core.Result
-	var err error
-	if g.workers > 1 {
-		res, err = core.GenerateParallel(ctx, log, g.opt, g.workers)
-	} else {
-		res, err = core.Generate(ctx, log, g.opt)
-	}
+	res, err := core.Generate(ctx, log, g.opt)
 	if err != nil {
 		return nil, err
 	}

@@ -94,9 +94,6 @@ func TestProgressSnapshots(t *testing.T) {
 		if p.Strategy != "mcts" {
 			t.Fatalf("snapshot %d: strategy %q", i, p.Strategy)
 		}
-		if p.Worker != 0 {
-			t.Fatalf("snapshot %d: worker %d without WithWorkers", i, p.Worker)
-		}
 		if i == 0 {
 			continue
 		}
@@ -269,34 +266,6 @@ func TestStrategyByName(t *testing.T) {
 		if _, err := StrategyByName(bad); err == nil {
 			t.Errorf("StrategyByName(%q) should fail", bad)
 		}
-	}
-}
-
-func TestWithWorkers(t *testing.T) {
-	single, err := fastGen().Generate(context.Background(), paperLog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snaps []Progress
-	par, err := fastGen(
-		WithWorkers(3),
-		WithProgress(func(p Progress) { snaps = append(snaps, p) }),
-	).Generate(context.Background(), paperLog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if par.Cost() > single.Cost() {
-		t.Errorf("3 workers (%.3f) worse than their own seed-1 member (%.3f)", par.Cost(), single.Cost())
-	}
-	if got := par.Stats().Workers; got != 3 {
-		t.Errorf("Stats().Workers = %d, want 3", got)
-	}
-	workersSeen := map[int]bool{}
-	for _, p := range snaps {
-		workersSeen[p.Worker] = true
-	}
-	if len(workersSeen) != 3 {
-		t.Errorf("progress snapshots from %d distinct workers, want 3", len(workersSeen))
 	}
 }
 

@@ -65,13 +65,9 @@ type SearchParams struct {
 	// Strategy is a StrategyByName spec: "mcts", "beam[:W]", "greedy",
 	// "random[:N]", "exhaustive[:M]".
 	Strategy string `json:"strategy,omitempty"`
-	// Workers runs root-parallel searches, clamped to the server's
-	// MaxWorkers.
-	Workers int `json:"workers,omitempty"`
 	// TreeWorkers runs each MCTS search tree-parallel with that many
-	// goroutines sharing one tree (virtual-loss diversification). Admission
-	// control caps the request's total goroutine fan-out: workers ×
-	// tree_workers never exceeds MaxWorkers. Requests with tree_workers > 1
+	// goroutines sharing one tree (virtual-loss diversification), clamped
+	// to the server's MaxWorkers. Requests with tree_workers > 1
 	// trade the byte-identical-response determinism contract for speed.
 	TreeWorkers int `json:"tree_workers,omitempty"`
 	// Seed makes the response deterministic (engine default when 0).
@@ -119,9 +115,7 @@ type SearchStats struct {
 	// revisited them and whatever the shared cache already held (with
 	// memoization off, as under the library's WithoutCache, every call).
 	Evals int `json:"evals"`
-	// Workers is the root-parallel worker count the search ran with.
-	Workers int `json:"workers"`
-	// TreeWorkers is the tree-parallel goroutine count per search tree.
+	// TreeWorkers is the tree-parallel goroutine count the search ran with.
 	TreeWorkers int `json:"tree_workers"`
 	// Interrupted reports that the search hit its budget, the request
 	// context ended, or the daemon drained — the result is best-so-far.
@@ -357,8 +351,6 @@ const (
 type ProgressEvent struct {
 	// Strategy is the running strategy's name.
 	Strategy string `json:"strategy"`
-	// Worker is the root-parallel worker reporting (0 when sequential).
-	Worker int `json:"worker"`
 	// Iterations is the iterations completed so far.
 	Iterations int `json:"iterations"`
 	// States is the number of distinct states expanded so far.

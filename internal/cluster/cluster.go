@@ -7,28 +7,11 @@
 // coherent analysis task.
 package cluster
 
-import (
-	"sort"
+import "repro/internal/ast"
 
-	"repro/internal/ast"
-)
-
-// Options tunes clustering.
-type Options struct {
-	// MinSimilarity in [0,1]: two queries join the same cluster when their
-	// shape similarity reaches it (default 0.55).
-	MinSimilarity float64
-	// MaxClusters caps the number of clusters (0 = unlimited); smallest
-	// clusters merge into their nearest neighbor past the cap.
-	MaxClusters int
-}
-
-func (o Options) withDefaults() Options {
-	if o.MinSimilarity <= 0 || o.MinSimilarity > 1 {
-		o.MinSimilarity = 0.5
-	}
-	return o
-}
+// minSimilarity is the shape similarity at which two queries join the same
+// cluster.
+const minSimilarity = 0.5
 
 // Cluster is a group of structurally similar queries, in log order.
 type Cluster struct {
@@ -38,9 +21,8 @@ type Cluster struct {
 
 // Split partitions the log into clusters using single-linkage agglomeration
 // over shape similarity. The result order is deterministic: clusters sorted
-// by their first query's log position.
-func Split(log []*ast.Node, opt Options) []Cluster {
-	opt = opt.withDefaults()
+// by their first query's log position, queries in log order.
+func Split(log []*ast.Node) []Cluster {
 	n := len(log)
 	if n == 0 {
 		return nil
@@ -64,6 +46,7 @@ func Split(log []*ast.Node, opt Options) []Cluster {
 		}
 		return x
 	}
+	// The lower root wins, so every root is its set's first log position.
 	union := func(a, b int) {
 		ra, rb := find(a), find(b)
 		if ra != rb {
@@ -76,75 +59,26 @@ func Split(log []*ast.Node, opt Options) []Cluster {
 
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			if Similarity(profiles[i], profiles[j]) >= opt.MinSimilarity {
+			if Similarity(profiles[i], profiles[j]) >= minSimilarity {
 				union(i, j)
 			}
 		}
 	}
 
-	groups := map[int][]int{}
-	for i := 0; i < n; i++ {
+	// Roots are first positions, so a cluster opens at its root and the
+	// clusters come out in first-query order.
+	var clusters []Cluster
+	pos := make([]int, n) // root → index in clusters
+	for i, q := range log {
 		r := find(i)
-		groups[r] = append(groups[r], i)
-	}
-	var roots []int
-	for r := range groups {
-		roots = append(roots, r)
-	}
-	sort.Ints(roots)
-
-	clusters := make([]Cluster, 0, len(roots))
-	for _, r := range roots {
-		var c Cluster
-		for _, i := range groups[r] {
-			c.Queries = append(c.Queries, log[i])
-			c.Indexes = append(c.Indexes, i)
+		if r == i {
+			pos[i] = len(clusters)
+			clusters = append(clusters, Cluster{})
 		}
-		clusters = append(clusters, c)
+		c := &clusters[pos[r]]
+		c.Queries = append(c.Queries, q)
+		c.Indexes = append(c.Indexes, i)
 	}
-
-	// Enforce MaxClusters by repeatedly merging the smallest cluster into
-	// its most similar peer.
-	for opt.MaxClusters > 0 && len(clusters) > opt.MaxClusters {
-		smallest := 0
-		for i, c := range clusters {
-			if len(c.Queries) < len(clusters[smallest].Queries) {
-				smallest = i
-			}
-		}
-		bestPeer, bestSim := -1, -1.0
-		for i, c := range clusters {
-			if i == smallest {
-				continue
-			}
-			s := Similarity(profileOf(c.Queries[0]), profileOf(clusters[smallest].Queries[0]))
-			if s > bestSim {
-				bestPeer, bestSim = i, s
-			}
-		}
-		merged := clusters[bestPeer]
-		merged.Queries = append(merged.Queries, clusters[smallest].Queries...)
-		merged.Indexes = append(merged.Indexes, clusters[smallest].Indexes...)
-		clusters[bestPeer] = merged
-		clusters = append(clusters[:smallest], clusters[smallest+1:]...)
-	}
-
-	// Restore intra-cluster log order and deterministic cluster order.
-	for i := range clusters {
-		c := &clusters[i]
-		order := make([]int, len(c.Indexes))
-		for k := range order {
-			order[k] = k
-		}
-		sort.Slice(order, func(a, b int) bool { return c.Indexes[order[a]] < c.Indexes[order[b]] })
-		qs := make([]*ast.Node, len(order))
-		idx := make([]int, len(order))
-		for k, o := range order {
-			qs[k], idx[k] = c.Queries[o], c.Indexes[o]
-		}
-		c.Queries, c.Indexes = qs, idx
-	}
-	sort.Slice(clusters, func(a, b int) bool { return clusters[a].Indexes[0] < clusters[b].Indexes[0] })
 	return clusters
 }
 

@@ -26,7 +26,7 @@ func TestSplitSeparatesUnrelatedTasks(t *testing.T) {
 		"select region, sum(revenue) from sales where year = 2020 group by region",
 		"select top 1000 objid from stars where u between 1 and 29",
 	)
-	cs := Split(log, Options{})
+	cs := Split(log)
 	if len(cs) != 2 {
 		t.Fatalf("clusters = %d, want 2", len(cs))
 	}
@@ -46,7 +46,7 @@ func TestSplitKeepsLiteralVariantsTogether(t *testing.T) {
 	// The SDSS log differs only in tables/literals/aggregates; it should
 	// remain one cluster (it is one analysis task).
 	log := workload.SDSSLog()
-	cs := Split(log, Options{})
+	cs := Split(log)
 	if len(cs) != 1 {
 		for i, c := range cs {
 			t.Logf("cluster %d: %d queries", i, len(c.Queries))
@@ -58,31 +58,12 @@ func TestSplitKeepsLiteralVariantsTogether(t *testing.T) {
 	}
 }
 
-func TestSplitMaxClusters(t *testing.T) {
-	log := parseAll(t,
-		"select a from t1",
-		"select region, sum(x) from sales group by region",
-		"select top 5 objid from stars where u between 0 and 1",
-	)
-	cs := Split(log, Options{MaxClusters: 2, MinSimilarity: 0.99})
-	if len(cs) != 2 {
-		t.Fatalf("MaxClusters ignored: %d clusters", len(cs))
-	}
-	total := 0
-	for _, c := range cs {
-		total += len(c.Queries)
-	}
-	if total != 3 {
-		t.Errorf("queries lost in merge: %d", total)
-	}
-}
-
 func TestSplitEdgeCases(t *testing.T) {
-	if Split(nil, Options{}) != nil {
+	if Split(nil) != nil {
 		t.Error("empty log → nil")
 	}
 	one := parseAll(t, "select a from t")
-	cs := Split(one, Options{})
+	cs := Split(one)
 	if len(cs) != 1 || len(cs[0].Queries) != 1 {
 		t.Error("single query → single cluster")
 	}
@@ -109,16 +90,5 @@ func TestSimilarityProperties(t *testing.T) {
 	}
 	if Similarity(profile{}, profile{}) != 1 {
 		t.Error("empty profiles are identical")
-	}
-}
-
-func TestDefaults(t *testing.T) {
-	o := Options{}.withDefaults()
-	if o.MinSimilarity != 0.5 {
-		t.Errorf("default MinSimilarity = %f", o.MinSimilarity)
-	}
-	o2 := Options{MinSimilarity: 2}.withDefaults()
-	if o2.MinSimilarity != 0.5 {
-		t.Error("out-of-range similarity must reset")
 	}
 }

@@ -56,10 +56,9 @@ type Options struct {
 	// Seed makes generation deterministic (default 1).
 	Seed int64
 	// Cache is the shared transposition cache backing the memoized
-	// evaluation engine. Nil means a private cache per Generate call
-	// (GenerateParallel shares one across its workers). Pass the same cache
-	// to successive calls to reuse state evaluations across searches with
-	// the same log, screen, and seeds.
+	// evaluation engine. Nil means a private cache per Generate call. Pass
+	// the same cache to successive or concurrent calls to reuse state
+	// evaluations across searches with the same log, screen, and seed.
 	Cache *eval.Cache
 	// WarmStart, when non-nil, seeds the search at this difftree instead of
 	// the log's initial state — the incremental-serving hook: a session that
@@ -101,21 +100,11 @@ type Options struct {
 	// drain their leaf evaluations through the shared transposition cache.
 	// <= 1 (the default) runs one worker, bit-identical per seed; > 1
 	// trades that reproducibility for iterations/sec (only the quality
-	// envelope is pinned). Orthogonal to GenerateParallel's root
-	// parallelization: each root worker runs TreeWorkers goroutines.
-	// Non-MCTS strategies ignore it.
+	// envelope is pinned). Non-MCTS strategies ignore it.
 	TreeWorkers int
 	// Progress, when non-nil, receives anytime snapshots while the search
-	// runs. Under GenerateParallel the callback is serialized across
-	// workers; each snapshot carries its worker index.
+	// runs. With TreeWorkers > 1 the calls are serialized across workers.
 	Progress func(Progress)
-
-	// evalSeed seeds per-state reward sampling in the evaluation engine
-	// (withDefaults sets it to Seed). State costs are pure functions of
-	// (state, evalSeed), so GenerateParallel pins it at the base seed across
-	// workers — letting them share one transposition cache — while
-	// perturbing Seed to diversify their search policies.
-	evalSeed int64
 }
 
 // Result is a generated interface plus search diagnostics.
@@ -145,7 +134,6 @@ type Stats struct {
 	// the search revisits it and whatever a shared Options.Cache already
 	// holds, so a warm search reports the Evals, and the Trajectory evals
 	// and costs, of a cold one. With DisableMemo every call counts.
-	// GenerateParallel sums its workers' counts.
 	Evals          int
 	BestReward     float64
 	InitialFan     int  // fanout (legal moves) of the initial state
@@ -154,8 +142,7 @@ type Stats struct {
 	Interrupted    bool // the context ended the search before its budget
 	WarmStarted    bool // the search was seeded from Options.WarmStart
 	ReRooted       bool // the MCTS tree was reused via Options.SearchTree
-	Workers        int  // root-parallel workers that contributed
-	TreeWorkers    int  // goroutines sharing each search tree (1 = sequential)
+	TreeWorkers    int  // goroutines sharing the search tree (1 = sequential)
 	Elapsed        time.Duration
 	// CacheHits/CacheMisses/CacheEntries snapshot the evaluation engine's
 	// transposition cache at the end of the search (all zero with
@@ -167,8 +154,7 @@ type Stats struct {
 	// CacheHitRate is CacheHits/(CacheHits+CacheMisses), 0 when unused.
 	CacheHitRate float64
 	// Trajectory is the best-so-far cost curve: one point per improvement,
-	// costs monotone non-increasing. Under GenerateParallel it is the
-	// winning worker's curve.
+	// costs monotone non-increasing.
 	Trajectory []TrajectoryPoint
 }
 
@@ -177,12 +163,6 @@ type Stats struct {
 // interface found so far is extracted and returned (with Stats.Interrupted
 // set) rather than an error. A nil ctx is treated as context.Background().
 func Generate(ctx context.Context, log []*ast.Node, opt Options) (*Result, error) {
-	return generate(ctx, log, opt, 0)
-}
-
-// generate is Generate plus the worker index used by GenerateParallel's
-// progress snapshots.
-func generate(ctx context.Context, log []*ast.Node, opt Options, worker int) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -197,7 +177,7 @@ func generate(ctx context.Context, log []*ast.Node, opt Options, worker int) (*R
 
 	model := cost.Default(opt.Screen)
 	eng := newEngine(log, init, model, opt)
-	p := newProblem(log, init, model, opt, eng, worker)
+	p := newProblem(log, init, model, opt, eng)
 	if opt.WarmStart != nil && eng.LegalState(opt.WarmStart) {
 		// Warm start: the previous best interface is still a legal state for
 		// this (possibly extended) log, so the search resumes from it.
@@ -232,7 +212,6 @@ func generate(ctx context.Context, log []*ast.Node, opt Options, worker int) (*R
 	}
 	stats.EnumComplete = complete
 	stats.WarmStarted = p.root != p.init
-	stats.Workers = 1
 	if stats.TreeWorkers == 0 {
 		stats.TreeWorkers = 1 // non-MCTS strategies always run sequentially
 	}
@@ -303,9 +282,9 @@ func BestInterface(d *difftree.Node, log []*ast.Node, model cost.Model, enumLimi
 // newEngine builds the evaluation engine for one generate call: the
 // memoized (or, with DisableMemo, recomputing) source of state costs,
 // legality verdicts, and move sets that every strategy shares. Costs are
-// seeded per state from evalSeed, so two engines with equal configs agree
-// on every value — the basis for sharing Options.Cache across workers and
-// successive calls. The size cap derives from the initial state, not the
+// seeded per state from Seed, so two engines with equal configs agree on
+// every value — the basis for sharing Options.Cache across successive and
+// concurrent calls. The size cap derives from the initial state, not the
 // search root, so a warm start cannot inflate the reachable space.
 func newEngine(log []*ast.Node, init *difftree.Node, model cost.Model, opt Options) *eval.Engine {
 	cache := opt.Cache
@@ -321,7 +300,7 @@ func newEngine(log []*ast.Node, init *difftree.Node, model cost.Model, opt Optio
 		Samples: opt.RewardSamples,
 		Rules:   rules.All(),
 		SizeCap: search.SizeCap(init),
-		Seed:    opt.evalSeed,
+		Seed:    opt.Seed,
 	}, cache)
 }
 

@@ -100,7 +100,7 @@ func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
 	if o.Screen != layout.Wide || o.RolloutDepth != 16 || o.RewardSamples != 5 ||
 		o.ExplorationC != math.Sqrt2 || o.EnumLimit != 20000 || o.Seed != 1 ||
-		o.evalSeed != 1 || o.Iterations != 60 {
+		o.Iterations != 60 {
 		t.Errorf("defaults wrong: %+v", o)
 	}
 	// Explicit values survive.
@@ -225,7 +225,7 @@ func TestRewardMonotoneInCost(t *testing.T) {
 	model := cost.Default(layout.Wide)
 	opt := Options{}.withDefaults()
 	init, _ := difftree.Initial(log)
-	d := newDomain(newProblem(log, init, model, opt, newEngine(log, init, model, opt), 0))
+	d := newDomain(newProblem(log, init, model, opt, newEngine(log, init, model, opt)))
 	s := state{d: init, h: difftree.Hash(init)}
 	r1 := d.Reward(s)
 	if r1 <= 0 || r1 > 1 {

@@ -63,9 +63,6 @@ func (o Options) withDefaults() Options {
 	if o.Seed == 0 {
 		o.Seed = DefaultSeed
 	}
-	if o.evalSeed == 0 {
-		o.evalSeed = o.Seed
-	}
 	if o.Strategy == nil {
 		o.Strategy = StrategyMCTS()
 	}

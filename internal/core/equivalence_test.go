@@ -2,10 +2,13 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"reflect"
+	"sync"
 	"testing"
 
+	"repro/internal/ast"
 	"repro/internal/difftree"
 	"repro/internal/eval"
 	"repro/internal/workload"
@@ -211,85 +214,99 @@ func TestEvalsRunLocal(t *testing.T) {
 	}
 }
 
-// TestParallelSharedCacheDeterministic: 8 root-parallel workers hammer one
-// shared transposition cache; the result must be deterministic across runs
-// and identical to the memoization-off run. Under `go test -race` (CI) this
-// is the concurrency exercise for the engine/cache stack on the real search
-// path.
-func TestParallelSharedCacheDeterministic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("search test")
+// generateConcurrently runs the same seeded search from 8 goroutines
+// against opt.Cache, the daemon's concurrent-request path, and returns the
+// 8 results. Under `go test -race` (CI) this is the concurrency exercise for
+// the engine/cache stack on the real search path.
+func generateConcurrently(t *testing.T, log []*ast.Node, opt Options) []*Result {
+	t.Helper()
+	results := make([]*Result, 8)
+	errs := make([]error, len(results))
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i], errs[i] = Generate(context.Background(), log, opt)
+		}()
 	}
-	log := workload.PaperFigure1Log()
-	base := Options{Iterations: 6, RolloutDepth: 6, Seed: 3}
-
-	run := func(opt Options) *Result {
-		t.Helper()
-		res, err := GenerateParallel(context.Background(), log, opt, 8)
+	wg.Wait()
+	for _, err := range errs {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
 	}
-
-	a := run(base)
-	b := run(base)
-	if a.Cost.Total() != b.Cost.Total() {
-		t.Errorf("parallel search not deterministic: %v vs %v", a.Cost.Total(), b.Cost.Total())
-	}
-	if difftree.Hash(a.DiffTree) != difftree.Hash(b.DiffTree) {
-		t.Error("parallel best difftree not deterministic")
-	}
-	if a.Stats.Workers != 8 {
-		t.Errorf("workers = %d, want 8", a.Stats.Workers)
-	}
-	if a.Stats.CacheHits == 0 {
-		t.Error("8 workers sharing one cache recorded no hits")
-	}
-
-	off := base
-	off.DisableMemo = true
-	c := run(off)
-	if c.Cost.Total() != a.Cost.Total() {
-		t.Errorf("memoization changed the parallel result: %v vs %v", c.Cost.Total(), a.Cost.Total())
-	}
+	return results
 }
 
-// TestParallelTinyCacheDeterministic: 8 workers share one deliberately tiny
-// cache, so insert/evict races on the CLOCK rings happen on every search
-// path; under `go test -race` (CI) this is the eviction concurrency
-// exercise. The result must match the unbounded-cache run exactly —
-// eviction may cost recomputes, never correctness.
-func TestParallelTinyCacheDeterministic(t *testing.T) {
+// sameResult reports how got differs from the reference want, or "".
+func sameResult(got, want *Result) string {
+	if got.Cost.Total() != want.Cost.Total() {
+		return fmt.Sprintf("cost %v, want %v", got.Cost.Total(), want.Cost.Total())
+	}
+	if difftree.Hash(got.DiffTree) != difftree.Hash(want.DiffTree) {
+		return "best difftree differs"
+	}
+	return ""
+}
+
+// TestConcurrentGenerateSharedCache: 8 concurrent searches hammer one shared
+// transposition cache; every result must equal the memoization-off run.
+func TestConcurrentGenerateSharedCache(t *testing.T) {
 	if testing.Short() {
 		t.Skip("search test")
 	}
 	log := workload.PaperFigure1Log()
 	base := Options{Iterations: 6, RolloutDepth: 6, Seed: 3}
 
-	big := base
-	big.Cache = eval.NewCache(0)
-	ref, err := GenerateParallel(context.Background(), log, big, 8)
+	off := base
+	off.DisableMemo = true
+	ref, err := Generate(context.Background(), log, off)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	shared := base
+	shared.Cache = eval.NewCache(0)
+	for i, res := range generateConcurrently(t, log, shared) {
+		if diff := sameResult(res, ref); diff != "" {
+			t.Errorf("search %d on the shared cache: %s", i, diff)
+		}
+	}
+	if shared.Cache.Stats().Hits == 0 {
+		t.Error("8 searches sharing one cache recorded no hits")
+	}
+}
+
+// TestConcurrentGenerateTinyCache: 8 concurrent searches share one
+// deliberately tiny cache, so insert/evict races on the CLOCK rings happen
+// on every search path; under `go test -race` (CI) this is the eviction
+// concurrency exercise. Every result must equal the memoization-off run —
+// eviction may cost recomputes, never correctness.
+func TestConcurrentGenerateTinyCache(t *testing.T) {
+	if testing.Short() {
+		t.Skip("search test")
+	}
+	log := workload.PaperFigure1Log()
+	base := Options{Iterations: 6, RolloutDepth: 6, Seed: 3}
+
+	off := base
+	off.DisableMemo = true
+	ref, err := Generate(context.Background(), log, off)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	tiny := base
 	tiny.Cache = eval.NewCache(96)
-	got, err := GenerateParallel(context.Background(), log, tiny, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if got.Cost.Total() != ref.Cost.Total() {
-		t.Errorf("tiny evicting cache changed the result: %v vs %v", got.Cost.Total(), ref.Cost.Total())
-	}
-	if difftree.Hash(got.DiffTree) != difftree.Hash(ref.DiffTree) {
-		t.Error("tiny evicting cache changed the best difftree")
+	for i, res := range generateConcurrently(t, log, tiny) {
+		if diff := sameResult(res, ref); diff != "" {
+			t.Errorf("search %d on the tiny evicting cache: %s", i, diff)
+		}
 	}
 	st := tiny.Cache.Stats()
 	if st.Evictions == 0 {
-		t.Error("tiny cache under 8 workers recorded no evictions")
+		t.Error("tiny cache under 8 searches recorded no evictions")
 	}
 	if st.Entries > st.Capacity {
 		t.Errorf("occupancy %d exceeds capacity %d", st.Entries, st.Capacity)

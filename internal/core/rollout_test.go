@@ -23,7 +23,7 @@ func testDomain(t testing.TB, log []*ast.Node, opt Options) (*domain, *difftree.
 		t.Fatal(err)
 	}
 	model := cost.Model{NavUnit: DefaultNavUnit, Screen: opt.Screen}
-	return newDomain(newProblem(log, init, model, opt, newEngine(log, init, model, opt), 0)), init
+	return newDomain(newProblem(log, init, model, opt, newEngine(log, init, model, opt))), init
 }
 
 // legalChecked wraps a domain and fails the test when MCTS hands a state

@@ -42,10 +42,9 @@ type searchOutcome struct {
 
 // Progress is an anytime snapshot of a running search, delivered through
 // Options.Progress. BestCost is monotone non-increasing and the counters
-// monotone non-decreasing within one worker.
+// monotone non-decreasing.
 type Progress struct {
 	Strategy   string        // strategy name ("mcts", "beam", ...)
-	Worker     int           // 0-based worker index under root parallelization
 	Iterations int           // MCTS iterations; objective evaluations otherwise
 	States     int           // states explored
 	Evals      int           // cost evaluations
@@ -71,14 +70,13 @@ const progressStride = 25
 // an MCTS run with TreeWorkers > 1 calls it from each of its workers, and mu
 // serializes those calls.
 type problem struct {
-	log    []*ast.Node
-	init   *difftree.Node
-	root   *difftree.Node // search start state: init, or a legal WarmStart
-	model  cost.Model
-	opt    Options
-	eng    *eval.Engine
-	worker int
-	start  time.Time
+	log   []*ast.Node
+	init  *difftree.Node
+	root  *difftree.Node // search start state: init, or a legal WarmStart
+	model cost.Model
+	opt   Options
+	eng   *eval.Engine
+	start time.Time
 
 	// mu guards costs and every counter below.
 	mu sync.Mutex
@@ -95,9 +93,9 @@ type problem struct {
 	traj       []TrajectoryPoint
 }
 
-func newProblem(log []*ast.Node, init *difftree.Node, model cost.Model, opt Options, eng *eval.Engine, worker int) *problem {
+func newProblem(log []*ast.Node, init *difftree.Node, model cost.Model, opt Options, eng *eval.Engine) *problem {
 	p := &problem{
-		log: log, init: init, root: init, model: model, opt: opt, eng: eng, worker: worker,
+		log: log, init: init, root: init, model: model, opt: opt, eng: eng,
 		//mctsvet:allow wallclock -- start anchors Elapsed observability in Stats/Progress; it never influences the search result
 		start:    time.Now(),
 		bestCost: math.Inf(1),
@@ -154,7 +152,6 @@ func (p *problem) emit() {
 	}
 	p.opt.Progress(Progress{
 		Strategy:   p.opt.Strategy.Name(),
-		Worker:     p.worker,
 		Iterations: p.iterations,
 		States:     p.states,
 		Evals:      p.evals,

@@ -88,30 +88,6 @@ func TestTreeParallelTinyCacheStress(t *testing.T) {
 	}
 }
 
-// TestTreeParallelComposesWithRootParallel: WithWorkers × WithTreeWorkers —
-// each root worker runs its own tree-parallel search against the one shared
-// cache. A race exercise plus a sanity check on the aggregated stats.
-func TestTreeParallelComposesWithRootParallel(t *testing.T) {
-	if testing.Short() {
-		t.Skip("search test")
-	}
-	log := workload.PaperFigure1Log()
-	opt := Options{Iterations: 6, RolloutDepth: 6, Seed: 3, TreeWorkers: 2}
-	res, err := GenerateParallel(context.Background(), log, opt, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.IsInf(res.Cost.Total(), 1) {
-		t.Fatalf("no valid interface found: %+v", res.Cost)
-	}
-	if res.Stats.Workers != 2 {
-		t.Errorf("workers = %d, want 2", res.Stats.Workers)
-	}
-	if res.Stats.TreeWorkers != 2 {
-		t.Errorf("tree workers = %d, want 2", res.Stats.TreeWorkers)
-	}
-}
-
 // TestTreeParallelCancellation: tree-parallel generation keeps the anytime
 // contract — a pre-cancelled context still yields an interface (the initial
 // state) with Interrupted set.

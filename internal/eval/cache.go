@@ -19,8 +19,8 @@
 // Scoring a state is deterministic per state: the reward-sampling RNG is
 // seeded from the state's hash mixed with the engine's base seed, so a
 // cached value is bit-identical to what any worker would recompute. That is
-// what lets one cache be shared by all root-parallel MCTS workers and the
-// beam/greedy/random/exhaustive searchers without changing any result: with
+// what lets one cache be shared by concurrent searches, by all tree-parallel
+// MCTS workers and by the beam/greedy/random/exhaustive searchers without changing any result: with
 // or without the cache, for a fixed seed, every strategy returns the same
 // best cost.
 package eval

@@ -103,8 +103,7 @@ type Config struct {
 	DefaultBudget time.Duration
 	// MaxIterations caps per-request iteration budgets (default 100000).
 	MaxIterations int
-	// MaxWorkers caps per-request root-parallel workers (default
-	// GOMAXPROCS).
+	// MaxWorkers caps per-request tree_workers (default GOMAXPROCS).
 	MaxWorkers int
 	// MaxSessions bounds resident sessions; creating one beyond the bound
 	// evicts the least-recently-used session (default 1024).
@@ -503,19 +502,11 @@ func (s *Server) options(p api.SearchParams) ([]mctsui.Option, error) {
 		opts = append(opts, mctsui.WithIterations(iters))
 	}
 	opts = append(opts, mctsui.WithTimeBudget(budget))
-	if p.Workers < 0 || p.TreeWorkers < 0 {
+	if p.TreeWorkers < 0 {
 		return nil, errors.New("negative worker count")
 	}
-	workers := 1
-	if p.Workers != 0 {
-		workers = min(p.Workers, s.cfg.MaxWorkers)
-		opts = append(opts, mctsui.WithWorkers(workers))
-	}
 	if p.TreeWorkers > 1 {
-		// Admission control bounds the whole request's goroutine fan-out:
-		// root workers × tree workers stays within MaxWorkers, the same
-		// budget a plain root-parallel request gets.
-		opts = append(opts, mctsui.WithTreeWorkers(min(p.TreeWorkers, max(1, s.cfg.MaxWorkers/workers))))
+		opts = append(opts, mctsui.WithTreeWorkers(min(p.TreeWorkers, s.cfg.MaxWorkers)))
 	}
 	if p.Seed != 0 {
 		opts = append(opts, mctsui.WithSeed(p.Seed))
@@ -569,7 +560,6 @@ func (s *Server) response(iface *mctsui.Interface, session string, queryCount in
 			Strategy:    st.Strategy,
 			Iterations:  st.Iterations,
 			Evals:       st.Evals,
-			Workers:     st.Workers,
 			TreeWorkers: st.TreeWorkers,
 			Interrupted: st.Interrupted,
 			WarmStarted: st.WarmStarted,

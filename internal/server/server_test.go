@@ -141,9 +141,6 @@ func offline(t *testing.T, queries []string, p api.SearchParams, warm *mctsui.In
 	if p.Seed != 0 {
 		opts = append(opts, mctsui.WithSeed(p.Seed))
 	}
-	if p.Workers != 0 {
-		opts = append(opts, mctsui.WithWorkers(p.Workers))
-	}
 	if p.Strategy != "" {
 		strat, err := mctsui.StrategyByName(p.Strategy)
 		if err != nil {
@@ -195,9 +192,8 @@ func TestGenerateDeterministicAndMatchesOffline(t *testing.T) {
 }
 
 // TestGenerateTreeWorkers: a tree-parallel request is served and its
-// goroutine fan-out is capped by admission control — workers × tree_workers
-// never exceeds MaxWorkers, so one request cannot grab more CPU than a plain
-// root-parallel request could.
+// goroutine fan-out is capped by admission control — tree_workers never
+// exceeds MaxWorkers.
 func TestGenerateTreeWorkers(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxWorkers: 4})
 
@@ -213,18 +209,6 @@ func TestGenerateTreeWorkers(t *testing.T) {
 	}
 	if resp.Search.TreeWorkers != 4 {
 		t.Errorf("tree_workers = %d, want the MaxWorkers cap of 4", resp.Search.TreeWorkers)
-	}
-
-	// Root and tree workers share one budget: 2 root workers leave room for
-	// only 2 tree workers each under MaxWorkers=4.
-	p.Workers, p.TreeWorkers = 2, 8
-	status, body = post(t, ts.URL+"/v1/generate", api.GenerateRequest{SearchParams: p, Queries: figure1})
-	if status != http.StatusOK {
-		t.Fatalf("status %d: %s", status, body)
-	}
-	resp = decodeGenerate(t, body)
-	if resp.Search.Workers != 2 || resp.Search.TreeWorkers != 2 {
-		t.Errorf("workers=%d tree_workers=%d, want 2 and 2", resp.Search.Workers, resp.Search.TreeWorkers)
 	}
 }
 
@@ -242,6 +226,12 @@ func TestGenerateRejectsBadRequests(t *testing.T) {
 		if status, body := post(t, ts.URL+"/v1/generate", req); status != http.StatusBadRequest {
 			t.Errorf("%s: status %d (%s), want 400", name, status, body)
 		}
+	}
+	// The strict decoder refuses unknown fields, "workers" among them.
+	retired := json.RawMessage(`{"queries":["select a from t"],"iterations":2,"workers":2}`)
+	if status, body := post(t, ts.URL+"/v1/generate", retired); status != http.StatusBadRequest ||
+		!strings.Contains(string(body), `unknown field \"workers\"`) {
+		t.Errorf("request with \"workers\": status %d (%s), want 400 naming the field", status, body)
 	}
 	if status, _ := post(t, ts.URL+"/v1/sessions/nope/interact", api.InteractRequest{Op: "get"}); status != http.StatusNotFound {
 		t.Errorf("interact on unknown session: status %d, want 404", status)

@@ -83,7 +83,6 @@ func (s *Server) streamSearch(w http.ResponseWriter, ctx context.Context, cancel
 		resp, _, err := work(ctx, func(p mctsui.Progress) {
 			ev := api.ProgressEvent{
 				Strategy:   p.Strategy,
-				Worker:     p.Worker,
 				Iterations: p.Iterations,
 				States:     p.States,
 				Evals:      p.Evals,

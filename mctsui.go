@@ -35,8 +35,8 @@
 // Cancelling the context (or hitting its deadline) stops the search
 // promptly and yields the best interface found so far — generation never
 // fails just because time ran out. WithStrategy swaps the paper's MCTS for
-// beam, greedy, random, or exhaustive search, and WithWorkers runs
-// root-parallel searches. GenerateMulti splits a log that mixes analysis
+// beam, greedy, random, or exhaustive search, and WithTreeWorkers runs one
+// MCTS search on several cores. GenerateMulti splits a log that mixes analysis
 // tasks into clusters and generates one interface per cluster.
 package mctsui
 
