@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify build vet repobench-vet repobench-test fmt test test-fast bench bench-allocs bench-json bench-serving bench-serving-fleet fleet load-smoke race-tree golden fuzz-smoke serve join-scenarios staticcheck mctsvet lint govulncheck
+.PHONY: verify build vet repobench-vet repobench-test fmt test test-fast bench bench-allocs bench-read bench-json bench-serving bench-serving-fleet fleet load-smoke race-tree golden fuzz-smoke serve join-scenarios staticcheck mctsvet lint govulncheck
 
 # verify is the tier-1 gate: build, formatting, static analysis (go vet +
 # the custom mctsvet suite, plus go vet over the nested repobench module),
@@ -52,6 +52,13 @@ bench:
 # section.
 bench-allocs:
 	$(GO) test -run '^$$' -bench 'BenchmarkGenerate$$' -benchmem .
+
+# bench-read times the two session reads through the serving stack: an
+# interact get and a JSON export of an SDSS interface, sent through a router
+# to two replicas on loopback (BenchmarkFleetReads), with ns/op and
+# allocs/op. CI runs it in the bench job next to BenchmarkGenerate.
+bench-read:
+	$(GO) test -run '^$$' -bench 'BenchmarkFleetReads' -benchmem ./internal/router
 
 # bench-json regenerates BENCH_search.json: iterations/sec with the
 # transposition cache cold, warm, and disabled — one section per workload

@@ -36,6 +36,7 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -510,9 +511,9 @@ func dialFailure(err error) bool {
 	return errors.As(err, &op) && op.Op == "dial"
 }
 
-// tryForward proxies one attempt to rep, streaming the response (flushed
-// per chunk, so SSE frames pass through live). A non-nil return means
-// nothing was written to the client.
+// tryForward proxies one attempt to rep, relaying the response (an SSE
+// stream flushed per chunk, so its frames pass through live). A non-nil
+// return means nothing was written to the client.
 func (rt *Router) tryForward(w http.ResponseWriter, r *http.Request, rep *Replica, body []byte) error {
 	var rd io.Reader
 	if body != nil {
@@ -536,8 +537,20 @@ func (rt *Router) tryForward(w http.ResponseWriter, r *http.Request, rep *Replic
 	return nil
 }
 
-// copyResponse relays an upstream response, stamping which replica answered
-// and flushing per chunk (SSE progress must not sit in a proxy buffer).
+// copyBufs holds the buffers responses are relayed through.
+var copyBufs = sync.Pool{New: func() any {
+	b := make([]byte, 32<<10)
+	return &b
+}}
+
+// writerOnly hides a ResponseWriter's ReadFrom, so io.CopyBuffer copies
+// through the pooled buffer instead of allocating its own.
+type writerOnly struct{ io.Writer }
+
+// copyResponse relays an upstream response, stamping which replica answered.
+// An SSE stream is flushed per chunk (progress must not sit in a proxy
+// buffer). Any other response keeps the replica's Content-Length and, when
+// it fits the copy buffer, is read whole and written in one call.
 func copyResponse(w http.ResponseWriter, resp *http.Response, replicaURL string) {
 	for _, h := range []string{"Content-Type", "Content-Disposition", "Cache-Control", "X-Replica"} {
 		if v := resp.Header.Get(h); v != "" {
@@ -545,23 +558,37 @@ func copyResponse(w http.ResponseWriter, resp *http.Response, replicaURL string)
 		}
 	}
 	w.Header().Set("X-Fleet-Replica", replicaURL)
+	stream := strings.HasPrefix(resp.Header.Get("Content-Type"), "text/event-stream")
+	if !stream && resp.ContentLength >= 0 {
+		w.Header().Set("Content-Length", strconv.FormatInt(resp.ContentLength, 10))
+	}
 	w.WriteHeader(resp.StatusCode)
-	flusher, _ := w.(http.Flusher)
-	buf := make([]byte, 32<<10)
-	for {
-		n, err := resp.Body.Read(buf)
-		if n > 0 {
-			if _, werr := w.Write(buf[:n]); werr != nil {
-				return // client gone; the upstream context cancels via r.Context
+	bp := copyBufs.Get().(*[]byte)
+	defer copyBufs.Put(bp)
+	buf := *bp
+	if stream {
+		flusher, _ := w.(http.Flusher)
+		for {
+			n, err := resp.Body.Read(buf)
+			if n > 0 {
+				if _, werr := w.Write(buf[:n]); werr != nil {
+					return // client gone; the upstream context cancels via r.Context
+				}
+				if flusher != nil {
+					flusher.Flush()
+				}
 			}
-			if flusher != nil {
-				flusher.Flush()
+			if err != nil {
+				return
 			}
-		}
-		if err != nil {
-			return
 		}
 	}
+	if n := resp.ContentLength; n >= 0 && n <= int64(len(buf)) {
+		m, _ := io.ReadFull(resp.Body, buf[:n])
+		_, _ = w.Write(buf[:m])
+		return
+	}
+	_, _ = io.CopyBuffer(writerOnly{w}, resp.Body, buf)
 }
 
 // --- Cache transfer across the fleet ----------------------------------------

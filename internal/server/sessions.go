@@ -384,9 +384,9 @@ func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.done(sess)
 	// The lock is held only long enough to read the interface pointer
-	// (interfaces are immutable once generated); marshaling and the body
-	// write happen unlocked, so a slow-reading client cannot block other
-	// requests to the session for the duration of the transfer.
+	// (interfaces are immutable once generated); the body write happens
+	// unlocked, so a slow-reading client cannot block other requests to the
+	// session for the duration of the transfer.
 	if err := sess.lock(r.Context(), s.cfg.QueueWait); err != nil {
 		s.fail(w, lockStatus(err), err)
 		return
@@ -402,14 +402,17 @@ func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 	}
 	switch format := r.URL.Query().Get("format"); format {
 	case "", "json":
-		data, err := iface.MarshalJSON()
+		// The interface's one encoding, made at most once (usually by the
+		// generate, append or import response that stored it).
+		rd, err := iface.JSONReader()
 		if err != nil {
 			s.fail(w, http.StatusInternalServerError, err)
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Content-Length", strconv.Itoa(rd.Len()))
 		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(data)
+		_, _ = rd.WriteTo(w)
 	case "html":
 		page, err := iface.Page("Session " + id)
 		if err != nil {

@@ -41,6 +41,8 @@
 package mctsui
 
 import (
+	"sync"
+
 	"repro/internal/core"
 	"repro/internal/difftree"
 	"repro/internal/layout"
@@ -58,8 +60,16 @@ var (
 
 // Interface is a generated interactive interface.
 type Interface struct {
-	res     *core.Result
-	cooccur map[pairKey]bool // lazily built log co-occurrence index
+	res *core.Result
+
+	// The interface never changes once built, so its codec JSON is
+	// encoded once (see MarshalJSON) and every later read shares it.
+	encOnce sync.Once
+	enc     []byte
+	encErr  error
+
+	cooccurOnce sync.Once
+	cooccur     map[pairKey]bool // log co-occurrence index, built on first use
 }
 
 // Cost returns the interface's total cost C(W,Q); +Inf if no valid

@@ -1,6 +1,7 @@
 package mctsui
 
 import (
+	"bytes"
 	"fmt"
 
 	"repro/internal/ast"
@@ -12,9 +13,31 @@ import (
 )
 
 // MarshalJSON serializes the interface (difftree + widget tree + input log)
-// so it can be stored and reloaded without re-running the search.
+// so it can be stored and reloaded without re-running the search. The
+// interface is encoded once; each call returns a fresh copy the caller owns.
 func (f *Interface) MarshalJSON() ([]byte, error) {
-	return codec.Marshal(f.res.DiffTree, f.res.UI, f.QueryLog())
+	data, err := f.encoded()
+	return bytes.Clone(data), err
+}
+
+// JSONReader reads the interface's MarshalJSON encoding without copying
+// it: the reader shares the one encoding every call returns, and its Len
+// is the encoded size. Each call returns a new reader.
+func (f *Interface) JSONReader() (*bytes.Reader, error) {
+	data, err := f.encoded()
+	if err != nil {
+		return nil, err
+	}
+	return bytes.NewReader(data), nil
+}
+
+// encoded returns the interface's codec JSON, encoding it on first use.
+// The slice is shared and must not be modified.
+func (f *Interface) encoded() ([]byte, error) {
+	f.encOnce.Do(func() {
+		f.enc, f.encErr = codec.Marshal(f.res.DiffTree, f.res.UI, f.QueryLog())
+	})
+	return f.enc, f.encErr
 }
 
 // LoadInterface reconstructs an interface from MarshalJSON output. The cost

@@ -1,9 +1,14 @@
 package mctsui
 
 import (
+	"bytes"
 	"context"
+	"io"
 	"strings"
+	"sync"
 	"testing"
+
+	"repro/internal/codec"
 )
 
 func TestMarshalLoadRoundTrip(t *testing.T) {
@@ -117,4 +122,64 @@ func TestInterfacePage(t *testing.T) {
 			t.Errorf("page missing %q", want)
 		}
 	}
+}
+
+func mustMarshal(t *testing.T, iface *Interface) []byte {
+	t.Helper()
+	data, err := iface.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestMarshalJSONEncodesOnce: every MarshalJSON call and JSONReader read
+// returns the codec encoding of the interface, and a caller that changes
+// the slice it got changes no later result.
+func TestMarshalJSONEncodesOnce(t *testing.T) {
+	iface, err := fastGen().Generate(context.Background(), paperLog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := codec.Marshal(iface.res.DiffTree, iface.res.UI, iface.QueryLog())
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := mustMarshal(t, iface)
+	if !bytes.Equal(first, want) {
+		t.Fatal("MarshalJSON differs from codec.Marshal")
+	}
+	for i := range first {
+		first[i] = 'x'
+	}
+	if again := mustMarshal(t, iface); !bytes.Equal(again, want) {
+		t.Error("changing a returned slice changed the next MarshalJSON")
+	}
+	rd, err := iface.JSONReader()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rd.Len() != len(want) {
+		t.Errorf("JSONReader Len = %d, want %d", rd.Len(), len(want))
+	}
+	if got, _ := io.ReadAll(rd); !bytes.Equal(got, want) {
+		t.Error("JSONReader differs from codec.Marshal")
+	}
+
+	// Concurrent first encodings of a fresh interface agree (run under -race).
+	fresh, err := LoadInterface(want, WideScreen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if data, err := fresh.MarshalJSON(); err != nil || !bytes.Equal(data, want) {
+				t.Errorf("concurrent MarshalJSON: %v, equal=%v", err, bytes.Equal(data, want))
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -57,7 +57,7 @@ func (f *Interface) ValidateSemantics(db *engine.DB, limit int) SemanticReport {
 // log; low values flag combinations the analyst never used).
 func (s *Session) Plausibility() float64 {
 	f := s.iface
-	f.buildCooccur()
+	f.cooccurOnce.Do(f.buildCooccur)
 	q, err := s.Query()
 	if err != nil {
 		return 0
@@ -91,12 +91,10 @@ type pairKey struct {
 	bv string
 }
 
-// buildCooccur indexes, once per interface, every pair of (choice, value)
-// assignments observed across the log queries.
+// buildCooccur indexes every pair of (choice, value) assignments observed
+// across the log queries. It runs once per interface, through cooccurOnce:
+// sessions of one interface may score plausibility concurrently.
 func (f *Interface) buildCooccur() {
-	if f.cooccur != nil {
-		return
-	}
 	f.cooccur = make(map[pairKey]bool)
 	for _, q := range f.res.Log {
 		asg, ok := difftree.Express(f.res.DiffTree, q)

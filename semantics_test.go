@@ -2,6 +2,7 @@ package mctsui
 
 import (
 	"context"
+	"sync"
 	"testing"
 
 	"repro/internal/engine"
@@ -121,5 +122,37 @@ func TestPlausibilitySingleWidget(t *testing.T) {
 	sess := iface.NewSession()
 	if p := sess.Plausibility(); p != 1.0 {
 		t.Errorf("pairless plausibility = %f", p)
+	}
+}
+
+// TestPlausibilityConcurrentSessions: sessions of one interface score
+// plausibility at once; the interface's co-occurrence index is built once,
+// with no race between them (run under -race).
+func TestPlausibilityConcurrentSessions(t *testing.T) {
+	iface, err := fastGen().Generate(context.Background(), paperLog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := iface.NewSession().Plausibility()
+	iface, err = LoadInterface(mustMarshal(t, iface), WideScreen) // a fresh, unindexed interface
+	if err != nil {
+		t.Fatal(err)
+	}
+	const sessions = 4
+	got := make([]float64, sessions)
+	var wg sync.WaitGroup
+	for i := range got {
+		sess := iface.NewSession()
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = sess.Plausibility()
+		}(i)
+	}
+	wg.Wait()
+	for i, p := range got {
+		if p != want {
+			t.Errorf("session %d: plausibility %v, want %v", i, p, want)
+		}
 	}
 }
