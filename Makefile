@@ -71,7 +71,9 @@ bench-read:
 # first search is slower than uncached (speedup_cold < 1.0, cold with a
 # fresh cache per run), if a warm
 # run allocates more than 300k/iteration, if restart-from-snapshot misses
-# 3x over cold or changes a result, if caching changes a result, or — on
+# 3x over cold, changes a result or misses the restored cache even once
+# (the deterministic check that the snapshot carries every aspect), if
+# caching changes a result, or — on
 # machines with >= 4 CPUs — if tree-parallel misses 2x iters/sec or
 # worsens the best cost. The warm, cold and restart ratios are each the
 # median over 10 interleaved pairs (warm/uncached, cold/uncached,

@@ -19,6 +19,7 @@ import (
 	"repro/internal/cost"
 	"repro/internal/difftree"
 	"repro/internal/eval"
+	"repro/internal/experiments"
 	"repro/internal/layout"
 	"repro/internal/rules"
 	"repro/internal/search"
@@ -123,11 +124,11 @@ func BenchmarkFig6eReferenceForm(b *testing.B) {
 	model := cost.Default(layout.Wide)
 	var last float64
 	for i := 0; i < b.N; i++ {
-		iface, err := baseline.Build(log, model)
+		bd, err := experiments.ReferenceForm(log, model)
 		if err != nil {
 			b.Fatal(err)
 		}
-		last = iface.Cost.Total()
+		last = bd.Total()
 	}
 	reportCost(b, last)
 }

@@ -16,12 +16,14 @@ import (
 // without the snapshot ever being able to change a result.
 //
 // What travels: state costs, legality verdicts and legal move sets, keyed
-// by the mixed configuration-fingerprint key, plus the fingerprint
-// inventory (which configurations the warm set covers): every aspect the
-// cache holds. What doesn't: the per-node hash and kind-count memos,
-// rebuilt on first visit. Snapshots written before move sets travelled
-// (version 1) are rejected with ErrSnapshotFormat; the daemon starts cold
-// and its next persist rewrites them in the current format.
+// by the mixed configuration-fingerprint key: every aspect the cache
+// holds. What doesn't: the per-node hash and kind-count memos, rebuilt on
+// first visit. A snapshot depends only on the entries, not on how many
+// configurations have used the cache. Snapshots in a retired format
+// (version 1, before move sets travelled, and version 2, which also listed
+// the fingerprint of every configuration that had used the cache) are
+// rejected with ErrSnapshotFormat; the daemon starts cold and its next
+// persist rewrites them in the current format.
 //
 // The format is versioned and self-checking: a checksum trailer plus an
 // embedded grammar-numbering table mean a truncated, corrupt, or

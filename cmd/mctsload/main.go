@@ -9,10 +9,8 @@
 // replicas behind an in-process fleet router and drives the traffic through
 // the router — the fleet-serving benchmark mode.
 // Traffic comes from a workload spec (-spec file, or the built-in smoke
-// spec), expanded deterministically by seed into a trace — or from a
-// previously recorded trace (-trace), replayed byte-for-byte. -record
-// captures the dispatched trace for later replay; recording a generated run
-// and replaying the recording issues the identical request sequence.
+// spec), expanded deterministically into a trace: the same spec, -seed and
+// window flags issue the identical request sequence.
 //
 // The run has a warmup phase (replayed, not reported) and a measured
 // window; the report carries per-class and per-op p50/p95/p99 latency,
@@ -52,8 +50,6 @@ func main() {
 	out := flag.String("out", "BENCH_serving.json", "output file ('-' for stdout)")
 	addr := flag.String("addr", "", "base URL of a running daemon (empty: start one in-process on 127.0.0.1:0)")
 	specPath := flag.String("spec", "", "workload spec JSON (empty: built-in smoke spec)")
-	tracePath := flag.String("trace", "", "recorded trace JSONL to replay instead of generating from a spec")
-	record := flag.String("record", "", "record the dispatched trace to this JSONL file")
 	seed := flag.Int64("seed", 0, "override the spec seed (0: keep the spec's)")
 	duration := flag.Int64("duration-ms", 0, "override the measured window (0: keep the spec's)")
 	warmup := flag.Int64("warmup-ms", -1, "override the warmup phase (-1: keep the spec's)")
@@ -72,7 +68,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	spec, events, err := buildTrace(*specPath, *tracePath, *seed, *duration, *warmup, *rateScale)
+	spec, events, err := buildTrace(*specPath, *seed, *duration, *warmup, *rateScale)
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -109,14 +105,6 @@ func main() {
 		Client:     &http.Client{Timeout: 2 * time.Minute},
 		StatsEvery: *statsEvery,
 	}
-	var recFile *os.File
-	if *record != "" {
-		recFile, err = os.Create(*record)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		opt.Record = recFile
-	}
 
 	fmt.Printf("mctsload: %s — %d events over %v (warmup %v) against %s\n",
 		spec.Name, len(events), time.Duration(spec.DurationMS)*time.Millisecond,
@@ -124,11 +112,6 @@ func main() {
 	res, err := load.Replay(ctx, events, opt)
 	if err != nil {
 		fatalf("replay: %v", err)
-	}
-	if recFile != nil {
-		if err := recFile.Close(); err != nil {
-			fatalf("closing recording: %v", err)
-		}
 	}
 	if res.Dispatched < len(events) {
 		fmt.Printf("mctsload: interrupted after %d of %d events\n", res.Dispatched, len(events))
@@ -159,11 +142,9 @@ func main() {
 	}
 }
 
-// buildTrace resolves the run's spec and events from the flag combination:
-// a recorded trace replays verbatim (the spec then only frames the
-// reporting window), everything else generates from the spec plus
-// overrides.
-func buildTrace(specPath, tracePath string, seed, duration, warmup int64, rateScale float64) (*load.Spec, []load.Event, error) {
+// buildTrace resolves the run's spec from the flags and generates its
+// events.
+func buildTrace(specPath string, seed, duration, warmup int64, rateScale float64) (*load.Spec, []load.Event, error) {
 	var spec load.Spec
 	if specPath != "" {
 		s, err := load.LoadSpec(specPath)
@@ -188,32 +169,6 @@ func buildTrace(specPath, tracePath string, seed, duration, warmup int64, rateSc
 	}
 	for i := range spec.Classes {
 		spec.Classes[i].RatePerSec *= rateScale
-	}
-
-	if tracePath != "" {
-		f, err := os.Open(tracePath)
-		if err != nil {
-			return nil, nil, err
-		}
-		defer f.Close()
-		events, err := load.ReadTrace(f)
-		if err != nil {
-			return nil, nil, fmt.Errorf("%s: %w", tracePath, err)
-		}
-		// The trace *is* the traffic; the spec only frames reporting. Size
-		// the window to cover the whole trace unless flags pinned it.
-		spec.Name = "trace:" + tracePath
-		if warmup < 0 {
-			spec.WarmupMS = 0
-		}
-		if duration <= 0 {
-			lastMS := events[len(events)-1].AtUS/1000 + 1
-			spec.DurationMS = lastMS - spec.WarmupMS
-			if spec.DurationMS <= 0 {
-				return nil, nil, fmt.Errorf("warmup %dms swallows the whole %dms trace", spec.WarmupMS, lastMS)
-			}
-		}
-		return &spec, events, nil
 	}
 
 	events, err := load.Generate(spec)

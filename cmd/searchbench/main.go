@@ -17,7 +17,9 @@
 // paying for itself. The -min-cold-speedup gate (default 1) protects a
 // first search from its own cache. The -min-snapshot-speedup gate (default
 // 3) applies to searches on a cache restored from a snapshot against cold
-// ones. Single runs spread on a shared machine by about as much as
+// ones, and every restored search must miss the cache zero times: the
+// snapshot carries every aspect a search of the same workload reads. Single
+// runs spread on a shared machine by about as much as
 // cached-cold and uncached searches differ, so each of the three ratios is
 // the median per-pair ratio of ten interleaved pairs (coldPairs, warmPairs,
 // restartPairs).
@@ -101,7 +103,9 @@ type treeSection struct {
 // codec round trip included). Speedup is restored/cold iters-per-sec and is
 // gated unconditionally: the measurement is single-threaded, so it holds on
 // a 1-CPU container as well as a big box. EqualBestCost re-checks the
-// portability contract end to end — a snapshot can change only speed.
+// portability contract end to end — a snapshot can change only speed — and
+// misses, which every restored run must hold at zero, checks that the
+// snapshot carried every aspect the search reads.
 type snapshotSection struct {
 	Entries       int64      `json:"entries"`
 	Bytes         int        `json:"bytes"`
@@ -110,6 +114,8 @@ type snapshotSection struct {
 	Pairs         int        `json:"pairs"`   // interleaved restored/cold pairs timed
 	Wins          int        `json:"wins"`    // pairs in which restored was faster
 	EqualBestCost bool       `json:"equal_best_cost"`
+
+	misses int64 // cache misses summed over every restored run
 }
 
 // workloadReport is one workload's section of the file.
@@ -267,6 +273,10 @@ func main() {
 				fatalf("%s: restart-from-snapshot best cost %v != cold %v — a snapshot changed a result",
 					name, snap.Restored.BestCost, rep.CachedCold.BestCost)
 			}
+			if snap.misses != 0 {
+				fatalf("%s: searches on a restored cache missed it %d times over %d runs — the snapshot dropped an aspect",
+					name, snap.misses, snap.Pairs)
+			}
 			if *minSnapshotSpeedup > 0 && snap.Speedup < *minSnapshotSpeedup {
 				fatalf("%s: median restart-from-snapshot speedup %.2fx over %d pairs (restored faster in %d) below the %.1fx gate",
 					name, snap.Speedup, snap.Pairs, snap.Wins, *minSnapshotSpeedup)
@@ -373,7 +383,9 @@ func benchWorkload(name string, log []*ast.Node, strategy core.Strategy, strateg
 		if _, err := opt.Cache.LoadSnapshot(bytes.NewReader(snapBuf.Bytes())); err != nil {
 			fatalf("cache snapshot import: %v", err)
 		}
-		return once(opt)
+		m := once(opt)
+		snap.misses += m.CacheMisses
+		return m
 	}, coldRun)
 	cold = faster(cold, coldR)
 	snap.Restored = restored

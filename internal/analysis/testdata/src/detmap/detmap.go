@@ -109,8 +109,8 @@ func total(m map[string]float64) float64 {
 	return t
 }
 
-// fingerprints is the repository's own Fingerprints shape: keys collected
-// into a slice that is sorted before returning. Not flagged.
+// fingerprints collects keys into a slice that is sorted before
+// returning. Not flagged.
 func fingerprints(fps map[uint64]struct{}) []uint64 {
 	out := make([]uint64, 0, len(fps))
 	for fp := range fps {

@@ -43,6 +43,16 @@ import (
 	"math"
 )
 
+// Body limits, read by the daemon and by the router, which buffers a body
+// before forwarding it: a body the router accepts is one a replica accepts.
+const (
+	// MaxBodyBytes bounds a JSON request body.
+	MaxBodyBytes = 1 << 20
+	// MaxSnapshotBytes bounds a POST /v1/cache/import body: cache snapshots
+	// are far larger than ordinary request bodies.
+	MaxSnapshotBytes = 256 << 20
+)
+
 // --- Shared search parameters ----------------------------------------------
 
 // Size is a width/height pair (screen constraint, interface bounds).

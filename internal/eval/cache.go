@@ -26,7 +26,6 @@
 package eval
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -66,14 +65,6 @@ type Cache struct {
 	hits        atomic.Int64
 	misses      atomic.Int64
 	evictions   atomic.Int64
-
-	// fps is the config-fingerprint inventory: every engine fingerprint that
-	// has attached to this cache (see Engine), plus any carried in by an
-	// imported snapshot. Purely descriptive — keys already mix the
-	// fingerprint in, so isolation never depends on it — but snapshots embed
-	// it so an operator can see which configurations a warm cache covers.
-	fpMu sync.Mutex
-	fps  map[uint64]struct{}
 
 	// paths holds the paths of the move codes every cached move list is
 	// made of (see pathTable), bounded by the cache's capacity. It is
@@ -134,33 +125,12 @@ func NewCache(maxEntries int) *Cache {
 		maxEntries = DefaultMaxEntries
 	}
 	perShard := (maxEntries + shardCount - 1) / shardCount
-	c := &Cache{maxPerShard: perShard, fps: make(map[uint64]struct{})}
+	c := &Cache{maxPerShard: perShard}
 	for i := range c.shards {
 		c.shards[i].m = make(map[uint64]int)
 	}
 	c.paths.Store(newPathTable(pathLimit(maxEntries)))
 	return c
-}
-
-// noteFingerprint records one configuration fingerprint in the inventory.
-func (c *Cache) noteFingerprint(fp uint64) {
-	c.fpMu.Lock()
-	c.fps[fp] = struct{}{}
-	c.fpMu.Unlock()
-}
-
-// Fingerprints returns the config-fingerprint inventory in sorted order:
-// every engine configuration that has attached to this cache, plus any
-// inventory merged in by LoadSnapshot.
-func (c *Cache) Fingerprints() []uint64 {
-	c.fpMu.Lock()
-	out := make([]uint64, 0, len(c.fps))
-	for fp := range c.fps {
-		out = append(out, fp)
-	}
-	c.fpMu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 func (c *Cache) shard(key uint64) *shard { return &c.shards[key&(shardCount-1)] }
@@ -335,10 +305,7 @@ func (c *Cache) unlockAll() {
 
 // Reset drops every memoized state (all fingerprints) and the path table
 // of the cached move lists, and zeroes the counters, returning the cache to
-// its freshly constructed state. The fingerprint inventory is kept: it
-// describes the engines attached over the cache's lifetime (they register
-// once, at construction), not the resident entries. Move lists handed out
-// before the Reset keep decoding against the table they came with. Safe to
+// its freshly constructed state. Move lists handed out before the Reset keep decoding against the table they came with. Safe to
 // call concurrently with readers: in-flight lookups simply miss and
 // recompute — by construction a recompute equals the dropped value.
 func (c *Cache) Reset() {

@@ -86,9 +86,7 @@ func New(cfg Config, cache *Cache) *Engine {
 	if e.ruleCodes, ok = ruleNames.codes(cfg.Rules); !ok {
 		panic(fmt.Sprintf("eval: the rules name more than %d rules", maxRuleIDs))
 	}
-	if cache != nil {
-		cache.noteFingerprint(e.fp)
-	} else {
+	if cache == nil {
 		e.ownPaths.Store(newPathTable(pathLimit(DefaultMaxEntries)))
 	}
 	return e

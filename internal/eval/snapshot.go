@@ -30,11 +30,10 @@ import (
 //
 // Binary format (all integers little-endian):
 //
-//	magic   [8]byte "mcuisnp2"        version is part of the magic
+//	magic   [8]byte "mcuisnp3"        version is part of the magic
 //	─ the region below is covered by the trailing checksum ─
 //	kinds   u16 count, then per kind: u8 len + name bytes
 //	rules   u16 count, then per rule: u8 len + name bytes
-//	fps     u32 count, then u64 per fingerprint (sorted inventory)
 //	blocks  u32 count, then per block: u32 entries, then per entry:
 //	          key u64, flags u8, cost f64 (present iff flags&snapHasCost),
 //	          moves (present iff flags&snapHasMoves): u16 count, then per
@@ -42,7 +41,9 @@ import (
 //	─ end of checksummed region ─
 //	sum     u64 FNV-64a of the checksummed region
 //
-// Any other magic, including the retired version 1 ("mcuisnp1"), is
+// Any other magic, including the retired versions 1 ("mcuisnp1", without
+// the rule table and move sets) and 2 ("mcuisnp2", with a section listing
+// the fingerprints of the configurations that had used the cache), is
 // rejected with ErrSnapshotFormat: snapshots are a cache, so a daemon
 // starts cold and rewrites the file. Every rule in the table must be one
 // this build knows (rules.ByName), or the snapshot is rejected with
@@ -54,7 +55,7 @@ import (
 // hashes they embed are unchanged); renumbering, renaming, or loading a
 // snapshot from a *newer* grammar is rejected with ErrSnapshotSchema
 // instead of importing entries whose keys silently mean something else.
-const snapMagic = "mcuisnp2"
+const snapMagic = "mcuisnp3"
 
 // Entry flag bits. An exported entry always carries at least one aspect.
 const (
@@ -77,10 +78,9 @@ const (
 // Sanity bounds on header counts: far above anything a real snapshot
 // carries, low enough that corrupt headers fail fast instead of looping.
 const (
-	snapMaxKinds        = 1 << 8
-	snapMaxRules        = 1 << 8
-	snapMaxFingerprints = 1 << 20
-	snapMaxBlocks       = 1 << 16
+	snapMaxKinds  = 1 << 8
+	snapMaxRules  = 1 << 8
+	snapMaxBlocks = 1 << 16
 )
 
 var (
@@ -147,16 +147,6 @@ func (c *Cache) Snapshot(w io.Writer) (entries int64, err error) {
 			return 0, err
 		}
 		if _, err := io.WriteString(mw, name); err != nil {
-			return 0, err
-		}
-	}
-
-	fps := c.Fingerprints()
-	if err := writeU(uint64(len(fps)), 4); err != nil {
-		return 0, err
-	}
-	for _, fp := range fps {
-		if err := writeU(fp, 8); err != nil {
 			return 0, err
 		}
 	}
@@ -289,12 +279,9 @@ func writeMoves(writeU func(v uint64, n int) error, paths *pathTable, ms []uint3
 // imported, and are recomputed on first visit, so an import holds at most
 // the table's bound of paths, in memory linear in them.
 func (c *Cache) LoadSnapshot(r io.Reader) (int64, error) {
-	rows, fps, err := parseSnapshot(r)
+	rows, err := parseSnapshot(r)
 	if err != nil {
 		return 0, err
-	}
-	for _, fp := range fps {
-		c.noteFingerprint(fp)
 	}
 	for _, row := range rows {
 		var legal uint8
@@ -323,14 +310,14 @@ func (c *Cache) LoadSnapshot(r io.Reader) (int64, error) {
 
 // parseSnapshot decodes and fully validates a snapshot stream without
 // touching any cache state.
-func parseSnapshot(r io.Reader) ([]snapEntry, []uint64, error) {
+func parseSnapshot(r io.Reader) ([]snapEntry, error) {
 	br := bufio.NewReader(r)
 	var magic [8]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, nil, fmt.Errorf("%w: reading magic: %w", ErrSnapshotFormat, err)
+		return nil, fmt.Errorf("%w: reading magic: %w", ErrSnapshotFormat, err)
 	}
 	if string(magic[:]) != snapMagic {
-		return nil, nil, fmt.Errorf("%w: bad magic %q (want %q)", ErrSnapshotFormat, magic[:], snapMagic)
+		return nil, fmt.Errorf("%w: bad magic %q (want %q)", ErrSnapshotFormat, magic[:], snapMagic)
 	}
 
 	h := fnv.New64a()
@@ -346,113 +333,99 @@ func parseSnapshot(r io.Reader) ([]snapEntry, []uint64, error) {
 
 	kindCount, err := readU(2)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if kindCount == 0 || kindCount > snapMaxKinds {
-		return nil, nil, fmt.Errorf("%w: implausible kind count %d", ErrSnapshotFormat, kindCount)
+		return nil, fmt.Errorf("%w: implausible kind count %d", ErrSnapshotFormat, kindCount)
 	}
 	names := ast.KindNames()
 	if int(kindCount) > len(names) {
-		return nil, nil, fmt.Errorf("%w: snapshot knows %d grammar kinds, this build %d — written by a newer grammar",
+		return nil, fmt.Errorf("%w: snapshot knows %d grammar kinds, this build %d — written by a newer grammar",
 			ErrSnapshotSchema, kindCount, len(names))
 	}
 	for i := 0; i < int(kindCount); i++ {
 		nameLen, err := readU(1)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		buf := make([]byte, nameLen)
 		if _, err := io.ReadFull(hr, buf); err != nil {
-			return nil, nil, fmt.Errorf("%w: truncated kind table: %w", ErrSnapshotFormat, err)
+			return nil, fmt.Errorf("%w: truncated kind table: %w", ErrSnapshotFormat, err)
 		}
 		if string(buf) != names[i] {
-			return nil, nil, fmt.Errorf("%w: grammar kind %d is %q in the snapshot but %q in this build — kind numbering changed",
+			return nil, fmt.Errorf("%w: grammar kind %d is %q in the snapshot but %q in this build — kind numbering changed",
 				ErrSnapshotSchema, i, buf, names[i])
 		}
 	}
 
 	ruleCount, err := readU(2)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if ruleCount > snapMaxRules {
-		return nil, nil, fmt.Errorf("%w: implausible rule count %d", ErrSnapshotFormat, ruleCount)
+		return nil, fmt.Errorf("%w: implausible rule count %d", ErrSnapshotFormat, ruleCount)
 	}
 	var ruleNames []string
 	for i := 0; i < int(ruleCount); i++ {
 		nameLen, err := readU(1)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		buf := make([]byte, nameLen)
 		if _, err := io.ReadFull(hr, buf); err != nil {
-			return nil, nil, fmt.Errorf("%w: truncated rule table: %w", ErrSnapshotFormat, err)
+			return nil, fmt.Errorf("%w: truncated rule table: %w", ErrSnapshotFormat, err)
 		}
 		r, ok := rules.ByName(string(buf))
 		if !ok {
-			return nil, nil, fmt.Errorf("%w: rule %q is unknown to this build", ErrSnapshotSchema, buf)
+			return nil, fmt.Errorf("%w: rule %q is unknown to this build", ErrSnapshotSchema, buf)
 		}
 		ruleNames = append(ruleNames, r.Name())
 	}
 
-	fpCount, err := readU(4)
-	if err != nil {
-		return nil, nil, err
-	}
-	if fpCount > snapMaxFingerprints {
-		return nil, nil, fmt.Errorf("%w: implausible fingerprint count %d", ErrSnapshotFormat, fpCount)
-	}
-	fps := make([]uint64, fpCount)
-	for i := range fps {
-		if fps[i], err = readU(8); err != nil {
-			return nil, nil, err
-		}
-	}
-
 	blockCount, err := readU(4)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if blockCount > snapMaxBlocks {
-		return nil, nil, fmt.Errorf("%w: implausible block count %d", ErrSnapshotFormat, blockCount)
+		return nil, fmt.Errorf("%w: implausible block count %d", ErrSnapshotFormat, blockCount)
 	}
 	var rows []snapEntry
 	for b := uint64(0); b < blockCount; b++ {
 		n, err := readU(4)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		for i := uint64(0); i < n; i++ {
 			key, err := readU(8)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			fl, err := readU(1)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			flags := uint8(fl)
 			if flags&^snapFlagsMask != 0 {
-				return nil, nil, fmt.Errorf("%w: unknown entry flags %#x", ErrSnapshotFormat, flags)
+				return nil, fmt.Errorf("%w: unknown entry flags %#x", ErrSnapshotFormat, flags)
 			}
 			if flags&(snapHasCost|snapHasLegal|snapHasMoves) == 0 {
-				return nil, nil, fmt.Errorf("%w: entry carries no aspect", ErrSnapshotFormat)
+				return nil, fmt.Errorf("%w: entry carries no aspect", ErrSnapshotFormat)
 			}
 			if flags&snapLegal != 0 && flags&snapHasLegal == 0 {
-				return nil, nil, fmt.Errorf("%w: legal bit without a verdict", ErrSnapshotFormat)
+				return nil, fmt.Errorf("%w: legal bit without a verdict", ErrSnapshotFormat)
 			}
 			var cost float64
 			if flags&snapHasCost != 0 {
 				bits, err := readU(8)
 				if err != nil {
-					return nil, nil, err
+					return nil, err
 				}
 				cost = math.Float64frombits(bits)
 			}
 			var moves []rules.Move
 			if flags&snapHasMoves != 0 {
 				if moves, err = readMoves(readU, ruleNames); err != nil {
-					return nil, nil, err
+					return nil, err
 				}
 			}
 			rows = append(rows, snapEntry{key: key, cost: cost, flags: flags, moves: moves})
@@ -461,12 +434,12 @@ func parseSnapshot(r io.Reader) ([]snapEntry, []uint64, error) {
 
 	want := h.Sum64()
 	if _, err := io.ReadFull(br, scratch[:8]); err != nil {
-		return nil, nil, fmt.Errorf("%w: truncated checksum: %w", ErrSnapshotFormat, err)
+		return nil, fmt.Errorf("%w: truncated checksum: %w", ErrSnapshotFormat, err)
 	}
 	if got := binary.LittleEndian.Uint64(scratch[:8]); got != want {
-		return nil, nil, fmt.Errorf("%w: checksum mismatch (%#x != %#x)", ErrSnapshotFormat, got, want)
+		return nil, fmt.Errorf("%w: checksum mismatch (%#x != %#x)", ErrSnapshotFormat, got, want)
 	}
-	return rows, fps, nil
+	return rows, nil
 }
 
 // readMoves decodes one entry's move set. All paths share one backing

@@ -32,7 +32,8 @@ func FuzzLoadSnapshot(f *testing.F) {
 	flipped := bytes.Clone(valid)
 	flipped[len(flipped)-1] ^= 0xff // checksum corruption
 	f.Add(flipped)
-	f.Add(snapshotV1(map[uint64]float64{5: 2.5})) // retired format: rejected
+	f.Add(retiredSnapshot(1, map[uint64]float64{5: 2.5})) // retired formats: rejected
+	f.Add(retiredSnapshot(2, map[uint64]float64{5: 2.5}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dst := NewCache(0)

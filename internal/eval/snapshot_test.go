@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/fnv"
 	"math"
 	"os"
@@ -12,8 +13,11 @@ import (
 	"testing"
 
 	"repro/internal/ast"
+	"repro/internal/cost"
 	"repro/internal/difftree"
+	"repro/internal/layout"
 	"repro/internal/rules"
+	"repro/internal/workload"
 )
 
 // warmFigure1Cache runs the Figure 1 workload's hot primitives through a
@@ -59,7 +63,7 @@ func snapshotBytes(t *testing.T, c *Cache) []byte {
 }
 
 func TestSnapshotRoundTrip(t *testing.T) {
-	src, eng, costs := warmFigure1Cache(t)
+	src, _, costs := warmFigure1Cache(t)
 	raw := snapshotBytes(t, src)
 
 	dst := NewCache(0)
@@ -79,10 +83,36 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			t.Fatalf("key %#x: imported cost %v != original %v", key, got, want)
 		}
 	}
-	// The fingerprint inventory travels with the entries.
-	fps := dst.Fingerprints()
-	if len(fps) != 1 || fps[0] != eng.fp {
-		t.Fatalf("imported fingerprints = %v, want [%#x]", fps, eng.fp)
+}
+
+// TestSnapshotIndependentOfAttachedConfigs: a snapshot carries entries
+// only, so a cache that 10 000 engine configurations have used writes the
+// same bytes as one that a single configuration has used, and loads them.
+func TestSnapshotIndependentOfAttachedConfigs(t *testing.T) {
+	fill := func(c *Cache) {
+		for k := uint64(1); k <= 64; k++ {
+			c.SetCost(k, float64(k)/4)
+			c.SetLegal(k, k%3 != 0)
+		}
+	}
+	log := workload.PaperFigure1Log()
+	cfg := func(seed int64) Config {
+		return Config{Log: log, Model: cost.Default(layout.Wide), Samples: 3, Rules: rules.All(), Seed: seed}
+	}
+	one, many := NewCache(0), NewCache(0)
+	New(cfg(1), one)
+	for seed := int64(1); seed <= 10000; seed++ {
+		New(cfg(seed), many)
+	}
+	fill(one)
+	fill(many)
+	want, got := snapshotBytes(t, one), snapshotBytes(t, many)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("a cache used by 10000 configurations writes %d bytes, one used by a single configuration %d", len(got), len(want))
+	}
+	dst := NewCache(0)
+	if n, err := dst.LoadSnapshot(bytes.NewReader(got)); err != nil || n != 64 {
+		t.Fatalf("LoadSnapshot: %d entries, %v; want 64", n, err)
 	}
 }
 
@@ -376,8 +406,8 @@ func TestSnapshotReexportIdentical(t *testing.T) {
 // TestSnapshotFromRuleMoveLists loads testdata/figure1-rulemoves.snap,
 // written by the cache while it held move lists as []rules.Move: the Figure
 // 1 engine's (figure1Engine) costs and move lists of the initial state and
-// its neighbors. The format did not change with the move codes, so it must
-// load, answer Moves for those states from the cache with the lists it
+// its neighbors, converted to the current format (which only dropped a
+// section). The format did not change with the move codes, so it must load, answer Moves for those states from the cache with the lists it
 // carries, which equal the uncached engine's, and export again byte for
 // byte.
 func TestSnapshotFromRuleMoveLists(t *testing.T) {
@@ -385,7 +415,7 @@ func TestSnapshotFromRuleMoveLists(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, _, err := parseSnapshot(bytes.NewReader(raw))
+	rows, err := parseSnapshot(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,9 +458,10 @@ func TestSnapshotFromRuleMoveLists(t *testing.T) {
 	}
 }
 
-// snapshotV1 encodes cost entries in the retired version 1 format
-// ("mcuisnp1": the current layout without the rule table and move sets).
-func snapshotV1(costs map[uint64]float64) []byte {
+// retiredSnapshot encodes cost entries in a retired format: version 1
+// ("mcuisnp1": no rule table and no move sets) or version 2 ("mcuisnp2":
+// the current layout plus a fingerprint section after the rule table).
+func retiredSnapshot(version int, costs map[uint64]float64) []byte {
 	var body bytes.Buffer
 	u := func(v uint64, n int) {
 		var b [8]byte
@@ -443,7 +474,16 @@ func snapshotV1(costs map[uint64]float64) []byte {
 		u(uint64(len(name)), 1)
 		body.WriteString(name)
 	}
-	u(0, 4) // no fingerprints
+	if version >= 2 {
+		all := rules.All()
+		u(uint64(len(all)), 2)
+		for _, r := range all {
+			u(uint64(len(r.Name())), 1)
+			body.WriteString(r.Name())
+		}
+	}
+	u(1, 4) // one fingerprint
+	u(0xd2447eb63f937213, 8)
 	u(1, 4) // one block
 	u(uint64(len(costs)), 4)
 	for key, cost := range costs {
@@ -453,20 +493,29 @@ func snapshotV1(costs map[uint64]float64) []byte {
 	}
 	h := fnv.New64a()
 	h.Write(body.Bytes())
-	out := append([]byte("mcuisnp1"), body.Bytes()...)
+	out := append([]byte(fmt.Sprintf("mcuisnp%d", version)), body.Bytes()...)
 	return binary.LittleEndian.AppendUint64(out, h.Sum64())
 }
 
 // TestSnapshotVersion1Rejected: a well-formed version 1 snapshot is a
 // format error that imports nothing, so a daemon holding one starts cold.
 func TestSnapshotVersion1Rejected(t *testing.T) {
+	testRetiredSnapshotRejected(t, 1)
+}
+
+// TestSnapshotVersion2Rejected: so is a well-formed version 2 snapshot.
+func TestSnapshotVersion2Rejected(t *testing.T) {
+	testRetiredSnapshotRejected(t, 2)
+}
+
+func testRetiredSnapshotRejected(t *testing.T, version int) {
 	dst := NewCache(0)
-	n, err := dst.LoadSnapshot(bytes.NewReader(snapshotV1(map[uint64]float64{5: 2.5})))
+	n, err := dst.LoadSnapshot(bytes.NewReader(retiredSnapshot(version, map[uint64]float64{5: 2.5})))
 	if !errors.Is(err, ErrSnapshotFormat) || n != 0 {
-		t.Fatalf("version 1 import: %d entries, %v; want 0, ErrSnapshotFormat", n, err)
+		t.Fatalf("version %d import: %d entries, %v; want 0, ErrSnapshotFormat", version, n, err)
 	}
 	if got := dst.Stats().Entries; got != 0 {
-		t.Fatalf("rejected version 1 import planted %d entries", got)
+		t.Fatalf("rejected version %d import planted %d entries", version, got)
 	}
 }
 

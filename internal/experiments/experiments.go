@@ -19,6 +19,7 @@ import (
 	"repro/internal/difftree"
 	"repro/internal/layout"
 	"repro/internal/rules"
+	"repro/internal/search"
 	"repro/internal/widgets"
 	"repro/internal/workload"
 )
@@ -141,14 +142,29 @@ func Fig6e(ctx context.Context, cfg Config) string {
 	var b strings.Builder
 	b.WriteString("== Figure 6(e): original SDSS form (hand-coded reference) ==\n")
 	log := workload.SDSSLog()
-	model := cost.Default(layout.Wide)
-
-	base, err := baseline.Build(log, model)
+	bd, err := ReferenceForm(log, cost.Default(layout.Wide))
 	if err != nil {
 		return err.Error()
 	}
-	// Rebuild the baseline's flat UI with the SDSS form's widget choices:
-	// textboxes for every scalar, radio buttons for categorical slots.
+	res, err := core.Generate(ctx, log, cfg.opts(layout.Wide))
+	if err != nil {
+		return err.Error()
+	}
+	fmt.Fprintf(&b, "SDSS-form-style (textboxes+radios, flat): cost=%.2f (M=%.2f U=%.2f) widgets=%d\n",
+		bd.Total(), bd.M, bd.U, bd.Widgets)
+	fmt.Fprintf(&b, "generated (MCTS):                        cost=%.2f (M=%.2f U=%.2f) widgets=%d\n",
+		res.Cost.Total(), res.Cost.M, res.Cost.U, res.Cost.Widgets)
+	return b.String()
+}
+
+// ReferenceForm scores Figure 6(e)'s SDSS-form-style interface for log:
+// the 2017 baseline's flat UI rebuilt with the SDSS form's widget choices,
+// textboxes for every scalar and radio buttons for categorical slots.
+func ReferenceForm(log []*ast.Node, model cost.Model) (cost.Breakdown, error) {
+	base, err := baseline.Build(log, model)
+	if err != nil {
+		return cost.Breakdown{}, err
+	}
 	var ws []*layout.Node
 	var walk func(n, parent *difftree.Node)
 	walk = func(n, parent *difftree.Node) {
@@ -169,17 +185,7 @@ func Fig6e(ctx context.Context, cfg Config) string {
 	}
 	walk(base.DiffTree, nil)
 	form := layout.NewBox(widgets.VBox, ws...)
-	bd := model.NewEvaluator(base.DiffTree, log).Evaluate(form)
-
-	res, err := core.Generate(ctx, log, cfg.opts(layout.Wide))
-	if err != nil {
-		return err.Error()
-	}
-	fmt.Fprintf(&b, "SDSS-form-style (textboxes+radios, flat): cost=%.2f (M=%.2f U=%.2f) widgets=%d\n",
-		bd.Total(), bd.M, bd.U, bd.Widgets)
-	fmt.Fprintf(&b, "generated (MCTS):                        cost=%.2f (M=%.2f U=%.2f) widgets=%d\n",
-		res.Cost.Total(), res.Cost.M, res.Cost.U, res.Cost.Widgets)
-	return b.String()
+	return model.NewEvaluator(base.DiffTree, log).Evaluate(form), nil
 }
 
 // SearchSpace measures the paper's search-space characterization: "The
@@ -195,9 +201,9 @@ func SearchSpace(ctx context.Context, cfg Config) string {
 		fan, init.CountChoice(), init.Size())
 
 	// Walk randomly, recording fanout along the way and how long legal
-	// paths can get. Moves that balloon the tree past 4x the initial size
-	// are skipped, matching the search's pruning.
-	sizeCap := 4 * init.Size()
+	// paths can get. Moves that balloon the tree past the search's size
+	// cap are skipped, matching its pruning.
+	sizeCap := search.SizeCap(init)
 	maxFan, pathLen := fan, 0
 	d := init
 	rng := rand.New(rand.NewSource(cfg.Seed))

@@ -1,12 +1,9 @@
 package load
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 	"sync"
@@ -25,10 +22,6 @@ type Options struct {
 	// left unlimited — open-loop traffic needs one connection per in-flight
 	// request.
 	Client *http.Client
-	// Record, when non-nil, receives the dispatched events as JSONL in
-	// dispatch order — byte-identical to WriteTrace of the replayed trace,
-	// which is what makes record→replay→re-record a fixpoint.
-	Record io.Writer
 	// StatsEvery scrapes GET /v1/stats on this cadence into the result's
 	// stats curve (0: no scraping).
 	StatsEvery time.Duration
@@ -94,14 +87,6 @@ func Replay(ctx context.Context, events []Event, opt Options) (*RunResult, error
 	cl.HTTPClient = opt.Client
 	cl.Retries = -1
 
-	var rec *bufio.Writer
-	var recEnc *json.Encoder
-	if opt.Record != nil {
-		rec = bufio.NewWriter(opt.Record)
-		recEnc = json.NewEncoder(rec)
-		recEnc.SetEscapeHTML(false)
-	}
-
 	col := NewCollector()
 	start := time.Now()
 
@@ -155,12 +140,6 @@ dispatch:
 		} else if ctx.Err() != nil {
 			break dispatch
 		}
-		if recEnc != nil {
-			if err := recEnc.Encode(ev); err != nil {
-				stopScraper()
-				return nil, fmt.Errorf("recording event %d: %w", ev.Seq, err)
-			}
-		}
 		dispatched++
 		wg.Add(1)
 		go func(ev *Event) {
@@ -174,11 +153,6 @@ dispatch:
 	if scraperDone != nil {
 		<-scraperDone
 		scrape() // final point after the last response
-	}
-	if rec != nil {
-		if err := rec.Flush(); err != nil {
-			return nil, fmt.Errorf("flushing recording: %w", err)
-		}
 	}
 	return &RunResult{
 		Samples:    col.Samples(),

@@ -1,12 +1,5 @@
 package load
 
-import (
-	"bufio"
-	"encoding/json"
-	"fmt"
-	"io"
-)
-
 // Op kinds of a trace event.
 const (
 	OpGenerate = "generate" // POST /v1/generate (stateless)
@@ -17,8 +10,8 @@ const (
 
 // Event is one scheduled request of a trace. A trace is the fully resolved
 // request sequence — op, target session, payload queries, per-request
-// search seed — so replaying a recorded trace re-issues byte-identical
-// requests without consulting the spec or any RNG.
+// search seed — which Generate derives from a spec, its seed and its
+// window, so the same three reproduce the same requests.
 type Event struct {
 	// Seq is the event's position in the trace (0-based, strictly
 	// increasing). It doubles as the tie-break for events scheduled at the
@@ -40,85 +33,4 @@ type Event struct {
 	Iterations int `json:"iterations,omitempty"`
 	// Seed is the per-request search seed (deterministic per trace).
 	Seed int64 `json:"seed,omitempty"`
-}
-
-func (e *Event) validate() error {
-	switch e.Op {
-	case OpGenerate:
-		if len(e.Queries) == 0 {
-			return fmt.Errorf("event %d: generate without queries", e.Seq)
-		}
-	case OpAppend:
-		if e.Session == "" {
-			return fmt.Errorf("event %d: append without session", e.Seq)
-		}
-		if len(e.Queries) == 0 {
-			return fmt.Errorf("event %d: append without queries", e.Seq)
-		}
-	case OpInteract, OpExport:
-		if e.Session == "" {
-			return fmt.Errorf("event %d: %s without session", e.Seq, e.Op)
-		}
-	default:
-		return fmt.Errorf("event %d: unknown op %q", e.Seq, e.Op)
-	}
-	if e.AtUS < 0 {
-		return fmt.Errorf("event %d: negative dispatch time", e.Seq)
-	}
-	return nil
-}
-
-// WriteTrace serializes events as JSONL, one event per line. Encoding is
-// deterministic (fixed struct field order, no map iteration), so the same
-// trace always produces the same bytes — the byte-reproducibility the
-// recorded-trace format exists for.
-func WriteTrace(w io.Writer, events []Event) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	enc.SetEscapeHTML(false)
-	for i := range events {
-		if err := enc.Encode(&events[i]); err != nil {
-			return fmt.Errorf("event %d: %w", i, err)
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadTrace parses a JSONL trace, validating each event and the ordering
-// invariants (Seq dense from 0, dispatch times non-decreasing).
-func ReadTrace(r io.Reader) ([]Event, error) {
-	var events []Event
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<22) // long query lists per line
-	line := 0
-	var lastAt int64
-	for sc.Scan() {
-		line++
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
-		}
-		var ev Event
-		if err := json.Unmarshal(raw, &ev); err != nil {
-			return nil, fmt.Errorf("trace line %d: %w", line, err)
-		}
-		if err := ev.validate(); err != nil {
-			return nil, fmt.Errorf("trace line %d: %w", line, err)
-		}
-		if ev.Seq != len(events) {
-			return nil, fmt.Errorf("trace line %d: seq %d, want %d", line, ev.Seq, len(events))
-		}
-		if ev.AtUS < lastAt {
-			return nil, fmt.Errorf("trace line %d: dispatch time goes backwards", line)
-		}
-		lastAt = ev.AtUS
-		events = append(events, ev)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if len(events) == 0 {
-		return nil, fmt.Errorf("empty trace")
-	}
-	return events, nil
 }

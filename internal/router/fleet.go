@@ -31,7 +31,7 @@ import (
 )
 
 // fleetOpTimeout bounds one join/leave end to end. Snapshot transfers are
-// size-capped (MaxSnapshotBytes), so a minute is generous.
+// size-capped (api.MaxSnapshotBytes), so a minute is generous.
 const fleetOpTimeout = time.Minute
 
 // lockFleet claims the one-at-a-time membership-mutation slot; false means
@@ -210,7 +210,7 @@ func (rt *Router) handleFleetLeave(w http.ResponseWriter, r *http.Request) {
 // decode reads a small JSON body; false means the response has been
 // written.
 func (rt *Router) decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	body, ok := rt.readBody(w, r, rt.cfg.MaxBodyBytes)
+	body, ok := rt.readBody(w, r, api.MaxBodyBytes)
 	if !ok {
 		return false
 	}

@@ -60,19 +60,11 @@ type Config struct {
 	FailAfter int
 	// VNodes is the consistent-hash points per replica (default 64).
 	VNodes int
-	// MaxBodyBytes bounds buffered request bodies (default 1 MiB, matching
-	// the daemon). Bodies are buffered so a dial failure can fail over to
-	// another replica with the request intact.
-	MaxBodyBytes int64
-	// MaxSnapshotBytes bounds /v1/cache/import bodies (default 256 MiB).
-	MaxSnapshotBytes int64
 	// MaxSessions bounds the sticky session-placement table; beyond it the
 	// least-recently-routed placements are forgotten (default 4096 — a
 	// forgotten placement re-places on the ring owner, which is the same
 	// replica while the ready set is unchanged).
 	MaxSessions int
-	// HTTPClient issues probes and forwards (a per-router default when nil).
-	HTTPClient *http.Client
 }
 
 func (c Config) withDefaults() Config {
@@ -88,17 +80,8 @@ func (c Config) withDefaults() Config {
 	if c.VNodes <= 0 {
 		c.VNodes = 64
 	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 1 << 20
-	}
-	if c.MaxSnapshotBytes <= 0 {
-		c.MaxSnapshotBytes = 256 << 20
-	}
 	if c.MaxSessions <= 0 {
 		c.MaxSessions = 4096
-	}
-	if c.HTTPClient == nil {
-		c.HTTPClient = &http.Client{}
 	}
 	return c
 }
@@ -186,7 +169,6 @@ func (rt *Router) Close() {
 
 func (rt *Router) newReplica(u string) *Replica {
 	cl := client.New(u)
-	cl.HTTPClient = rt.cfg.HTTPClient
 	cl.Retries = -1 // the router's failover is the retry
 	return &Replica{URL: u, cl: cl, state: api.StateUnready}
 }
@@ -434,7 +416,7 @@ func (rt *Router) evictStickyLocked() {
 // --- Forwarding -------------------------------------------------------------
 
 func (rt *Router) handleGenerate(w http.ResponseWriter, r *http.Request) {
-	body, ok := rt.readBody(w, r, rt.cfg.MaxBodyBytes)
+	body, ok := rt.readBody(w, r, api.MaxBodyBytes)
 	if !ok {
 		return
 	}
@@ -450,7 +432,7 @@ func (rt *Router) handleSession(w http.ResponseWriter, r *http.Request) {
 		rt.fail(w, http.StatusBadRequest, errors.New("empty session id"))
 		return
 	}
-	body, ok := rt.readBody(w, r, rt.cfg.MaxBodyBytes)
+	body, ok := rt.readBody(w, r, api.MaxBodyBytes)
 	if !ok {
 		return
 	}
@@ -528,7 +510,7 @@ func (rt *Router) tryForward(w http.ResponseWriter, r *http.Request, rep *Replic
 			req.Header.Set(h, v)
 		}
 	}
-	resp, err := rt.cfg.HTTPClient.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return err
 	}
@@ -611,7 +593,7 @@ func (rt *Router) handleCacheExport(w http.ResponseWriter, r *http.Request) {
 // cache semantics make re-imports idempotent and merge-safe). The reported
 // entry count is the first recipient's.
 func (rt *Router) handleCacheImport(w http.ResponseWriter, r *http.Request) {
-	body, ok := rt.readBody(w, r, rt.cfg.MaxSnapshotBytes)
+	body, ok := rt.readBody(w, r, api.MaxSnapshotBytes)
 	if !ok {
 		return
 	}

@@ -63,6 +63,9 @@ import (
 	"repro/internal/api"
 )
 
+// maxIterations caps per-request iteration budgets.
+const maxIterations = 100000
+
 // Config tunes the daemon; zero values take the defaults below.
 type Config struct {
 	// ReplicaID is the daemon's fleet identity: it is reported in the
@@ -101,8 +104,6 @@ type Config struct {
 	// DefaultBudget applies when a request sets neither a budget nor an
 	// iteration count (default 0: the engine's default iteration budget).
 	DefaultBudget time.Duration
-	// MaxIterations caps per-request iteration budgets (default 100000).
-	MaxIterations int
 	// MaxWorkers caps per-request tree_workers (default GOMAXPROCS).
 	MaxWorkers int
 	// MaxSessions bounds resident sessions; creating one beyond the bound
@@ -111,11 +112,9 @@ type Config struct {
 	// MaxQueries bounds the query log length of a single request/session
 	// (default 500).
 	MaxQueries int
-	// MaxBodyBytes bounds request bodies (default 1 MiB).
-	MaxBodyBytes int64
-	// MaxSnapshotBytes bounds /v1/cache/import bodies (default 256 MiB) —
-	// cache snapshots are far larger than ordinary request bodies, so they
-	// get their own limit instead of MaxBodyBytes.
+	// MaxSnapshotBytes bounds /v1/cache/import bodies (default
+	// api.MaxSnapshotBytes). Other request bodies are bounded by
+	// api.MaxBodyBytes.
 	MaxSnapshotBytes int64
 }
 
@@ -135,9 +134,6 @@ func (c Config) withDefaults() Config {
 	if c.DefaultBudget > c.MaxBudget {
 		c.DefaultBudget = c.MaxBudget // the cap binds defaulted requests too
 	}
-	if c.MaxIterations <= 0 {
-		c.MaxIterations = 100000
-	}
 	if c.MaxWorkers <= 0 {
 		c.MaxWorkers = runtime.GOMAXPROCS(0)
 	}
@@ -147,11 +143,8 @@ func (c Config) withDefaults() Config {
 	if c.MaxQueries <= 0 {
 		c.MaxQueries = 500
 	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 1 << 20
-	}
 	if c.MaxSnapshotBytes <= 0 {
-		c.MaxSnapshotBytes = 256 << 20
+		c.MaxSnapshotBytes = api.MaxSnapshotBytes
 	}
 	return c
 }
@@ -477,7 +470,7 @@ func (s *Server) options(p api.SearchParams) ([]mctsui.Option, error) {
 	if p.Iterations < 0 || p.BudgetMS < 0 {
 		return nil, errors.New("negative search budget")
 	}
-	iters := min(p.Iterations, s.cfg.MaxIterations)
+	iters := min(p.Iterations, maxIterations)
 	budget := time.Duration(p.BudgetMS) * time.Millisecond
 	if budget > s.cfg.MaxBudget {
 		budget = s.cfg.MaxBudget
@@ -649,7 +642,7 @@ func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 // decode reads a JSON body with the size limit applied; false means the
 // response has been written.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	body := http.MaxBytesReader(w, r.Body, api.MaxBodyBytes)
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {

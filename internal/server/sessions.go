@@ -325,7 +325,7 @@ func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) {
 	// runs under a search slot, and the slot is released before the session
 	// lock is taken — waiting on a busy session must not pin capacity
 	// either.
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, api.MaxBodyBytes))
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, fmt.Errorf("reading body: %w", err))
 		return
